@@ -23,7 +23,6 @@ from .reports import VerificationReport, summarize
 from .rings import CyclotomicDomain, RationalDomain
 from .suites import (
     generic_contexts,
-    main_theorem_coverage,
     pbw_dimension_report,
     suite_hilb_fg06,
     suite_main_theorem,
@@ -125,36 +124,47 @@ def _parse_Q_list(text, r):
     return specs
 
 
+def _check_sizes(args, min_n=1):
+    """Reject sizes the library cannot take: n below min_n, or r below 1."""
+    if args.n < min_n:
+        raise UsageError(f"--n must be at least {min_n}")
+    r = getattr(args, "r", None)
+    if r is not None and r < 1:
+        raise UsageError("--r must be at least 1")
+
+
+def _check_nonzero(specs, name):
+    """The parameters q and Q_i must be invertible."""
+    if any(s[0] == "rational" and s[1] == 0 for s in specs):
+        raise UsageError(f"{name} must be nonzero")
+
+
 def cmd_verify_main(args):
     if args.n is not None:
+        _check_sizes(args, min_n=0)
         reports = [verify_main_theorem(args.n, args.r or 1)]
-    elif args.jobs > 1:
-        import concurrent.futures
-        pairs = main_theorem_coverage(budget=args.budget)
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            reports = list(pool.map(_main_theorem_job, pairs))
     else:
         reports = suite_main_theorem(budget=args.budget)
     return _emit(reports, args)
 
 
-def _main_theorem_job(pair):
-    return verify_main_theorem(*pair)
-
-
 def cmd_hilb(args):
+    _check_sizes(args)
     specs = [parse_scalar(x) for x in args.q_values.split(",")]
     for spec in specs:
         if spec[0] == "generic":
             raise UsageError("hilb takes explicit q literals")
-        if spec[0] == "rational" and spec[1] == 1:
+        if (spec[0] == "rational" and spec[1] == 1
+                or spec[0] == "zeta" and spec[2] % spec[1] == 0):
             raise UsageError("hilb requires q != 1")
+    _check_nonzero(specs, "q")
     reports = [suite_hilb_fg06(args.n, specs, seed=args.seed,
                                cache_dir=_cache_dir(args))]
     return _emit(reports, args)
 
 
 def cmd_blocks(args):
+    _check_sizes(args)
     if args.ell is None or args.ell < 2:
         raise UsageError("blocks requires --ell >= 2")
     charge = _parse_charge(args.charge, args.r)
@@ -164,18 +174,23 @@ def cmd_blocks(args):
 
 
 def cmd_q1_gap(args):
+    _check_sizes(args)
     Q_vals = None
     if args.Q:
         specs = _parse_Q_list(args.Q, args.r)
         if any(s[0] != "rational" for s in specs):
             raise UsageError("q1-gap takes rational Q literals")
+        _check_nonzero(specs, "Q")
         Q_vals = [s[1] for s in specs]
+        if len(set(Q_vals)) != len(Q_vals):
+            raise UsageError("q1-gap needs distinct Q literals")
     reports = [suite_q1_gap(args.n, args.r, Q_vals, seed=args.seed,
                             cache_dir=_cache_dir(args))]
     return _emit(reports, args)
 
 
 def cmd_pairing(args):
+    _check_sizes(args)
     reports = [suite_pairing(args.n, args.r, trials=args.trials,
                              seed=args.seed, samples=args.samples,
                              cache_dir=_cache_dir(args))]
@@ -185,6 +200,7 @@ def cmd_pairing(args):
 def cmd_center(args):
     import time
     start = time.time()
+    _check_sizes(args)
     q_spec = parse_scalar(args.q)
     Q_specs = _parse_Q_list(args.Q, args.r)
     results = []
@@ -196,6 +212,8 @@ def cmd_center(args):
                                     cache_dir=_cache_dir(args))
         label = "generic (sampled)"
     else:
+        _check_nonzero([q_spec], "q")
+        _check_nonzero(Q_specs, "Q")
         domain, q_val, Q_vals = build_domain_and_values(q_spec, Q_specs)
         contexts = [AlgebraContext(args.n, args.r, domain, q_val, Q_vals,
                                    cache_dir=_cache_dir(args))]
@@ -220,6 +238,7 @@ def cmd_center(args):
 
 
 def cmd_table(args):
+    _check_sizes(args, min_n=0)
     table = restriction_table(args.n, args.r)
     text = table.to_csv() if args.format == "csv" else table.to_json() + "\n"
     if args.out:
@@ -231,6 +250,7 @@ def cmd_table(args):
 
 
 def cmd_dims(args):
+    _check_sizes(args, min_n=0)
     inner = pbw_dimension_report(args.n, args.r)
     inner.params["multipartitions"] = len(
         enumerate_multipartitions(args.n, args.r))
@@ -254,8 +274,6 @@ def build_parser():
                         help="force rebuild of multiplication matrices")
     parser.add_argument("--timings", action="store_true",
                         help="print wall-clock durations to stderr")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent checks")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify-main", help="main theorem identity")

@@ -564,8 +564,7 @@ class AlgebraContext:
         out = {}
         for word, cx in x.terms.items():
             vec = y_vec
-            for kind, idx in reversed(self._word_factors(word)):
-                key = (kind, idx) if kind == "T" else ("L", idx)
+            for key in reversed(self._word_factors(word)):
                 vec = self._apply_cols(self._matrices[key], vec)
                 steps += len(vec)
                 if steps > self.step_budget:

@@ -1,108 +1,107 @@
-"""Exact linear algebra over the scalar domains: fraction-free kernels,
-solving, and incremental row spaces for span computations."""
+"""Exact linear algebra over the scalar domains, built on one sparse reduced
+row echelon form.
+
+A RowSpace holds its rows as dicts {column: nonzero entry} in reduced row
+echelon form: each row has a 1 at its pivot (its first nonzero column) and a
+0 at every other pivot. Rank, kernels, solving and coordinates all feed rows
+into a RowSpace. The reduced form of a row space is unique, so every result
+is independent of row order: kernel vectors have a 1 at their own free column
+and a 0 at the other free columns, and solutions set free variables to 0.
+"""
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from functools import reduce
-
 from .rings import (
-    CyclotomicDomain,
-    CyclotomicNumber,
     LaurentFractionDomain,
     NotInvertibleError,
-    RationalDomain,
     UnsupportedDomainError,
 )
 
 
-def _clear_denominators(row, domain):
-    """Scale a row by a positive integer so all rational denominators clear
-    (keeps Bareiss divisions exact over the underlying integral domain)."""
-    dens = []
-    for x in row:
-        if isinstance(x, Fraction):
-            dens.append(x.denominator)
-        elif isinstance(x, CyclotomicNumber):
-            dens.extend(c.denominator for c in x.coeffs)
-    if not dens:
-        return row
-    scale = reduce(math.lcm, dens, 1)
-    if scale == 1:
-        return row
-    factor = domain.from_int(scale)
-    return [x * factor for x in row]
+class RowSpace:
+    """Incrementally maintained sparse reduced row echelon form over a field
+    domain."""
 
+    def __init__(self, domain, ncols):
+        self.domain = domain
+        self.ncols = ncols
+        self.rows = {}  # pivot column -> {column: entry}, 1 at the pivot
 
-def _eliminate(matrix, domain, fraction_free):
-    """Forward elimination; returns (echelon rows, pivot columns).
+    @property
+    def rank(self):
+        return len(self.rows)
 
-    With ``fraction_free`` the Bareiss condensation step is used (divisions
-    are exact after integer denominators are cleared); otherwise plain field
-    elimination.
-    """
-    rows = [list(r) for r in matrix]
-    if fraction_free:
-        rows = [_clear_denominators(r, domain) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    pivot_rows = []
-    prev_pivot = domain.one
-    for col in range(ncols):
-        pivot_idx = None
-        for i, row in enumerate(rows):
-            if not domain.is_zero(row[col]):
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        pivot_row = rows.pop(pivot_idx)
-        piv = pivot_row[col]
-        new_rows = []
-        for row in rows:
-            if domain.is_zero(row[col]):
-                if fraction_free:
-                    # keep condensation uniform so later divisions stay exact
-                    row = [
-                        _exact_div(piv * row[j], prev_pivot, domain)
-                        for j in range(ncols)
-                    ]
-                new_rows.append(row)
-                continue
-            factor = row[col]
-            if fraction_free:
-                row = [
-                    _exact_div(piv * row[j] - factor * pivot_row[j],
-                               prev_pivot, domain)
-                    for j in range(ncols)
-                ]
+    def _reduce(self, vector):
+        """Sparse residual of a dense vector: zero at every pivot column.
+
+        One pass suffices because each stored row is zero at the other
+        pivots, so clearing one pivot leaves the others untouched."""
+        is_zero = self.domain.is_zero
+        v = {j: x for j, x in enumerate(vector) if not is_zero(x)}
+        for pc in [c for c in v if c in self.rows]:
+            self._subtract(v, v[pc], self.rows[pc])
+        return v
+
+    def _subtract(self, target, factor, row):
+        """target -= factor * row in place, dropping entries that cancel."""
+        is_zero = self.domain.is_zero
+        for j, x in row.items():
+            y = target[j] - factor * x if j in target else -factor * x
+            if is_zero(y):
+                del target[j]
             else:
-                scale = factor * domain.inv(piv)
-                row = [row[j] - scale * pivot_row[j] for j in range(ncols)]
-            new_rows.append(row)
-        rows = new_rows
-        pivots.append(col)
-        pivot_rows.append(pivot_row)
-        if fraction_free:
-            prev_pivot = piv
-    return pivot_rows, pivots
+                target[j] = y
+
+    def _add(self, vector):
+        v = self._reduce(vector)
+        if not v:
+            return False
+        d = self.domain
+        pc = min(v)
+        inv = d.inv(v[pc])
+        row = {j: x * inv for j, x in v.items()}
+        row[pc] = d.one
+        for other in self.rows.values():
+            if pc in other:
+                self._subtract(other, other[pc], row)
+        self.rows[pc] = row
+        return True
+
+    def reduce(self, vector):
+        v = self._reduce(vector)
+        zero = self.domain.zero
+        return [v.get(j, zero) for j in range(self.ncols)]
+
+    def add(self, vector):
+        """Add a vector; returns True if it enlarged the span."""
+        return self._add(vector)
+
+    def contains(self, vector):
+        return not self._reduce(vector)
+
+    def pivot_columns(self):
+        return sorted(self.rows)
+
+    def non_pivot_columns(self):
+        return [c for c in range(self.ncols) if c not in self.rows]
 
 
-def _exact_div(x, y, domain):
-    return x * domain.inv(y)
+def _row_space(matrix, domain, ncols):
+    space = RowSpace(domain, ncols)
+    for row in matrix:
+        space._add(row)
+    return space
 
 
 def rank(matrix, domain):
     if not matrix:
         return 0
-    _, pivots = _eliminate(matrix, domain, fraction_free=False)
-    return len(pivots)
+    return _row_space(matrix, domain, len(matrix[0])).rank
 
 
 def kernel_basis(matrix, domain, *, _allow_fractions=False):
-    """Exact basis of the right kernel via fraction-free (Bareiss-style)
-    elimination followed by back-substitution.
+    """Exact basis of the right kernel, one vector per free column: 1 there,
+    0 at the other free columns, minus that column's entries at the pivots.
 
     Only the field variants (rationals, cyclotomics) are supported; the
     generic Laurent-fraction domain is rejected unless explicitly allowed by
@@ -113,102 +112,31 @@ def kernel_basis(matrix, domain, *, _allow_fractions=False):
             "kernels are computed only over field specializations")
     if not matrix:
         return []
-    ncols = len(matrix[0])
-    fraction_free = isinstance(domain, (RationalDomain, CyclotomicDomain))
-    pivot_rows, pivots = _eliminate(matrix, domain, fraction_free)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    space = _row_space(matrix, domain, len(matrix[0]))
     basis = []
-    for free in free_cols:
-        vec = [domain.zero] * ncols
+    for free in space.non_pivot_columns():
+        vec = [domain.zero] * space.ncols
         vec[free] = domain.one
-        for row, pc in zip(reversed(pivot_rows), reversed(pivots)):
-            acc = domain.zero
-            for j in range(pc + 1, ncols):
-                if not domain.is_zero(vec[j]) and not domain.is_zero(row[j]):
-                    acc = acc + row[j] * vec[j]
-            vec[pc] = -acc * domain.inv(row[pc])
+        for pc, row in space.rows.items():
+            if free in row:
+                vec[pc] = -row[free]
         basis.append(vec)
     return basis
 
 
 def solve_linear(matrix, rhs, domain):
-    """One exact solution of matrix @ x = rhs, or NotInvertibleError when the
-    system is inconsistent (works over any field domain)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    rank_pos = 0
-    for col in range(ncols):
-        pivot_idx = None
-        for i in range(rank_pos, nrows):
-            if not domain.is_zero(aug[i][col]):
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        aug[rank_pos], aug[pivot_idx] = aug[pivot_idx], aug[rank_pos]
-        piv_inv = domain.inv(aug[rank_pos][col])
-        aug[rank_pos] = [x * piv_inv for x in aug[rank_pos]]
-        for i in range(nrows):
-            if i != rank_pos and not domain.is_zero(aug[i][col]):
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank_pos])]
-        pivots.append(col)
-        rank_pos += 1
-    for i in range(rank_pos, nrows):
-        if not domain.is_zero(aug[i][ncols]):
-            raise NotInvertibleError("inconsistent linear system")
+    """One exact solution of matrix @ x = rhs with free variables 0, or
+    NotInvertibleError when the system is inconsistent (works over any field
+    domain)."""
+    ncols = len(matrix[0]) if matrix else 0
+    space = _row_space(
+        (list(row) + [b] for row, b in zip(matrix, rhs)), domain, ncols + 1)
+    if ncols in space.rows:
+        raise NotInvertibleError("inconsistent linear system")
     x = [domain.zero] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
+    for pc, row in space.rows.items():
+        x[pc] = row.get(ncols, domain.zero)
     return x
-
-
-class RowSpace:
-    """Incrementally echelonized row space over a field domain."""
-
-    def __init__(self, domain, ncols):
-        self.domain = domain
-        self.ncols = ncols
-        self.rows = {}  # pivot column -> normalized row
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vector):
-        v = list(vector)
-        d = self.domain
-        for pc in sorted(self.rows):
-            if not d.is_zero(v[pc]):
-                factor = v[pc]
-                row = self.rows[pc]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vector):
-        """Add a vector; returns True if it enlarged the span."""
-        v = self.reduce(vector)
-        d = self.domain
-        for pc in range(self.ncols):
-            if not d.is_zero(v[pc]):
-                inv = d.inv(v[pc])
-                self.rows[pc] = [x * inv for x in v]
-                return True
-        return False
-
-    def contains(self, vector):
-        v = self.reduce(vector)
-        return all(self.domain.is_zero(x) for x in v)
-
-    def pivot_columns(self):
-        return sorted(self.rows)
-
-    def non_pivot_columns(self):
-        pivots = set(self.rows)
-        return [c for c in range(self.ncols) if c not in pivots]
 
 
 def coordinates_in(columns, vector, domain):

@@ -7,7 +7,6 @@ underneath, no floats anywhere).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 from functools import reduce
@@ -684,9 +683,6 @@ class ScalarDomain:
 
     def is_zero(self, x):
         raise NotImplementedError
-
-    def fingerprint(self):
-        return hashlib.sha256(self.name.encode()).hexdigest()[:12]
 
     def serialize(self, x):
         raise NotImplementedError

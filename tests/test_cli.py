@@ -137,6 +137,25 @@ class TestExitCodes:
         code = main(["hilb", "--n", "2", "--q-values", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "center --n 2 --r 1 --q 0 --Q 1",
+        "center --n 2 --r 1 --q 2 --Q 0",
+        "center --n 0 --r 1 --q 2 --Q 1",
+        "dims --n 2 --r 0",
+        "pairing --n 2 --r 0",
+        "q1-gap --n 2 --r 2 --Q 2,2",
+        "q1-gap --n 2 --r 2 --Q 0,2",
+        "hilb --n 2 --q-values zeta_1",
+        "hilb --n 2 --q-values 0",
+        "verify-main --n 2 --r 0",
+    ])
+    def test_invalid_parameters_are_usage_errors(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys):
@@ -171,11 +190,3 @@ class TestDeterminism:
         assert code == 0
         assert "[PASS]" in out
         assert "1 passed, 0 failed, 0 skipped" in out
-
-    def test_parallel_jobs_match_sequential(self, capsys):
-        main(["verify-main", "--budget", "24"])
-        sequential = capsys.readouterr().out
-        code = main(["--jobs", "2", "verify-main", "--budget", "24"])
-        parallel = capsys.readouterr().out
-        assert code == 0
-        assert parallel == sequential

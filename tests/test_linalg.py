@@ -25,6 +25,32 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def sparse_matrix(rng, nrows, ncols):
+    """Random rational rows with 1 to 3 nonzeros each, like the commutator
+    constraints; about a third of them combine two earlier rows so the rank
+    drops."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([x + c * y for x, y in zip(a, b)])
+            continue
+        row = [Fraction(0)] * ncols
+        for j in rng.sample(range(ncols), min(ncols, rng.randint(1, 3))):
+            row[j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                              rng.randint(1, 4))
+        rows.append(row)
+    return rows
+
+
+def free_columns(matrix, ncols):
+    rs = RowSpace(DOM, ncols)
+    for row in matrix:
+        rs.add(row)
+    return rs.non_pivot_columns()
+
+
 class TestKernel:
     def test_identity_has_empty_kernel(self):
         assert kernel_basis(frac_matrix([[1, 0], [0, 1]]), DOM) == []
@@ -103,3 +129,54 @@ class TestRowSpace:
         assert rs.contains([Fraction(3), Fraction(3), Fraction(-1)])
         assert not rs.contains([Fraction(1), Fraction(0), Fraction(0)])
         assert rs.non_pivot_columns() == [1]
+
+
+class TestSympyOracle:
+    def test_rank_nullity_and_kernel_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(5)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+            matrix = sparse_matrix(rng, nrows, ncols)
+            oracle = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                 for row in matrix])
+            basis = kernel_basis(matrix, DOM)
+            assert rank(matrix, DOM) == oracle.rank()
+            assert len(basis) == len(oracle.nullspace())
+            for v in basis:
+                image = oracle * sympy.Matrix(
+                    [sympy.Rational(x.numerator, x.denominator) for x in v])
+                assert image == sympy.zeros(nrows, 1)
+
+
+class TestCanonicalForm:
+    def test_kernel_vectors_are_unit_on_free_columns(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            ncols = rng.randint(1, 10)
+            matrix = sparse_matrix(rng, rng.randint(1, 10), ncols)
+            free = free_columns(matrix, ncols)
+            basis = kernel_basis(matrix, DOM)
+            assert len(basis) == len(free)
+            for own, v in zip(free, basis):
+                assert [v[c] for c in free] == [int(c == own) for c in free]
+
+    def test_kernel_independent_of_row_order(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            matrix = sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+            shuffled = rng.sample(matrix, len(matrix))
+            assert kernel_basis(shuffled, DOM) == kernel_basis(matrix, DOM)
+
+    def test_reduce_clears_every_pivot_column(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            ncols = rng.randint(1, 10)
+            rs = RowSpace(DOM, ncols)
+            for row in sparse_matrix(rng, rng.randint(1, 10), ncols):
+                rs.add(row)
+            vector = sparse_matrix(rng, 1, ncols)[0]
+            residual = rs.reduce(vector)
+            assert all(residual[pc] == 0 for pc in rs.pivot_columns())
+            assert rs.contains([a - b for a, b in zip(vector, residual)])
