@@ -199,7 +199,7 @@ def cmd_pairing(args):
 
 def cmd_center(args):
     import time
-    start = time.time()
+    start = time.perf_counter()
     _check_sizes(args)
     q_spec = parse_scalar(args.q)
     Q_specs = _parse_Q_list(args.Q, args.r)
@@ -232,7 +232,7 @@ def cmd_center(args):
                 "results": results},
         status="pass",
         seed=args.seed,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )
     return _emit([report], args)
 

@@ -139,7 +139,7 @@ def verify_main_theorem(n, r, table=None):
     and the algebraic one (elementary symmetric functions of Jucys-Murphy
     eigenvalues), entry by entry, including the inverse determinant column.
     """
-    start = time.time()
+    start = time.perf_counter()
     if table is None:
         table = restriction_table(n, r)
     one = LaurentPoly.const(1, 1 + r)
@@ -168,7 +168,7 @@ def verify_main_theorem(n, r, table=None):
                 "columns": len(table.column_labels)},
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )
 
 
@@ -177,7 +177,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0, cache_dir=None):
     classes: counts must agree, blocks must match classes through the
     spectra of the Jucys-Murphy center, and per block the dimension of the
     Jucys-Murphy center image must equal the class size."""
-    start = time.time()
+    start = time.perf_counter()
     charge = tuple(charge)
     classes = block_partition(n, r, modulus, charge)
     domain = CyclotomicDomain(modulus)
@@ -199,7 +199,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0, cache_dir=None):
         })
         return VerificationReport(
             check="block_decomposition", params=params, status="fail",
-            witnesses=witnesses, seed=seed, duration=time.time() - start)
+            witnesses=witnesses, seed=seed, duration=time.perf_counter() - start)
 
     mps, char_rows = specialized_elementary_characters(ctx)
     mp_index = {mp: i for i, mp in enumerate(mps)}
@@ -273,5 +273,5 @@ def verify_blocks(n, r, modulus, charge, *, seed=0, cache_dir=None):
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         seed=seed,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )

@@ -107,7 +107,7 @@ def suite_hilb_fg06(n, q_specs, *, seed=0, cache_dir=None):
     q_specs entries: ("rational", Fraction) or ("zeta", order, power);
     rational entries other than roots of unity count as generic.
     """
-    start = time.time()
+    start = time.perf_counter()
     witnesses = []
     results = []
     p_n = len(enumerate_multipartitions(n, 1))
@@ -155,7 +155,7 @@ def suite_hilb_fg06(n, q_specs, *, seed=0, cache_dir=None):
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         seed=seed,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )
 
 
@@ -256,7 +256,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0, cache_dir=None):
     binom(n+r-1, n), strictly below the multipartition count once n, r >= 2;
     the engine's JM-center rank at q = 1 must reproduce the same number, and
     for n <= 2 the two algebra structures are compared word by word."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     if Q_vals is None:
         Q_vals = []
@@ -324,7 +324,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0, cache_dir=None):
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         seed=seed,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )
 
 
@@ -336,7 +336,7 @@ def suite_pairing(n, r, trials=1000, *, seed=0, samples=1, cache_dir=None):
     """Trace symmetry, adjointness for central elements, the character-dual
     module property, the cocenter dimension and the invertibility of the
     trace Gram matrix, at sampled generic rational specializations."""
-    start = time.time()
+    start = time.perf_counter()
     witnesses = []
     gram_skipped = None
     mp_count = len(enumerate_multipartitions(n, r))
@@ -428,7 +428,7 @@ def suite_pairing(n, r, trials=1000, *, seed=0, samples=1, cache_dir=None):
         status=status,
         witnesses=witnesses,
         seed=seed,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )
 
 
@@ -438,7 +438,7 @@ def suite_pairing(n, r, trials=1000, *, seed=0, samples=1, cache_dir=None):
 
 def pbw_dimension_report(n, r, ctx=None):
     """PBW basis size r^n n! against the standard-tableaux square sum."""
-    start = time.time()
+    start = time.perf_counter()
     expected = r ** n * math.factorial(n)
     syt_sum = sum(
         count_standard_tableaux(mp) ** 2
@@ -463,5 +463,5 @@ def pbw_dimension_report(n, r, ctx=None):
                 "syt_square_sum": syt_sum, "basis_size": basis_size},
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
-        duration=time.time() - start,
+        duration=time.perf_counter() - start,
     )

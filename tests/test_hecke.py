@@ -6,6 +6,8 @@ import pytest
 from cyclohecke.hecke import (
     AlgebraContext,
     EngineError,
+    RewriteBudgetError,
+    _random_element,
     all_permutations,
     check_relations,
     one_step_T_push,
@@ -17,7 +19,51 @@ from cyclohecke.hecke import (
     trace_form,
     validate_straightening,
 )
-from cyclohecke.rings import RationalDomain
+from cyclohecke.rings import CyclotomicDomain, RationalDomain
+
+
+def literal_product(ctx, x, y):
+    """x * y word by word, the reference for ctx.multiply: for each left
+    term c L_1^a_1 ... L_n^a_n T_w apply reduced_word(w) right to left, then
+    L_n^a_n, ..., L_1^a_1, and sum c times the results."""
+    d = ctx.domain
+    y_vec = {ctx.index[w]: c for w, c in y.terms.items()}
+    out = {}
+    for (exps, w), cx in x.terms.items():
+        vec = y_vec
+        for i in reversed(reduced_word(w)):
+            vec = ctx._apply_cols(ctx._matrices[("T", i)], vec)
+        for k in range(ctx.n, 0, -1):
+            for _ in range(exps[k - 1]):
+                vec = ctx._apply_cols(ctx._matrices[("L", k)], vec)
+        for k, c in vec.items():
+            out[k] = out.get(k, d.zero) + cx * c
+    return {k: c for k, c in out.items() if not d.is_zero(c)}
+
+
+def product_vector(ctx, x, y):
+    return {ctx.index[w]: c for w, c in ctx.multiply(x, y).terms.items()}
+
+
+def corrupt_straightening(monkeypatch):
+    """Flip the sign of the (q-1) straightening terms in every T matrix
+    built from now on."""
+    build = AlgebraContext._build_T_matrix
+
+    def corrupted(self, i):
+        cols = build(self, i)
+        d = self.domain
+        qm1 = self.q_val - d.one
+        for (exps, w), col in zip(self.basis, cols):
+            ai, aj = exps[i], exps[i + 1]
+            sign = d.from_int(1 if aj > ai else -1)
+            for k in range(min(ai, aj), max(ai, aj)):
+                e = list(exps)
+                e[i], e[i + 1] = k, ai + aj - k
+                self._accumulate(col, (tuple(e), w), -2 * qm1 * sign)
+        return cols
+
+    monkeypatch.setattr(AlgebraContext, "_build_T_matrix", corrupted)
 
 
 class TestPermutations:
@@ -95,12 +141,104 @@ class TestMultiplication:
             a.one() + b.one()
 
     def test_step_budget(self):
-        from cyclohecke.hecke import RewriteBudgetError
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(2),
                              [Fraction(3), Fraction(5)],
                              self_check=False, step_budget=0)
         with pytest.raises(RewriteBudgetError):
             ctx.symmetric_jm(2)
+
+    def test_step_budget_one(self):
+        ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(2),
+                             [Fraction(3), Fraction(5)],
+                             self_check=False, step_budget=1)
+        # T_1 L_1 = L_2 T_1 - (q-1) L_2: one application, two terms
+        with pytest.raises(RewriteBudgetError):
+            ctx.T(1) * ctx.jm_element(1)
+
+
+class TestProductOracle:
+    """ctx.multiply against the literal per-word product; for symbolic
+    coefficients dict equality compares PolyFractions by
+    cross-multiplication."""
+
+    @pytest.fixture(scope="class", params=[
+        "rational-2-3", "rational-3-2", "cyclotomic3-2-2", "symbolic-2-2"])
+    def ctx(self, request, symbolic_ctx):
+        if request.param == "symbolic-2-2":
+            return symbolic_ctx(2, 2)
+        if request.param == "cyclotomic3-2-2":
+            d = CyclotomicDomain(3)
+            return AlgebraContext(2, 2, d, d.zeta(1), [d.zeta(0), d.zeta(1)])
+        n, r = map(int, request.param.split("-")[1:])
+        return AlgebraContext(n, r, RationalDomain(), Fraction(3, 2),
+                              [Fraction(k + 2, 3) for k in range(r)])
+
+    def test_random_elements(self, ctx):
+        rng = random.Random(7)
+        trials = 5 if ctx.domain.name.startswith("laurent") else 20
+        for _ in range(trials):
+            x = _random_element(ctx, rng, max_terms=6)
+            y = _random_element(ctx, rng, max_terms=6)
+            assert product_vector(ctx, x, y) == literal_product(ctx, x, y)
+
+    def test_full_support_left_factors(self, ctx):
+        rng = random.Random(8)
+        y = _random_element(ctx, rng)
+        e_n = ctx.symmetric_jm(ctx.n)
+        xy = _random_element(ctx, rng) * _random_element(ctx, rng)
+        for left in (e_n, xy, ctx.from_vector([ctx.domain.one] * ctx.dim)):
+            assert product_vector(ctx, left, y) == \
+                literal_product(ctx, left, y)
+
+    def test_zero_and_one(self, ctx):
+        x = _random_element(ctx, random.Random(9), max_terms=6)
+        zero, one = ctx.zero(), ctx.one()
+        assert ctx.multiply(zero, x).is_zero()
+        assert ctx.multiply(x, zero).is_zero()
+        assert product_vector(ctx, one, x) == literal_product(ctx, one, x)
+        assert product_vector(ctx, x, one) == literal_product(ctx, x, one)
+        assert ctx.multiply(one, x) == x
+        assert ctx.multiply(x, one) == x
+
+    def test_literal_factor_order_on_corrupted_matrices(self, monkeypatch):
+        # with a corrupted T matrix the L_i need not commute; the product
+        # must still be the literal per-word map, not a reordering of it
+        corrupt_straightening(monkeypatch)
+        ctx = AlgebraContext(3, 2, RationalDomain(), Fraction(3, 2),
+                             [Fraction(2, 3), Fraction(1)], self_check=False)
+        rng = random.Random(10)
+        x = ctx.from_vector([ctx.domain.one] * ctx.dim)
+        for _ in range(5):
+            y = _random_element(ctx, rng)
+            assert product_vector(ctx, x, y) == literal_product(ctx, x, y)
+
+
+class TestProductWork:
+    @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
+    def test_full_support_applications(self, monkeypatch, n, r):
+        # one application per distinct nonempty reduced-word suffix (T
+        # stage) plus one per non-root node of the exponent trie (L stage);
+        # word by word it would be the total word length, 45 at (2,3)
+        ctx = AlgebraContext(n, r, RationalDomain(), Fraction(3, 2),
+                             [Fraction(k + 2, 3) for k in range(r)],
+                             self_check=False)
+        suffixes = {reduced_word(w)[j:] for w in all_permutations(n)
+                    for j in range(len(reduced_word(w)))}
+        x = ctx.from_vector([ctx.domain.one] * ctx.dim)
+        y = ctx.basis_element(ctx.dim - 1)
+        calls = []
+        apply_cols = AlgebraContext._apply_cols
+
+        def counting(self, cols, vec):
+            calls.append(1)
+            return apply_cols(self, cols, vec)
+
+        monkeypatch.setattr(AlgebraContext, "_apply_cols", counting)
+        product = ctx.multiply(x, y)
+        assert len(calls) <= len(suffixes) + r ** n - 1
+        monkeypatch.undo()
+        assert {ctx.index[w]: c for w, c in product.terms.items()} == \
+            literal_product(ctx, x, y)
 
 
 class TestJMElements:
@@ -219,21 +357,23 @@ class TestRelations:
         rep = check_relations(rational_ctx(3, 1, Fraction(-1), [Fraction(1)]))
         assert rep.passed
 
-    def test_corrupted_straightening_fails_with_witness(self):
+    def test_corrupted_straightening_fails_with_witness(self, monkeypatch):
+        corrupt_straightening(monkeypatch)
         ctx = AlgebraContext(
             2, 2, RationalDomain(), Fraction(3), [Fraction(2), Fraction(5)],
-            self_check=False, _straightening_sign=-1)
+            self_check=False)
         rep = check_relations(ctx)
         assert rep.status == "fail"
         assert rep.witnesses
         text = str(rep.witnesses[0])
         assert "L1" in text or "L2" in text
 
-    def test_self_check_rejects_corruption_at_build(self):
+    def test_self_check_rejects_corruption_at_build(self, monkeypatch):
+        corrupt_straightening(monkeypatch)
         with pytest.raises(EngineError):
             AlgebraContext(
                 2, 2, RationalDomain(), Fraction(3),
-                [Fraction(2), Fraction(5)], _straightening_sign=-1)
+                [Fraction(2), Fraction(5)])
 
     def test_q_equals_one_still_consistent(self):
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(1),
