@@ -105,12 +105,12 @@ class JMCenterSpan:
     capped: bool
 
 
-def jm_center_span(ctx, *, max_rounds=None):
+def jm_center_span(ctx):
     """Span monomials in the elementary symmetric functions of the JM
-    elements (and the inverse of the top one) until the span stabilizes."""
+    elements (and the inverse of the top one) until the span stabilizes,
+    or mark the span capped after n*r + n + 10 rounds."""
     n = ctx.n
-    if max_rounds is None:
-        max_rounds = n * ctx.r + n + 10
+    max_rounds = n * ctx.r + n + 10
     gens = [(ctx.symmetric_jm(k), k - 1) for k in range(1, n + 1)]
     gens.append((ctx.invert(ctx.symmetric_jm(n)), n))
     span = RowSpace(ctx.domain, ctx.dim)
@@ -142,8 +142,8 @@ def jm_center_span(ctx, *, max_rounds=None):
     return JMCenterSpan(span.rank, elements, descriptors, capped)
 
 
-def jm_center_rank(ctx, **kwargs):
-    return jm_center_span(ctx, **kwargs).rank
+def jm_center_rank(ctx):
+    return jm_center_span(ctx).rank
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +550,18 @@ def _eval_poly_at(A, e, z, coeffs):
     return out
 
 
-def _try_split(A, e, ideal, rng, max_random_trials):
+# random combinations of the ideal basis tried after the basis vectors
+_SPLIT_TRIALS = 24
+
+
+def _try_split(A, e, ideal, rng):
     """Split e along kernels of coprime factors of the minimal polynomial of
     a candidate element; None when no candidate produced a split."""
     from .rings import _poly_mul
 
     domain = RationalDomain()
     candidates = list(ideal)
-    for _ in range(max_random_trials):
+    for _ in range(_SPLIT_TRIALS):
         combo = [Fraction(0)] * A.dim
         for vec in ideal:
             c = rng.randint(-3, 3)
@@ -673,7 +677,7 @@ def _certify_primitive(ctx, view, zbasis, e_rational):
     return rank(gram, d) == 1
 
 
-def central_idempotents(ctx, *, seed=0, max_random_trials=24):
+def central_idempotents(ctx, *, seed=0):
     """The complete set of primitive central idempotents of a specialized
     algebra, computed inside the commutative center by repeatedly splitting
     along kernels of (z - eigenvalue) factors of minimal polynomials of
@@ -701,7 +705,7 @@ def central_idempotents(ctx, *, seed=0, max_random_trials=24):
         if len(ideal) == 1:
             finished.append(e)
             continue
-        pieces = _try_split(A, e, ideal, rng, max_random_trials)
+        pieces = _try_split(A, e, ideal, rng)
         if pieces is None:
             if _certify_primitive(ctx, view, zbasis, e):
                 finished.append(e)

@@ -10,9 +10,9 @@ usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from .center import center_basis, jm_center_span
@@ -99,14 +99,6 @@ def _emit(reports, args):
     return 0 if failed == 0 else 1
 
 
-def _cache_dir(args):
-    if args.no_cache:
-        return None
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("CYCLOHECKE_CACHE")
-
-
 def _parse_charge(text, r):
     try:
         charge = tuple(int(x) for x in text.split(","))
@@ -131,6 +123,15 @@ def _check_sizes(args, min_n=1):
     r = getattr(args, "r", None)
     if r is not None and r < 1:
         raise UsageError("--r must be at least 1")
+
+
+def _check_counts(args):
+    """Reject sample, trial and budget counts below 1: with none of them a
+    suite checks nothing and still reports a pass."""
+    for name in ("samples", "trials", "budget"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be at least 1")
 
 
 def _check_nonzero(specs, name):
@@ -158,8 +159,7 @@ def cmd_hilb(args):
                 or spec[0] == "zeta" and spec[2] % spec[1] == 0):
             raise UsageError("hilb requires q != 1")
     _check_nonzero(specs, "q")
-    reports = [suite_hilb_fg06(args.n, specs, seed=args.seed,
-                               cache_dir=_cache_dir(args))]
+    reports = [suite_hilb_fg06(args.n, specs, seed=args.seed)]
     return _emit(reports, args)
 
 
@@ -168,8 +168,7 @@ def cmd_blocks(args):
     if args.ell is None or args.ell < 2:
         raise UsageError("blocks requires --ell >= 2")
     charge = _parse_charge(args.charge, args.r)
-    reports = [verify_blocks(args.n, args.r, args.ell, charge,
-                             seed=args.seed, cache_dir=_cache_dir(args))]
+    reports = [verify_blocks(args.n, args.r, args.ell, charge, seed=args.seed)]
     return _emit(reports, args)
 
 
@@ -184,21 +183,18 @@ def cmd_q1_gap(args):
         Q_vals = [s[1] for s in specs]
         if len(set(Q_vals)) != len(Q_vals):
             raise UsageError("q1-gap needs distinct Q literals")
-    reports = [suite_q1_gap(args.n, args.r, Q_vals, seed=args.seed,
-                            cache_dir=_cache_dir(args))]
+    reports = [suite_q1_gap(args.n, args.r, Q_vals, seed=args.seed)]
     return _emit(reports, args)
 
 
 def cmd_pairing(args):
     _check_sizes(args)
     reports = [suite_pairing(args.n, args.r, trials=args.trials,
-                             seed=args.seed, samples=args.samples,
-                             cache_dir=_cache_dir(args))]
+                             seed=args.seed, samples=args.samples)]
     return _emit(reports, args)
 
 
 def cmd_center(args):
-    import time
     start = time.perf_counter()
     _check_sizes(args)
     q_spec = parse_scalar(args.q)
@@ -208,15 +204,13 @@ def cmd_center(args):
         if not (q_spec[0] == "generic"
                 and all(s[0] == "generic" for s in Q_specs)):
             raise UsageError("mix of generic and explicit literals")
-        contexts = generic_contexts(args.n, args.r, args.seed, args.samples,
-                                    cache_dir=_cache_dir(args))
+        contexts = generic_contexts(args.n, args.r, args.seed, args.samples)
         label = "generic (sampled)"
     else:
         _check_nonzero([q_spec], "q")
         _check_nonzero(Q_specs, "Q")
         domain, q_val, Q_vals = build_domain_and_values(q_spec, Q_specs)
-        contexts = [AlgebraContext(args.n, args.r, domain, q_val, Q_vals,
-                                   cache_dir=_cache_dir(args))]
+        contexts = [AlgebraContext(args.n, args.r, domain, q_val, Q_vals)]
         label = "explicit"
     for ctx in contexts:
         dim_center = len(center_basis(ctx))
@@ -242,7 +236,12 @@ def cmd_table(args):
     table = restriction_table(args.n, args.r)
     text = table.to_csv() if args.format == "csv" else table.to_json() + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
+        try:
+            handle = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -269,9 +268,6 @@ def build_parser():
                         help="random trials for property checks")
     parser.add_argument("--format", choices=["json", "table", "csv"],
                         default="json")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true",
-                        help="force rebuild of multiplication matrices")
     parser.add_argument("--timings", action="store_true",
                         help="print wall-clock durations to stderr")
     sub = parser.add_subparsers(dest="command")
@@ -335,6 +331,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_counts(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

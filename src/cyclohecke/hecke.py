@@ -18,12 +18,8 @@ rewriter that only knows the two degree-1 exchange rules.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
 import random
-import tempfile
 import time
 from fractions import Fraction
 from functools import cache
@@ -286,9 +282,6 @@ def pairing(a, b):
 # the algebra context
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT_VERSION = 1
-
-
 class AlgebraContext:
     """A cyclotomic Hecke algebra with fixed (n, r), scalar domain and
     parameter images, carrying cached generator multiplication matrices.
@@ -297,7 +290,7 @@ class AlgebraContext:
     """
 
     def __init__(self, n, r, domain, q_val, Q_vals, *, self_check=True,
-                 cache_dir=None, step_budget=10 ** 6):
+                 step_budget=10 ** 6):
         if n < 1 or r < 1:
             raise ValueError("need n >= 1 and r >= 1")
         if len(Q_vals) != r:
@@ -330,15 +323,9 @@ class AlgebraContext:
             poly = self._mul_linear(poly, Q)
         self.cyclo_red = [-c for c in poly[:r]]
 
-        self._matrices = None
         self._jm_cache = {}
         self._sym_cache = {}
-        if cache_dir is not None and self._load_cache(cache_dir):
-            pass
-        else:
-            self._build_matrices()
-            if cache_dir is not None:
-                self._store_cache(cache_dir)
+        self._build_matrices()
         if self_check:
             report = check_relations(self)
             if not report.passed:
@@ -443,67 +430,6 @@ class AlgebraContext:
                     out[k] = m * c
         is_zero = self.domain.is_zero
         return {k: v for k, v in out.items() if not is_zero(v)}
-
-    # -- cache ------------------------------------------------------------
-
-    def fingerprint(self):
-        payload = json.dumps({
-            "version": CACHE_FORMAT_VERSION,
-            "n": self.n,
-            "r": self.r,
-            "domain": self.domain.name,
-            "q": self.domain.serialize(self.q_val),
-            "Q": [self.domain.serialize(Q) for Q in self.Q_vals],
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def _cache_path(self, cache_dir):
-        return os.path.join(
-            cache_dir, f"ak-n{self.n}-r{self.r}-{self.fingerprint()}.json")
-
-    def _store_cache(self, cache_dir):
-        os.makedirs(cache_dir, exist_ok=True)
-        data = {
-            "version": CACHE_FORMAT_VERSION,
-            "fingerprint": self.fingerprint(),
-            "matrices": {
-                f"{kind}:{idx}": [
-                    [[k, self.domain.serialize(v)] for k, v in sorted(col.items())]
-                    for col in cols
-                ]
-                for (kind, idx), cols in self._matrices.items()
-            },
-        }
-        path = self._cache_path(cache_dir)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _load_cache(self, cache_dir):
-        path = self._cache_path(cache_dir)
-        if not os.path.exists(path):
-            return False
-        with open(path) as handle:
-            data = json.load(handle)
-        if data.get("version") != CACHE_FORMAT_VERSION:
-            return False
-        if data.get("fingerprint") != self.fingerprint():
-            return False
-        mats = {}
-        for key, cols in data["matrices"].items():
-            kind, idx = key.split(":")
-            mats[(kind, int(idx))] = [
-                {int(k): self.domain.deserialize(v) for k, v in col}
-                for col in cols
-            ]
-        self._matrices = mats
-        return True
 
     # -- element constructors ---------------------------------------------
 

@@ -172,7 +172,7 @@ def verify_main_theorem(n, r, table=None):
     )
 
 
-def verify_blocks(n, r, modulus, charge, *, seed=0, cache_dir=None):
+def verify_blocks(n, r, modulus, charge, *, seed=0):
     """Block decomposition at a root of unity against the residue-vector
     classes: counts must agree, blocks must match classes through the
     spectra of the Jucys-Murphy center, and per block the dimension of the
@@ -183,7 +183,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0, cache_dir=None):
     domain = CyclotomicDomain(modulus)
     q_val = domain.zeta(1)
     Q_vals = [domain.zeta(s) for s in charge]
-    ctx = AlgebraContext(n, r, domain, q_val, Q_vals, cache_dir=cache_dir)
+    ctx = AlgebraContext(n, r, domain, q_val, Q_vals)
     idempotents = central_idempotents(ctx, seed=seed)
     witnesses = []
     blocks_found = len(idempotents)

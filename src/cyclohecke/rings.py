@@ -673,7 +673,7 @@ class ScalarDomain:
     """Tagged choice of exact coefficient field with its ring operations.
 
     Elements carry their own arithmetic through operator overloading; the
-    domain supplies constants, coercions, inverses and serialization.
+    domain supplies constants, coercions, inverses and rendering.
     """
 
     name = "abstract"
@@ -682,12 +682,6 @@ class ScalarDomain:
         raise NotImplementedError
 
     def is_zero(self, x):
-        raise NotImplementedError
-
-    def serialize(self, x):
-        raise NotImplementedError
-
-    def deserialize(self, data):
         raise NotImplementedError
 
     def render(self, x):
@@ -714,12 +708,6 @@ class RationalDomain(ScalarDomain):
 
     def is_zero(self, x):
         return x == 0
-
-    def serialize(self, x):
-        return str(Fraction(x))
-
-    def deserialize(self, data):
-        return Fraction(data)
 
 
 class CyclotomicDomain(ScalarDomain):
@@ -750,12 +738,6 @@ class CyclotomicDomain(ScalarDomain):
 
     def is_zero(self, x):
         return self._as_element(x).is_zero()
-
-    def serialize(self, x):
-        return [str(c) for c in self._as_element(x).coeffs]
-
-    def deserialize(self, data):
-        return CyclotomicNumber(self.order, [Fraction(c) for c in data])
 
     def render(self, x):
         return self._as_element(x).render()
@@ -798,20 +780,6 @@ class LaurentFractionDomain(ScalarDomain):
 
     def is_zero(self, x):
         return self._as_element(x).is_zero()
-
-    def serialize(self, x):
-        x = self._as_element(x)
-        return {
-            "num": [[list(e), str(c)] for e, c in x.num.sorted_terms()],
-            "den": [[list(e), str(c)] for e, c in x.den.sorted_terms()],
-        }
-
-    def deserialize(self, data):
-        num = LaurentPoly(self.nvars, {
-            tuple(e): Fraction(c) for e, c in data["num"]})
-        den = LaurentPoly(self.nvars, {
-            tuple(e): Fraction(c) for e, c in data["den"]})
-        return PolyFraction(num, den)
 
     def render(self, x):
         return self._as_element(x).render()

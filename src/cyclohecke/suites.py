@@ -62,14 +62,14 @@ def sample_specialization(n, rng, r):
             return q, Qs
 
 
-def generic_contexts(n, r, seed, samples=3, **kwargs):
+def generic_contexts(n, r, seed, samples=3):
     """Independently sampled rational specializations of (n, r)."""
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         q, Qs = sample_specialization(n, rng, r)
         domain = RationalDomain()
-        out.append(AlgebraContext(n, r, domain, q, Qs, **kwargs))
+        out.append(AlgebraContext(n, r, domain, q, Qs))
     return out
 
 
@@ -99,7 +99,7 @@ def suite_main_theorem(budget=400, n_cap=8, r_cap=6):
 # Hilbert scheme corollary (r = 1)
 # ---------------------------------------------------------------------------
 
-def suite_hilb_fg06(n, q_specs, *, seed=0, cache_dir=None):
+def suite_hilb_fg06(n, q_specs, *, seed=0):
     """For r = 1 and Q_1 = 1: the center and the Jucys-Murphy center have
     equal dimension at every q != 1 in the list, and both equal the number
     of partitions of n at the generic entries.
@@ -130,8 +130,7 @@ def suite_hilb_fg06(n, q_specs, *, seed=0, cache_dir=None):
             label = f"zeta_{order}^{power}"
         else:
             raise ValueError(f"unknown q spec {spec!r}")
-        ctx = AlgebraContext(n, 1, domain, q_val, [domain.one],
-                             cache_dir=cache_dir)
+        ctx = AlgebraContext(n, 1, domain, q_val, [domain.one])
         dim_center = len(center_basis(ctx))
         dim_jm = jm_center_span(ctx).rank
         results.append({
@@ -251,7 +250,7 @@ class SmashProduct:
         return len(kernel_basis(rows, domain))
 
 
-def suite_q1_gap(n, r, Q_vals=None, *, seed=0, cache_dir=None):
+def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
     """At q = 1 the invariant subalgebra of the smash product has dimension
     binom(n+r-1, n), strictly below the multipartition count once n, r >= 2;
     the engine's JM-center rank at q = 1 must reproduce the same number, and
@@ -284,8 +283,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0, cache_dir=None):
             "invariant_dim": invariant_dim, "multipartitions": mp_count,
         })
     domain = RationalDomain()
-    ctx = AlgebraContext(n, r, domain, Fraction(1), Q_vals,
-                         cache_dir=cache_dir)
+    ctx = AlgebraContext(n, r, domain, Fraction(1), Q_vals)
     jm_rank = jm_center_span(ctx).rank
     if jm_rank != invariant_dim:
         witnesses.append({
@@ -332,7 +330,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0, cache_dir=None):
 # pairing / cocenter suite
 # ---------------------------------------------------------------------------
 
-def suite_pairing(n, r, trials=1000, *, seed=0, samples=1, cache_dir=None):
+def suite_pairing(n, r, trials=1000, *, seed=0, samples=1):
     """Trace symmetry, adjointness for central elements, the character-dual
     module property, the cocenter dimension and the invertibility of the
     trace Gram matrix, at sampled generic rational specializations."""
@@ -341,7 +339,7 @@ def suite_pairing(n, r, trials=1000, *, seed=0, samples=1, cache_dir=None):
     gram_skipped = None
     mp_count = len(enumerate_multipartitions(n, r))
     sampled = []
-    for ctx in generic_contexts(n, r, seed, samples, cache_dir=cache_dir):
+    for ctx in generic_contexts(n, r, seed, samples):
         rng = random.Random(seed + len(sampled))
         sampled.append({"q": str(ctx.q_val),
                         "Q": [str(Q) for Q in ctx.Q_vals]})

@@ -148,9 +148,17 @@ class TestExitCodes:
         "hilb --n 2 --q-values zeta_1",
         "hilb --n 2 --q-values 0",
         "verify-main --n 2 --r 0",
+        "--samples 0 pairing --n 2 --r 1",
+        "--samples 0 center --n 2 --r 1 --q generic --Q generic",
+        "--trials 0 pairing --n 2 --r 1",
+        "--trials -3 pairing --n 2 --r 1",
+        "verify-main --budget 0",
+        "table --n 2 --r 2 --out {tmp}/missing/x.csv",
     ])
-    def test_invalid_parameters_are_usage_errors(self, argv, capsys):
-        assert main(argv.split()) == 2
+    def test_invalid_parameters_are_usage_errors(self, argv, tmp_path,
+                                                 capsys):
+        args = [a.format(tmp=tmp_path) for a in argv.split()]
+        assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -166,22 +174,6 @@ class TestDeterminism:
         main(args)
         second = capsys.readouterr().out
         assert first == second
-
-    def test_no_cache_reproduces_cached_results(self, tmp_path, capsys):
-        args = ["blocks", "--n", "2", "--r", "1", "--ell", "2",
-                "--charge", "0"]
-        main(["--cache-dir", str(tmp_path)] + args)
-        cached = capsys.readouterr().out
-        assert list(tmp_path.glob("*.json"))
-        main(["--no-cache"] + args)
-        rebuilt = capsys.readouterr().out
-        assert cached == rebuilt
-
-    def test_env_var_cache_dir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CYCLOHECKE_CACHE", str(tmp_path))
-        main(["center", "--n", "2", "--r", "1", "--q", "2", "--Q", "1"])
-        capsys.readouterr()
-        assert list(tmp_path.glob("ak-n2-r1-*.json"))
 
     def test_table_format_output(self, capsys):
         code = main(["--format", "table", "verify-main", "--n", "2",

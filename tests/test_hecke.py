@@ -380,26 +380,3 @@ class TestRelations:
                              [Fraction(2), Fraction(5)])
         assert check_relations(ctx).passed
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        params = dict(n=2, r=2, domain=RationalDomain(),
-                      q_val=Fraction(3), Q_vals=[Fraction(2), Fraction(5)])
-        ctx1 = AlgebraContext(**params, cache_dir=str(tmp_path))
-        files = list(tmp_path.glob("ak-n2-r2-*.json"))
-        assert len(files) == 1
-        ctx2 = AlgebraContext(**params, cache_dir=str(tmp_path))
-        assert ctx1._matrices.keys() == ctx2._matrices.keys()
-        for key in ctx1._matrices:
-            assert ctx1._matrices[key] == ctx2._matrices[key]
-        # no-cache rebuild must agree with the cached matrices
-        ctx3 = AlgebraContext(**params)
-        for key in ctx1._matrices:
-            assert ctx1._matrices[key] == ctx3._matrices[key]
-
-    def test_different_parameters_different_files(self, tmp_path):
-        AlgebraContext(2, 1, RationalDomain(), Fraction(3), [Fraction(1)],
-                       cache_dir=str(tmp_path))
-        AlgebraContext(2, 1, RationalDomain(), Fraction(5), [Fraction(1)],
-                       cache_dir=str(tmp_path))
-        assert len(list(tmp_path.glob("ak-n2-r1-*.json"))) == 2
