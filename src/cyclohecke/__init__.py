@@ -5,10 +5,9 @@ from .rings import (
     CyclotomicDomain,
     CyclotomicNumber,
     DomainError,
-    LaurentFractionDomain,
+    LaurentDomain,
     LaurentPoly,
     NotInvertibleError,
-    PolyFraction,
     RationalDomain,
     UnsupportedDomainError,
     cyclotomic_polynomial,

@@ -12,17 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .linalg import RowSpace, coordinates_in, kernel_basis, rank, solve_linear
 from .rings import (
     CyclotomicDomain,
     CyclotomicNumber,
-    LaurentFractionDomain,
     LaurentPoly,
     NotInvertibleError,
     RationalDomain,
     UnsupportedDomainError,
+    _poly_divmod,
+    _poly_mul,
+    _poly_trim,
     elementary_symmetric,
     euler_phi,
     specialize,
@@ -66,23 +69,18 @@ def _commutation_constraints(ctx):
     return rows
 
 
-def center_basis(ctx, *, symbolic_dim_cap=100):
+def center_basis(ctx):
     """Exact basis of the center {z : z T_i = T_i z, z L_1 = L_1 z} via the
     kernel of the stacked commutator constraints.
 
-    Over the generic Laurent-fraction domain the computation is attempted
-    only up to the configurable dimension cap (symbolic elimination blows
-    up); use sampled rational specializations beyond it.
+    The kernel needs a field domain: over the symbolic Laurent ring this
+    raises UnsupportedDomainError unless there are no constraints at all;
+    use sampled rational specializations instead.
     """
-    symbolic = isinstance(ctx.domain, LaurentFractionDomain)
-    if symbolic and ctx.dim > symbolic_dim_cap:
-        raise UnsupportedDomainError(
-            f"symbolic center computation capped at dimension "
-            f"{symbolic_dim_cap}")
     rows = _commutation_constraints(ctx)
     if not rows:
         return [ctx.basis_element(i) for i in range(ctx.dim)]
-    vectors = kernel_basis(rows, ctx.domain, _allow_fractions=symbolic)
+    vectors = kernel_basis(rows, ctx.domain)
     return [ctx.from_vector(v) for v in vectors]
 
 
@@ -112,7 +110,7 @@ def jm_center_span(ctx):
     n = ctx.n
     max_rounds = n * ctx.r + n + 10
     gens = [(ctx.symmetric_jm(k), k - 1) for k in range(1, n + 1)]
-    gens.append((ctx.invert(ctx.symmetric_jm(n)), n))
+    gens.append((ctx.symmetric_jm_inverse(), n))
     span = RowSpace(ctx.domain, ctx.dim)
     one = ctx.one()
     zero_desc = (0,) * (n + 1)
@@ -341,9 +339,6 @@ class _CommutativeAlgebra:
                         out[k] += coeff * t
         return out
 
-    def power_action(self, z, vectors):
-        return [self.mult(z, v) for v in vectors]
-
 
 class _RationalView:
     """Fraction coordinates for a center over Q or over a cyclotomic field
@@ -452,10 +447,6 @@ def _rational_roots(coeffs):
     """All rational roots (with multiplicity factored off) of a monic
     Fraction polynomial, by the rational root theorem on the cleared form.
     Returns (roots with multiplicities, cofactor polynomial)."""
-    from math import gcd, lcm
-
-    from .rings import _poly_divmod, _poly_trim
-
     poly = [Fraction(c) for c in coeffs]
     scale = 1
     for c in poly:
@@ -557,8 +548,6 @@ _SPLIT_TRIALS = 24
 def _try_split(A, e, ideal, rng):
     """Split e along kernels of coprime factors of the minimal polynomial of
     a candidate element; None when no candidate produced a split."""
-    from .rings import _poly_mul
-
     domain = RationalDomain()
     candidates = list(ideal)
     for _ in range(_SPLIT_TRIALS):
@@ -689,9 +678,6 @@ def central_idempotents(ctx, *, seed=0):
     quotient over the coefficient field is certified one-dimensional,
     otherwise an IdempotentSplitError asks for a retry with new randomness.
     """
-    if isinstance(ctx.domain, LaurentFractionDomain):
-        raise UnsupportedDomainError(
-            "block idempotents need a specialized (field) domain")
     zbasis = center_basis(ctx)
     k_table, k_identity = _structure_constants(ctx, zbasis)
     view = _RationalView(ctx, zbasis)

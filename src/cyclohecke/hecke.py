@@ -24,11 +24,7 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .rings import (
-    LaurentFractionDomain,
-    LaurentPoly,
-    NotInvertibleError,
-)
+from .rings import LaurentDomain, LaurentPoly, NotInvertibleError
 from .linalg import solve_linear
 from .reports import VerificationReport
 
@@ -325,6 +321,7 @@ class AlgebraContext:
 
         self._jm_cache = {}
         self._sym_cache = {}
+        self._sym_inverse = None
         self._build_matrices()
         if self_check:
             report = check_relations(self)
@@ -438,9 +435,6 @@ class AlgebraContext:
             return self.domain.from_int(value)
         if isinstance(value, Fraction):
             return self.domain.from_fraction(value)
-        if isinstance(value, LaurentPoly) and isinstance(
-                self.domain, LaurentFractionDomain):
-            return self.domain.from_poly(value)
         return value
 
     def zero(self):
@@ -593,8 +587,40 @@ class AlgebraContext:
                 self._sym_cache[j] = row[j]
         return self._sym_cache[k]
 
+    def symmetric_jm_inverse(self):
+        """e_n^{-1} = L_n^{-1} ... L_1^{-1} in closed form, with coefficients
+        in the ring generated by the parameters and their inverses.
+
+        L_1^{-1} comes from the cyclotomic relation: with L_1^r =
+        sum_j c_j L_1^j and c_0 = +-prod Q_i, L_1^{-1} = c_0^{-1} (L_1^{r-1}
+        - sum_{j>=1} c_j L_1^{j-1}). Then T_i^{-1} = q^{-1} (T_i - (q-1))
+        and L_{i+1}^{-1} = q T_i^{-1} L_i^{-1} T_i^{-1}."""
+        if self._sym_inverse is None:
+            d = self.domain
+            n = self.n
+
+            def L1_power(k):  # a basis word for k < r
+                word = ((k,) + (0,) * (n - 1), self._identity_perm)
+                return AlgebraElement(self, {word: d.one})
+
+            c = self.cyclo_red
+            L_inv = L1_power(self.r - 1)
+            for j in range(1, self.r):
+                L_inv = L_inv - L1_power(j - 1) * c[j]
+            L_inv = L_inv * d.inv(c[0])
+            total = L_inv
+            for i in range(1, n):
+                T_inv = (self.T(i) - (self.q_val - d.one)) * self.q_inv
+                L_inv = T_inv * L_inv * T_inv * self.q_val
+                total = L_inv * total
+            self._sym_inverse = total
+        return self._sym_inverse
+
     def invert(self, x):
-        """x^{-1} by solving x * z = 1 over the regular representation."""
+        """x^{-1} by solving x * z = 1 over the regular representation.
+
+        Needs a field domain; over the rationals and cyclotomic fields it is
+        the reference that symmetric_jm_inverse is tested against."""
         cols = self.left_multiplication_matrix(x)
         d = self.domain
         matrix = [[cols[j].get(i, d.zero) for j in range(self.dim)]
@@ -749,9 +775,11 @@ def _random_element(ctx, rng, max_terms=3, coeff_range=5):
 
 
 def symbolic_context(n, r, **kwargs):
-    """Context over the Laurent-fraction field with q, Q_i the actual
-    coordinate variables (fully symbolic coefficients)."""
-    domain = LaurentFractionDomain(r)
+    """Context over the Laurent ring Z[q^+-1, Q_i^+-1] (with rational
+    coefficients), q and Q_i the coordinate variables: the algebra is free
+    over this ring with the PBW basis, so every coefficient is a Laurent
+    polynomial."""
+    domain = LaurentDomain(r)
     q_val = domain.q()
     Q_vals = [domain.Q(k) for k in range(1, r + 1)]
     return AlgebraContext(n, r, domain, q_val, Q_vals, **kwargs)

@@ -25,6 +25,7 @@ from .combinatorics import (
     render_multipartition,
 )
 from .center import (
+    IdempotentSplitError,
     jm_center_span,
     central_idempotents,
     min_poly_on_center_ideal,
@@ -184,13 +185,22 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
     q_val = domain.zeta(1)
     Q_vals = [domain.zeta(s) for s in charge]
     ctx = AlgebraContext(n, r, domain, q_val, Q_vals)
-    idempotents = central_idempotents(ctx, seed=seed)
-    witnesses = []
-    blocks_found = len(idempotents)
     params = {
         "n": n, "r": r, "ell": modulus, "charge": list(charge),
-        "classes": len(classes), "blocks": blocks_found,
+        "classes": len(classes),
     }
+    try:
+        idempotents = central_idempotents(ctx, seed=seed)
+    except IdempotentSplitError as exc:
+        # no decomposition to compare with the classes: not verified
+        return VerificationReport(
+            check="block_decomposition", params=params, status="fail",
+            witnesses=[{"reason": "idempotent splitting failed",
+                        "error": str(exc)}],
+            seed=seed, duration=time.perf_counter() - start)
+    witnesses = []
+    blocks_found = len(idempotents)
+    params["blocks"] = blocks_found
     if blocks_found != len(classes):
         witnesses.append({
             "reason": "block count mismatch",

@@ -1,5 +1,5 @@
-"""Exact linear algebra over the scalar domains, built on one sparse reduced
-row echelon form.
+"""Exact linear algebra over the field domains (rationals, cyclotomic
+fields), built on one sparse reduced row echelon form.
 
 A RowSpace holds its rows as dicts {column: nonzero entry} in reduced row
 echelon form: each row has a 1 at its pivot (its first nonzero column) and a
@@ -11,18 +11,17 @@ and a 0 at the other free columns, and solutions set free variables to 0.
 
 from __future__ import annotations
 
-from .rings import (
-    LaurentFractionDomain,
-    NotInvertibleError,
-    UnsupportedDomainError,
-)
+from .rings import LaurentDomain, NotInvertibleError, UnsupportedDomainError
 
 
 class RowSpace:
     """Incrementally maintained sparse reduced row echelon form over a field
-    domain."""
+    domain; the Laurent ring, where only monomials are units, is rejected."""
 
     def __init__(self, domain, ncols):
+        if isinstance(domain, LaurentDomain):
+            raise UnsupportedDomainError(
+                "linear algebra needs a field domain, not the Laurent ring")
         self.domain = domain
         self.ncols = ncols
         self.rows = {}  # pivot column -> {column: entry}, 1 at the pivot
@@ -99,17 +98,10 @@ def rank(matrix, domain):
     return _row_space(matrix, domain, len(matrix[0])).rank
 
 
-def kernel_basis(matrix, domain, *, _allow_fractions=False):
+def kernel_basis(matrix, domain):
     """Exact basis of the right kernel, one vector per free column: 1 there,
     0 at the other free columns, minus that column's entries at the pivots.
-
-    Only the field variants (rationals, cyclotomics) are supported; the
-    generic Laurent-fraction domain is rejected unless explicitly allowed by
-    an internal caller (symbolic center computations at small dimension).
     """
-    if isinstance(domain, LaurentFractionDomain) and not _allow_fractions:
-        raise UnsupportedDomainError(
-            "kernels are computed only over field specializations")
     if not matrix:
         return []
     space = _row_space(matrix, domain, len(matrix[0]))

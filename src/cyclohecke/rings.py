@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 
 class DomainError(Exception):
@@ -158,16 +157,8 @@ class LaurentPoly:
         exps[slot] = power
         return cls.monomial(1, exps)
 
-    @property
-    def num_Q_vars(self):
-        """Number of Q variables under the (q, Q_1..Q_r) reading."""
-        return self.nvars - 1
-
     def is_zero(self):
         return not self.terms
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -370,8 +361,6 @@ def elementary_symmetric_poly(k, n):
     """e_k(x_1..x_n) as a LaurentPoly in n variables."""
     one = LaurentPoly.const(1, n)
     xs = [LaurentPoly.variable(i, n) for i in range(n)]
-    if k == 0:
-        return one
     return elementary_symmetric(k, xs, one)
 
 
@@ -518,159 +507,11 @@ class CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# fractions of Laurent polynomials
-# ---------------------------------------------------------------------------
-
-def _content(poly):
-    """(rational content, monomial content) of a nonzero LaurentPoly."""
-    nums = [c.numerator for c in poly.terms.values()]
-    dens = [c.denominator for c in poly.terms.values()]
-    rat = Fraction(reduce(math.gcd, nums), reduce(math.lcm, dens))
-    mins = [min(e[i] for e in poly.terms) for i in range(poly.nvars)]
-    return rat, tuple(mins)
-
-
-class PolyFraction:
-    """Quotient of two Laurent polynomials with nonzero denominator.
-
-    Reduced only by monomial and integer content (no multivariate gcd);
-    equality is tested by cross-multiplication, so distinct stored
-    representatives may be equal. Not hashable for that reason.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = LaurentPoly.const(1, num.nvars)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.nvars != den.nvars:
-            raise ValueError("variable count mismatch")
-        if num.is_zero():
-            den = LaurentPoly.const(1, num.nvars)
-        else:
-            nc, nm = _content(num)
-            dc, dm = _content(den)
-            scale_num = LaurentPoly.monomial(
-                Fraction(1) / nc, tuple(-x for x in nm))
-            scale_den = LaurentPoly.monomial(
-                Fraction(1) / dc, tuple(-x for x in dm))
-            num = num * scale_num
-            den = den * scale_den
-            ratio = nc / dc
-            mono = tuple(a - b for a, b in zip(nm, dm))
-            num = num * LaurentPoly.monomial(ratio, mono)
-            # canonical sign: first canonical-order term of den positive
-            lead = den.sorted_terms()[0][1]
-            if lead < 0:
-                num = -num
-                den = -den
-        self.num = num
-        self.den = den
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
-    def _coerce(self, other):
-        if isinstance(other, PolyFraction):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        if isinstance(other, LaurentPoly):
-            return PolyFraction(other)
-        if isinstance(other, (int, Fraction)):
-            return PolyFraction(LaurentPoly.const(other, self.nvars))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PolyFraction(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(PolyFraction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.num.is_zero():
-            raise NotInvertibleError("zero has no inverse")
-        return PolyFraction(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = PolyFraction(LaurentPoly.const(1, self.nvars))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def render(self, names=None):
-        if self.den == LaurentPoly.const(1, self.nvars):
-            return self.num.render(names)
-        return f"({self.num.render(names)}) / ({self.den.render(names)})"
-
-    def __repr__(self):
-        return self.render()
-
-
-# ---------------------------------------------------------------------------
 # scalar domains
 # ---------------------------------------------------------------------------
 
 class ScalarDomain:
-    """Tagged choice of exact coefficient field with its ring operations.
+    """Tagged choice of exact coefficient ring with its ring operations.
 
     Elements carry their own arithmetic through operator overloading; the
     domain supplies constants, coercions, inverses and rendering.
@@ -743,43 +584,36 @@ class CyclotomicDomain(ScalarDomain):
         return self._as_element(x).render()
 
 
-class LaurentFractionDomain(ScalarDomain):
-    """Field of fractions of Laurent polynomials in q, Q_1..Q_r."""
+class LaurentDomain(ScalarDomain):
+    """Laurent polynomials in q, Q_1..Q_r with rational coefficients.
+
+    The Ariki-Koike algebra is free over this ring with the PBW basis, so
+    every structure constant is an element of it. It is not a field: only
+    monomials are units, and exact linear algebra rejects it.
+    """
 
     def __init__(self, num_Q):
         self.num_Q = num_Q
         self.nvars = 1 + num_Q
-        self.name = f"laurent_fraction_{num_Q}"
-        self.zero = PolyFraction(LaurentPoly.const(0, self.nvars))
-        self.one = PolyFraction(LaurentPoly.const(1, self.nvars))
+        self.name = f"laurent_{num_Q}"
+        self.zero = LaurentPoly.zero(self.nvars)
+        self.one = LaurentPoly.const(1, self.nvars)
 
     def q(self):
-        return PolyFraction(q_poly(self.num_Q))
+        return q_poly(self.num_Q)
 
     def Q(self, k):
-        return PolyFraction(Q_poly(k, self.num_Q))
+        return Q_poly(k, self.num_Q)
 
     def from_int(self, k):
-        return PolyFraction(LaurentPoly.const(k, self.nvars))
+        return LaurentPoly.const(k, self.nvars)
 
     def from_fraction(self, f):
-        return PolyFraction(LaurentPoly.const(f, self.nvars))
-
-    def from_poly(self, p):
-        return PolyFraction(p)
+        return LaurentPoly.const(f, self.nvars)
 
     def inv(self, x):
-        return self._as_element(x).inverse()
-
-    def _as_element(self, x):
-        if isinstance(x, PolyFraction):
-            return x
-        if isinstance(x, LaurentPoly):
-            return PolyFraction(x)
-        return self.from_fraction(x)
+        """Inverse of a monomial; NotInvertibleError for anything else."""
+        return x.inverse()
 
     def is_zero(self, x):
-        return self._as_element(x).is_zero()
-
-    def render(self, x):
-        return self._as_element(x).render()
+        return x.is_zero()

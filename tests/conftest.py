@@ -16,8 +16,8 @@ _SAMPLED_CACHE = {}
 
 @pytest.fixture(scope="session")
 def symbolic_ctx():
-    """Session-cached fully symbolic contexts (coefficients in the fraction
-    field of Laurent polynomials in q, Q_i)."""
+    """Session-cached fully symbolic contexts (coefficients are Laurent
+    polynomials in q, Q_i)."""
     def get(n, r):
         if (n, r) not in _SYMBOLIC_CACHE:
             _SYMBOLIC_CACHE[(n, r)] = symbolic_context(n, r)

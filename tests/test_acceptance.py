@@ -81,7 +81,10 @@ def test_criterion_03_centrality(symbolic_ctx, sampled_ctxs):
             ek = ctx.symmetric_jm(k)
             for g in gens:
                 assert (ek * g - g * ek).is_zero(), (ctx.n, ctx.r, k)
-        inv = ctx.invert(ctx.symmetric_jm(ctx.n))
+        en = ctx.symmetric_jm(ctx.n)
+        inv = ctx.symmetric_jm_inverse()
+        assert inv * en == ctx.one(), (ctx.n, ctx.r, "inv")
+        assert en * inv == ctx.one(), (ctx.n, ctx.r, "inv")
         for g in gens:
             assert (inv * g - g * inv).is_zero(), (ctx.n, ctx.r, "inv")
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclohecke.cli import (
     UsageError,
@@ -182,3 +185,67 @@ class TestDeterminism:
         assert code == 0
         assert "[PASS]" in out
         assert "1 passed, 0 failed, 0 skipped" in out
+
+
+# Scalar literals: rationals, roots of unity of order at most 12, "generic",
+# zero and malformed text (no "e", so no literal can spell a huge exponent).
+# Well-formed nonzero literals are drawn three times as often, and valid
+# sizes three times as often as invalid ones, so that most argvs run.
+_NONZERO = st.integers(min_value=1, max_value=9) | \
+    st.integers(min_value=-9, max_value=-1)
+_WELL_FORMED = st.one_of(
+    _NONZERO.map(str),
+    st.builds("{}/{}".format, _NONZERO, st.integers(min_value=1, max_value=9)),
+    st.builds("zeta_{}^{}".format, st.integers(min_value=1, max_value=12),
+              st.integers(min_value=-13, max_value=13)),
+)
+_SCALARS = st.one_of(
+    _WELL_FORMED, _WELL_FORMED, _WELL_FORMED,
+    st.builds("zeta_{}".format, st.integers(min_value=0, max_value=12)),
+    st.sampled_from(["generic", "0", "", "q+1", "1/0", "zeta_", "zeta_3^",
+                     "zeta_-1", "nan", "inf", "1//2", "generic2"]),
+    st.text(alphabet="0123456789/-+_^. ,", max_size=6),
+)
+_SIZES = st.sampled_from([1, 2, 1, 2, 1, 2, 0, -1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(data):
+    # any literal and small size either runs (exit 0 or 1) or is a usage
+    # error (exit 2); an uncaught exception fails the test with its traceback
+    command = data.draw(st.sampled_from(["center", "hilb", "q1-gap",
+                                         "blocks"]))
+    n, r = data.draw(_SIZES), data.draw(_SIZES)
+    # mostly one literal per level, sometimes a wrong count
+    count = data.draw(st.sampled_from([max(r, 1)] * 3 + [1, 3]))
+    literals = ",".join(data.draw(
+        st.lists(_SCALARS, min_size=count, max_size=count)))
+    sizes = ["--n", str(n), "--r", str(r)]
+    if command == "center":
+        argv = ["--samples", "1", "center", *sizes,
+                "--q", data.draw(_SCALARS), "--Q", literals]
+    elif command == "hilb":
+        argv = ["hilb", "--n", str(n), "--q-values", literals]
+    elif command == "q1-gap":
+        argv = ["q1-gap", *sizes]
+        if data.draw(st.booleans()):
+            argv += ["--Q", literals]
+    else:
+        # orders with phi(ell) <= 2: at (2,2) with ell = 7 the rational
+        # root search of the idempotent splitting runs for minutes
+        ell = data.draw(st.sampled_from([2, 3, 4, 6, 1, 0, -1]))
+        charge = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                    min_size=count, max_size=count))
+        argv = ["blocks", *sizes, "--ell", str(ell),
+                "--charge", ",".join(map(str, charge))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -19,7 +19,7 @@ from cyclohecke.hecke import (
     trace_form,
     validate_straightening,
 )
-from cyclohecke.rings import CyclotomicDomain, RationalDomain
+from cyclohecke.rings import CyclotomicDomain, LaurentPoly, RationalDomain
 
 
 def literal_product(ctx, x, y):
@@ -157,9 +157,9 @@ class TestMultiplication:
 
 
 class TestProductOracle:
-    """ctx.multiply against the literal per-word product; for symbolic
-    coefficients dict equality compares PolyFractions by
-    cross-multiplication."""
+    """ctx.multiply against the literal per-word product; symbolic
+    coefficients are Laurent polynomials in canonical form, so dict equality
+    is exact in every domain."""
 
     @pytest.fixture(scope="class", params=[
         "rational-2-3", "rational-3-2", "cyclotomic3-2-2", "symbolic-2-2"])
@@ -302,14 +302,21 @@ class TestInvert:
         ctx = rational_ctx(2, 1, Fraction(2), [1])
         assert ctx.invert(ctx.one()) == ctx.one()
 
-    def test_invert_T1(self, symbolic_ctx):
+    @staticmethod
+    def T1_inverse_formula(ctx):
         # from the quadratic relation: T_1^{-1} = q^{-1} T_1 - (1 - q^{-1})
-        ctx = symbolic_ctx(2, 1)
-        T1 = ctx.T(1)
         q_inv = ctx.domain.inv(ctx.q_val)
-        expected = q_inv * T1 - (ctx.domain.one - q_inv) * ctx.one()
-        assert ctx.invert(T1) == expected
-        assert T1 * ctx.invert(T1) == ctx.one()
+        return q_inv * ctx.T(1) - (ctx.domain.one - q_inv) * ctx.one()
+
+    def test_T1_inverse_formula_symbolic(self, symbolic_ctx):
+        ctx = symbolic_ctx(2, 1)
+        T1, inv = ctx.T(1), self.T1_inverse_formula(ctx)
+        assert T1 * inv == ctx.one()
+        assert inv * T1 == ctx.one()
+
+    def test_invert_T1(self, rational_ctx):
+        ctx = rational_ctx(2, 1, Fraction(3), [1])
+        assert ctx.invert(ctx.T(1)) == self.T1_inverse_formula(ctx)
 
     def test_invert_top_jm(self, rational_ctx):
         ctx = rational_ctx(2, 2, Fraction(3), [Fraction(2), Fraction(7)])
@@ -323,6 +330,37 @@ class TestInvert:
         ctx = rational_ctx(2, 1, Fraction(2), [1])
         with pytest.raises(NotInvertibleError):
             ctx.invert(ctx.zero())
+
+
+class TestSymmetricJMInverse:
+    """The closed-form e_n^{-1} against the elimination oracle over fields,
+    and as a two-sided inverse with Laurent coefficients symbolically."""
+
+    @pytest.mark.parametrize("n,r", [(4, 1), (2, 2), (3, 2)])
+    def test_matches_invert_rational(self, rational_ctx, n, r):
+        ctx = rational_ctx(n, r, Fraction(3, 2),
+                           [Fraction(k + 2, 3) for k in range(r)])
+        assert ctx.symmetric_jm_inverse() == \
+            ctx.invert(ctx.symmetric_jm(n))
+
+    def test_matches_invert_cyclotomic(self):
+        d = CyclotomicDomain(3)
+        ctx = AlgebraContext(2, 2, d, d.zeta(1), [d.zeta(0), d.zeta(1)])
+        assert ctx.symmetric_jm_inverse() == \
+            ctx.invert(ctx.symmetric_jm(2))
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 1)])
+    def test_symbolic_two_sided_with_monomial_denominators(
+            self, symbolic_ctx, n, r):
+        ctx = symbolic_ctx(n, r)
+        inv, en = ctx.symmetric_jm_inverse(), ctx.symmetric_jm(n)
+        assert inv * en == ctx.one()
+        assert en * inv == ctx.one()
+        assert all(isinstance(c, LaurentPoly) for c in inv.terms.values())
+
+    def test_cached(self, symbolic_ctx):
+        ctx = symbolic_ctx(2, 2)
+        assert ctx.symmetric_jm_inverse() is ctx.symmetric_jm_inverse()
 
 
 class TestTrace:

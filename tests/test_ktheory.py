@@ -187,6 +187,21 @@ class TestBlocks:
         assert rep.passed
         assert rep.params["blocks"] == rep.params["classes"]
 
+    def test_split_failure_is_a_failed_report(self, monkeypatch):
+        # at (2,2) with ell = 5 and charge (0,1) the splitting finds no
+        # decomposition; the check must fail with a witness, not raise
+        from cyclohecke import ktheory
+        from cyclohecke.center import IdempotentSplitError
+
+        def no_split(ctx, *, seed=0):
+            raise IdempotentSplitError("no split found")
+
+        monkeypatch.setattr(ktheory, "central_idempotents", no_split)
+        rep = verify_blocks(2, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses == [{"reason": "idempotent splitting failed",
+                                  "error": "no split found"}]
+
     def test_report_is_deterministic(self):
         a = verify_blocks(3, 1, 2, (0,), seed=1).to_json()
         b = verify_blocks(3, 1, 2, (0,), seed=1).to_json()

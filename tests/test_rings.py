@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from cyclohecke.rings import (
     CyclotomicDomain,
     CyclotomicNumber,
-    LaurentFractionDomain,
+    LaurentDomain,
     LaurentPoly,
     NotInvertibleError,
-    PolyFraction,
     RationalDomain,
     cyclotomic_polynomial,
     elementary_symmetric_poly,
@@ -175,28 +174,23 @@ class TestCyclotomic:
             CyclotomicDomain(3).zeta(1) + CyclotomicDomain(4).zeta(1)
 
 
-class TestPolyFraction:
-    def test_cross_multiplication_equality(self):
-        q = q_poly(0)
-        a = PolyFraction(q * q - 1, q - 1)
-        b = PolyFraction(q + 1)
-        assert a == b
+class TestLaurentDomain:
+    def test_monomials_are_units(self):
+        dom = LaurentDomain(1)
+        x = dom.q() * dom.Q(1)
+        inv = dom.inv(x)
+        assert inv == LaurentPoly.monomial(1, (-1, -1))
+        assert x * inv == dom.one
 
-    def test_field_ops(self):
-        dom = LaurentFractionDomain(1)
-        q = dom.q()
-        Q = dom.Q(1)
-        x = (q - 1) / (Q + 1)
-        assert x * dom.inv(x) == dom.one
-        assert (x + dom.one) - dom.one == x
+    def test_other_elements_not_invertible(self):
+        dom = LaurentDomain(1)
+        with pytest.raises(NotInvertibleError):
+            dom.inv(dom.q() + 1)
+        with pytest.raises(NotInvertibleError):
+            dom.inv(dom.zero)
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            PolyFraction(q_poly(0), LaurentPoly.zero(1))
-
-    def test_not_hashable(self):
-        with pytest.raises(TypeError):
-            hash(PolyFraction(q_poly(0)))
+    def test_name(self):
+        assert LaurentDomain(2).name == "laurent_2"
 
 
 @given(st.integers(min_value=1, max_value=30))
