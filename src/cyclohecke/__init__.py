@@ -48,7 +48,6 @@ from .center import (
     central_idempotents,
     character_dual,
     cocenter_dim,
-    jm_center_rank,
     jm_center_span,
 )
 from .ktheory import (

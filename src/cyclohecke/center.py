@@ -140,10 +140,6 @@ def jm_center_span(ctx):
     return JMCenterSpan(span.rank, elements, descriptors, capped)
 
 
-def jm_center_rank(ctx):
-    return jm_center_span(ctx).rank
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Scalar literals are exact: rationals as "3/2" or "-1", roots of unity as
 "zeta_6^2", and "generic" for sampled rational specializations. Reports go
 to stdout as JSON lines (one object per check) unless --format table is
 given; exit status is 0 when everything passed, 1 on any failure, 2 on a
-usage error.
+usage error. An engine error (a failed context self-test or an exhausted
+step budget) is reported as a failed ``engine_error`` check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .center import center_basis, jm_center_span
 from .combinatorics import enumerate_multipartitions
-from .hecke import AlgebraContext
+from .hecke import AlgebraContext, EngineError
 from .ktheory import restriction_table, verify_blocks, verify_main_theorem
 from .reports import VerificationReport, summarize
 from .rings import CyclotomicDomain, RationalDomain
@@ -336,6 +337,15 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except EngineError as exc:
+        # an engine self-test or step budget failed: nothing was verified
+        return _emit([VerificationReport(
+            check="engine_error",
+            params={"command": args.command},
+            status="fail",
+            witnesses=[{"error": type(exc).__name__, "message": str(exc)}],
+            seed=args.seed,
+        )], args)
 
 
 if __name__ == "__main__":

@@ -201,9 +201,3 @@ def render_multipartition(mp):
     return "[" + ",".join(
         "[" + ",".join(str(p) for p in part) + "]" for part in mp) + "]"
 
-
-def parse_multipartition(text):
-    import json
-
-    data = json.loads(text)
-    return tuple(tuple(part) for part in data)

@@ -202,5 +202,9 @@ def test_criterion_10_engine_self_test(symbolic_ctx, sampled_ctxs):
     reports = [check_relations(ctx) for ctx in contexts]
     passed, failed, skipped = summarize(reports)
     assert failed == 0, [r.witnesses[:1] for r in reports if not r.passed]
-    _announce("C10 engine self-test",
-              f"({len(contexts)} specializations, associativity x200 each)")
+    for ctx, report in zip(contexts, reports):
+        assert report.params["assoc_trials"] == 200
+        assert report.params["reconstructed"] == ctx.dim
+    _announce("C10 engine certificate",
+              f"({len(contexts)} specializations: relations and PBW "
+              f"reconstruction on every basis word, associativity x200 each)")

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclohecke import cli, hecke
+from cyclohecke.hecke import EngineError, RewriteBudgetError
 from cyclohecke.cli import (
     UsageError,
     build_domain_and_values,
@@ -166,6 +168,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestEngineErrors:
+    """An engine error is a failed report, not a traceback."""
+
+    @pytest.mark.parametrize("error", [EngineError, RewriteBudgetError])
+    def test_suite_error_is_one_failed_report(self, monkeypatch, capsys,
+                                              error):
+        def broken(*args, **kwargs):
+            raise error("product exceeded the rewrite step budget")
+
+        monkeypatch.setattr(cli, "suite_q1_gap", broken)
+        code = main(["--seed", "4", "q1-gap", "--n", "2", "--r", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        (line,) = captured.out.splitlines()
+        report = json.loads(line)
+        assert report == {
+            "check": "engine_error", "params": {"command": "q1-gap"},
+            "status": "fail", "seed": 4,
+            "witnesses": [{
+                "error": error.__name__,
+                "message": "product exceeded the rewrite step budget"}]}
+
+    def test_failed_engine_build_is_reported(self, monkeypatch, capsys):
+        # a closed form with the (q-1) terms negated fails its oracle
+        closed_form = hecke.straightening_closed_form
+        monkeypatch.setattr(hecke, "straightening_closed_form", lambda a, b: {
+            key: c if key[2] else -c for key, c in closed_form(a, b).items()})
+        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", False)
+        code = main(["--format", "table", "center", "--n", "2", "--r", "2",
+                     "--q", "3", "--Q", "2,5"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("[FAIL] engine_error command=center\n")
+        assert "straightening mismatch at exponents (0, 1)" in out
+        assert out.endswith("0 passed, 1 failed, 0 skipped\n")
 
 
 class TestDeterminism:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cyclohecke import hecke
 from cyclohecke.hecke import (
     AlgebraContext,
+    AlgebraElement,
     EngineError,
     RewriteBudgetError,
     _random_element,
@@ -22,20 +24,21 @@ from cyclohecke.hecke import (
 from cyclohecke.rings import CyclotomicDomain, LaurentPoly, RationalDomain
 
 
-def literal_product(ctx, x, y):
+def literal_product(ctx, x, y, l_first=False):
     """x * y word by word, the reference for ctx.multiply: for each left
     term c L_1^a_1 ... L_n^a_n T_w apply reduced_word(w) right to left, then
-    L_n^a_n, ..., L_1^a_1, and sum c times the results."""
+    L_n^a_n, ..., L_1^a_1, and sum c times the results. l_first applies the
+    L factors before T_w instead, a deliberately wrong product."""
     d = ctx.domain
     y_vec = {ctx.index[w]: c for w, c in y.terms.items()}
     out = {}
     for (exps, w), cx in x.terms.items():
+        T_stage = [("T", i) for i in reversed(reduced_word(w))]
+        L_stage = [("L", k) for k in range(ctx.n, 0, -1)
+                   for _ in range(exps[k - 1])]
         vec = y_vec
-        for i in reversed(reduced_word(w)):
-            vec = ctx._apply_cols(ctx._matrices[("T", i)], vec)
-        for k in range(ctx.n, 0, -1):
-            for _ in range(exps[k - 1]):
-                vec = ctx._apply_cols(ctx._matrices[("L", k)], vec)
+        for key in L_stage + T_stage if l_first else T_stage + L_stage:
+            vec = ctx._apply_cols(ctx._matrices[key], vec)
         for k, c in vec.items():
             out[k] = out.get(k, d.zero) + cx * c
     return {k: c for k, c in out.items() if not d.is_zero(c)}
@@ -64,6 +67,41 @@ def corrupt_straightening(monkeypatch):
         return cols
 
     monkeypatch.setattr(AlgebraContext, "_build_T_matrix", corrupted)
+
+
+def conjugate_generators(ctx, a, b):
+    """Replace every generator matrix M by P M P, P the transposition of the
+    basis indices a and b. The conjugated matrices still satisfy every
+    relation, but no longer act on PBW coordinates."""
+    def swap(k):
+        return b if k == a else a if k == b else k
+
+    for key, cols in ctx._matrices.items():
+        ctx._matrices[key] = [
+            {swap(k): v for k, v in cols[swap(j)].items()}
+            for j in range(ctx.dim)]
+
+
+def l_before_t_multiply(monkeypatch):
+    """Make every product apply each word's L factors before its T_w."""
+    def wrong(self, x, y):
+        vec = literal_product(self, x, y, l_first=True)
+        return AlgebraElement(self, {self.basis[k]: c for k, c in vec.items()})
+
+    monkeypatch.setattr(AlgebraContext, "multiply", wrong)
+
+
+def corrupt_closed_form(monkeypatch):
+    """Flip the sign of the (q-1) terms of the straightening closed form and
+    forget that it was validated."""
+    closed_form = hecke.straightening_closed_form
+
+    def corrupted(a, b):
+        return {key: c if key[2] else -c
+                for key, c in closed_form(a, b).items()}
+
+    monkeypatch.setattr(hecke, "straightening_closed_form", corrupted)
+    monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", False)
 
 
 class TestPermutations:
@@ -103,6 +141,26 @@ class TestStraighteningOracle:
         # T M = L T + (q-1) M
         assert one_step_T_push(0, 1) == {
             (1, 0, True): one, (0, 1, False): q - 1}
+
+    def test_corrupted_closed_form_rejected_at_build(self, monkeypatch):
+        corrupt_closed_form(monkeypatch)
+        with pytest.raises(EngineError, match="straightening mismatch"):
+            AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                           [Fraction(2), Fraction(5)], self_check=False)
+
+    def test_T_matrices_are_built_from_the_closed_form(self, monkeypatch):
+        # with the oracle bypassed, the corrupted closed form reaches the T
+        # matrices: so the oracle validates the code that builds them
+        corrupt_closed_form(monkeypatch)
+        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", True)
+        ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)], self_check=False)
+        monkeypatch.undo()
+        good = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                              [Fraction(2), Fraction(5)], self_check=False)
+        assert ctx._matrices[("T", 0)] != good._matrices[("T", 0)]
+        assert ctx._matrices[("L", 1)] == good._matrices[("L", 1)]
+        assert not check_relations(ctx, assoc_trials=0).passed
 
 
 class TestMultiplication:
@@ -417,4 +475,65 @@ class TestRelations:
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(1),
                              [Fraction(2), Fraction(5)])
         assert check_relations(ctx).passed
+
+
+class TestCertificate:
+    """Relations plus PBW reconstruction, and the faults only
+    reconstruction can see."""
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 1)])
+    def test_conjugated_generators_fail_reconstruction_only(self, n, r):
+        ctx = AlgebraContext(n, r, RationalDomain(), Fraction(3),
+                             [Fraction(k + 2) for k in range(r)],
+                             self_check=False)
+        conjugate_generators(ctx, 1, 2)
+        # the relation families run first and stop at their first failure,
+        # so a reconstruction witness means every one of them passed
+        rep = check_relations(ctx, assoc_trials=0)
+        assert rep.status == "fail"
+        assert rep.witnesses[0]["relation"] == "reconstruction"
+        assert rep.witnesses[0]["word"] == ctx.basis_element(1).render()
+        assert rep.params["reconstructed"] == 1
+
+    def test_conjugated_generators_rejected_at_build(self, monkeypatch):
+        build = AlgebraContext._build_matrices
+
+        def conjugated(self):
+            build(self)
+            conjugate_generators(self, 1, 2)
+
+        monkeypatch.setattr(AlgebraContext, "_build_matrices", conjugated)
+        with pytest.raises(EngineError, match="reconstruction"):
+            AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                           [Fraction(2), Fraction(5)])
+
+    def test_l_before_t_product_fails_reconstruction(self, monkeypatch):
+        ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)], self_check=False)
+        l_before_t_multiply(monkeypatch)
+        rep = check_relations(ctx, assoc_trials=0)
+        assert rep.status == "fail"
+        witness = rep.witnesses[0]
+        assert witness["relation"] == "reconstruction"
+        # the first word with both an L and a T factor: T_1 L_2 != L_2 T_1
+        assert witness["word"] == "(1) * L2*T[2,1]"
+        with pytest.raises(EngineError, match="reconstruction"):
+            AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                           [Fraction(2), Fraction(5)])
+
+    def test_build_gate_is_certificate_plus_smoke_trials(self, monkeypatch):
+        reports = []
+        check = hecke.check_relations
+
+        def spy(ctx, **kwargs):
+            reports.append(check(ctx, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(hecke, "check_relations", spy)
+        ctx = AlgebraContext(3, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)])
+        (rep,) = reports
+        assert rep.passed
+        assert rep.params["reconstructed"] == ctx.dim
+        assert rep.params["assoc_trials"] == hecke._GATE_ASSOC_TRIALS == 20
 
