@@ -9,25 +9,14 @@ computable from combinatorics plus exact linear algebra.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .linalg import RowSpace, coordinates_in, kernel_basis, rank, solve_linear
 from .rings import (
-    CyclotomicDomain,
-    CyclotomicNumber,
     LaurentPoly,
     NotInvertibleError,
-    RationalDomain,
-    UnsupportedDomainError,
-    _poly_divmod,
-    _poly_mul,
-    _poly_trim,
     elementary_symmetric,
-    euler_phi,
     specialize,
 )
 
@@ -38,7 +27,10 @@ class SingularGramError(Exception):
 
 
 class IdempotentSplitError(Exception):
-    """Block splitting made no progress within the trial budget."""
+    """The components read off the Jucys-Murphy spectra are not a family of
+    primitive central idempotents: a lift did not converge, a component is
+    zero or not primitive, or the family is not orthogonal, central and
+    complete."""
 
 
 # ---------------------------------------------------------------------------
@@ -312,393 +304,97 @@ def cocenter_class_to_element(ctx, coords_map):
 # block idempotents
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CommutativeAlgebra:
-    """A commutative algebra by structure constants over Fraction scalars
-    (after restricting cyclotomic scalars to the rationals)."""
-
-    dim: int
-    table: list  # table[i][j] = coords of basis_i * basis_j
-    identity: list
-
-    def mult(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                coeff = a * b
-                for k, t in enumerate(self.table[i][j]):
-                    if t:
-                        out[k] += coeff * t
-        return out
+def _spectrum_classes(ctx):
+    """The distinct specialized (e_1..e_n) rows over all multipartitions, in
+    order of first appearance: one row per Jucys-Murphy spectrum class."""
+    _, rows = specialized_elementary_characters(ctx)
+    classes = []
+    for row in rows:
+        if row not in classes:
+            classes.append(row)
+    return classes
 
 
-class _RationalView:
-    """Fraction coordinates for a center over Q or over a cyclotomic field
-    (by restriction of scalars); converts back to domain coefficients."""
-
-    def __init__(self, ctx, elements):
-        self.ctx = ctx
-        self.elements = elements
-        d = ctx.domain
-        if isinstance(d, RationalDomain):
-            self.phi = 1
-            self._powers = [d.one]
-        elif isinstance(d, CyclotomicDomain):
-            self.phi = euler_phi(d.order)
-            self._powers = [d.zeta(0)]
-            for _ in range(self.phi - 1):
-                self._powers.append(self._powers[-1] * d.zeta(1))
-        else:
-            raise UnsupportedDomainError(
-                "idempotent splitting needs a rational or cyclotomic domain")
-        self.m = len(elements)
-        self.dim = self.m * self.phi
-
-    def domain_coeffs(self, rational_vec):
-        """Fraction coordinates (i, t) -> K-coefficients on elements[i]."""
-        d = self.ctx.domain
-        out = []
-        for i in range(self.m):
-            acc = d.zero
-            for t in range(self.phi):
-                c = rational_vec[i * self.phi + t]
-                if c:
-                    acc = acc + self._powers[t] * d.from_fraction(c)
-            out.append(acc)
-        return out
-
-    def rational_coords(self, k_coeffs):
-        """Inverse of domain_coeffs."""
-        out = []
-        for c in k_coeffs:
-            if isinstance(c, CyclotomicNumber):
-                out.extend(c.coeffs)
-            else:
-                out.append(Fraction(c))
-                out.extend([Fraction(0)] * (self.phi - 1))
-        return out
-
-    def element_from_rational(self, rational_vec):
-        coeffs = self.domain_coeffs(rational_vec)
-        total = self.ctx.zero()
-        for c, z in zip(coeffs, self.elements):
-            total = total + z * c
-        return total
-
-
-def _structure_constants(ctx, elements):
-    """K-structure constants of the span of the given (closed) elements."""
+def _separating_element(ctx, classes):
+    """A central z = sum_k c_k e_k with small integer weights c_k = t^(k-1)
+    whose scalars lambda_C = sum_k c_k s_k differ across the classes; each
+    class pair rules out at most n - 1 values of t, so the search ends."""
     d = ctx.domain
-    columns = [z.to_vector() for z in elements]
-    table = []
-    for zi in elements:
-        row = []
-        for zj in elements:
-            row.append(coordinates_in(columns, (zi * zj).to_vector(), d))
-        table.append(row)
-    identity = coordinates_in(columns, ctx.one().to_vector(), d)
-    return table, identity
-
-
-def _expand_scalar(view, k_coeff, zeta_shift):
-    """Fraction coordinates of zeta^shift * k_coeff over the power basis."""
-    d = view.ctx.domain
-    if isinstance(d, CyclotomicDomain):
-        if not isinstance(k_coeff, CyclotomicNumber):
-            k_coeff = d.from_fraction(k_coeff)
-        value = d.zeta(zeta_shift) * k_coeff if zeta_shift else k_coeff
-        return list(value.coeffs)
-    return [Fraction(k_coeff)]
-
-
-def _restrict_scalars(view, k_table, k_identity):
-    """Blow a K-algebra multiplication table up to Fraction coordinates."""
-    m, phi = view.m, view.phi
-    dim = view.dim
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(m):
-        for t in range(phi):
-            for j in range(m):
-                for u in range(phi):
-                    out = [Fraction(0)] * dim
-                    for k in range(m):
-                        coords = _expand_scalar(view, k_table[i][j][k], t + u)
-                        for s, c in enumerate(coords):
-                            if c:
-                                out[k * phi + s] += c
-                    table[i * phi + t][j * phi + u] = out
-    identity = [Fraction(0)] * dim
-    for k in range(m):
-        coords = _expand_scalar(view, k_identity[k], 0)
-        for s, c in enumerate(coords):
-            identity[k * phi + s] = c
-    return _CommutativeAlgebra(dim, table, identity)
-
-
-def _rational_roots(coeffs):
-    """All rational roots (with multiplicity factored off) of a monic
-    Fraction polynomial, by the rational root theorem on the cleared form.
-    Returns (roots with multiplicities, cofactor polynomial)."""
-    poly = [Fraction(c) for c in coeffs]
-    scale = 1
-    for c in poly:
-        scale = lcm(scale, c.denominator)
-    ints = [int(c * scale) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    lead = abs(ints[-1])
-    # strip factors of x
-    mult_zero = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        mult_zero += 1
-    const = abs(ints[0]) if ints else 0
-    candidates = set()
-    if mult_zero:
-        candidates.add(Fraction(0))
-
-    def divisors(k):
-        out = []
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.append(d)
-                out.append(k // d)
-            d += 1
-        return out
-
-    if const:
-        for p in divisors(const):
-            for s in divisors(lead):
-                if gcd(p, s) == 1:
-                    candidates.add(Fraction(p, s))
-                    candidates.add(Fraction(-p, s))
-    roots = []
-    remaining = [Fraction(c) for c in coeffs]
-    for cand in sorted(candidates):
-        mult = 0
-        while True:
-            quot, rem = _poly_divmod(remaining, [-cand, Fraction(1)])
-            if _poly_trim(rem):
-                break
-            remaining = quot
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return roots, remaining
-
-
-def _ideal_basis(A, e):
-    """Echelonized Fraction basis of the ideal e * A (raw vectors kept)."""
-    domain = RationalDomain()
-    span = RowSpace(domain, A.dim)
-    basis = []
-    for j in range(A.dim):
-        unit = [Fraction(0)] * A.dim
-        unit[j] = Fraction(1)
-        v = A.mult(e, unit)
-        if span.add(v):
-            basis.append(v)
-    return basis
-
-
-def _min_poly_in_ideal(A, e, z):
-    """Monic minimal polynomial (ascending Fraction coefficients) of z as an
-    element of the unital algebra (e * A, identity e); equals the minimal
-    polynomial of multiplication-by-z on the ideal."""
-    domain = RationalDomain()
-    span = RowSpace(domain, A.dim)
-    powers = [e]
-    span.add(e)
-    current = e
+    t = 0
     while True:
-        current = A.mult(z, current)
-        if not span.add(current):
-            combo = coordinates_in(powers, current, domain)
-            return [-c for c in combo] + [Fraction(1)]
-        powers.append(current)
-
-
-def _eval_poly_at(A, e, z, coeffs):
-    """coeffs(z) inside (e * A, identity e), ascending coefficients."""
-    out = [Fraction(0)] * A.dim
-    power = e
-    for k, c in enumerate(coeffs):
+        weights = [t ** k for k in range(ctx.n)]
+        values = [sum((s * c for c, s in zip(weights, row)), d.zero)
+                  for row in classes]
+        if all(not d.is_zero(values[i] - values[j])
+               for i in range(len(values)) for j in range(i)):
+            break
+        t += 1
+    z = ctx.zero()
+    for k, c in enumerate(weights, start=1):
         if c:
-            for i, x in enumerate(power):
-                if x:
-                    out[i] += c * x
-        if k + 1 < len(coeffs):
-            power = A.mult(z, power)
-    return out
+            z = z + ctx.symmetric_jm(k) * c
+    return z, values
 
 
-# random combinations of the ideal basis tried after the basis vectors
-_SPLIT_TRIALS = 24
+def _lift_idempotent(ctx, e):
+    """Newton lift e <- 3e^2 - 2e^3 of an element idempotent modulo a
+    nilpotent error: the error e^2 - e goes to a multiple of its own square
+    each round, so it vanishes within dim.bit_length() + 1 rounds."""
+    for _ in range(ctx.dim.bit_length() + 1):
+        square = e * e
+        if square == e:
+            return e
+        e = square * 3 - square * e * 2
+    raise IdempotentSplitError("idempotent lift did not converge")
 
 
-def _try_split(A, e, ideal, rng):
-    """Split e along kernels of coprime factors of the minimal polynomial of
-    a candidate element; None when no candidate produced a split."""
-    domain = RationalDomain()
-    candidates = list(ideal)
-    for _ in range(_SPLIT_TRIALS):
-        combo = [Fraction(0)] * A.dim
-        for vec in ideal:
-            c = rng.randint(-3, 3)
-            if c:
-                for i, x in enumerate(vec):
-                    if x:
-                        combo[i] += c * x
-        candidates.append(combo)
-    for z in candidates:
-        mu = _min_poly_in_ideal(A, e, z)
-        roots, cofactor = _rational_roots(mu)
-        factors = []
-        for v, mult in roots:
-            f = [Fraction(1)]
-            for _ in range(mult):
-                f = _poly_mul(f, [-v, Fraction(1)])
-            factors.append(f)
-        if len(cofactor) > 1:
-            factors.append([Fraction(c) for c in cofactor])
-        if len(factors) < 2:
-            continue
-        # kernels of the factor evaluations partition the ideal (CRT)
-        blocks = []
-        for f in factors:
-            fz = _eval_poly_at(A, e, z, f)
-            cols = [coordinates_in(ideal, A.mult(fz, b), domain)
-                    for b in ideal]
-            matrix = [[cols[j][i] for j in range(len(ideal))]
-                      for i in range(len(ideal))]
-            kern = kernel_basis(matrix, domain)
-            block = []
-            for kv in kern:
-                vec = [Fraction(0)] * A.dim
-                for c, bvec in zip(kv, ideal):
-                    if c:
-                        for i, x in enumerate(bvec):
-                            if x:
-                                vec[i] += c * x
-                block.append(vec)
-            blocks.append(block)
-        if sum(len(b) for b in blocks) != len(ideal):
-            continue
-        all_vectors = [v for block in blocks for v in block]
-        coords = coordinates_in(all_vectors, e, domain)
-        pieces = []
-        pos = 0
-        for block in blocks:
-            piece = [Fraction(0)] * A.dim
-            for v in block:
-                c = coords[pos]
-                pos += 1
-                if c:
-                    for i, x in enumerate(v):
-                        if x:
-                            piece[i] += c * x
-            pieces.append(piece)
-        pieces = [p for p in pieces if any(p)]
-        if len(pieces) < 2:
-            continue
-        # exact sanity: idempotent, orthogonal, summing to e
-        ok = True
-        total = [Fraction(0)] * A.dim
-        for i, p in enumerate(pieces):
-            if A.mult(p, p) != p:
-                ok = False
-                break
-            for jj in range(i + 1, len(pieces)):
-                if any(A.mult(p, pieces[jj])):
-                    ok = False
-                    break
-            for k, x in enumerate(p):
-                total[k] += x
-            if not ok:
-                break
-        if ok and total == e:
-            return pieces
-    return None
-
-
-def _certify_primitive(ctx, view, zbasis, e_rational):
-    """True when the component's semisimple quotient over the coefficient
-    field is one-dimensional (trace-form rank over K equals 1), which
-    certifies the idempotent primitive over any extension field."""
-    d = ctx.domain
-    eps = view.element_from_rational(e_rational)
-    span = RowSpace(d, ctx.dim)
-    basis_elems = []
-    cols = []
+def _certify_primitive(ctx, zbasis, eps):
+    """True when every center basis element has a single eigenvalue on the
+    ideal eps * Z. Then eps * Z is K * eps plus a nilpotent ideal, hence
+    local, so eps is a primitive central idempotent over any extension of
+    the coefficient field."""
     for z in zbasis:
-        u = eps * z
-        v = u.to_vector()
-        if span.add(v):
-            basis_elems.append(u)
-            cols.append(v)
-    if len(basis_elems) == 1:
-        return True
-
-    def mult_matrix(u):
-        return [coordinates_in(cols, (u * b).to_vector(), d)
-                for b in basis_elems]
-
-    m = len(basis_elems)
-    gram = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            cols_ab = mult_matrix(basis_elems[a] * basis_elems[b])
-            tr = d.zero
-            for j in range(m):
-                tr = tr + cols_ab[j][j]
-            row.append(tr)
-        gram.append(row)
-    return rank(gram, d) == 1
+        mu = min_poly_on_center_ideal(ctx, eps, z)
+        if unique_eigenvalue(ctx, mu) is None:
+            return False
+    return True
 
 
-def central_idempotents(ctx, *, seed=0):
+def central_idempotents(ctx):
     """The complete set of primitive central idempotents of a specialized
-    algebra, computed inside the commutative center by repeatedly splitting
-    along kernels of (z - eigenvalue) factors of minimal polynomials of
-    center elements.
+    algebra, read off the Jucys-Murphy spectra.
 
-    Eigenvalues are extracted over the rationals (after restricting
-    cyclotomic scalars, which leaves the idempotent set unchanged); a
-    component that resists splitting is accepted only when its semisimple
-    quotient over the coefficient field is certified one-dimensional,
-    otherwise an IdempotentSplitError asks for a retry with new randomness.
+    Multipartitions are grouped by the scalars of e_1..e_n on their cell
+    modules. A central z = sum_k c_k e_k separates the classes, and the
+    Lagrange element prod_{D != C} (z - lambda_D) / (lambda_C - lambda_D)
+    is, up to a nilpotent error, the sum of the block idempotents in class
+    C; the Newton lift removes the error. Each lifted component must be
+    nonzero and certified primitive, and the family must be idempotent,
+    orthogonal, central and sum to one; otherwise IdempotentSplitError.
+    Primitive central idempotents are unique, so a family passing these
+    checks is the block decomposition whatever built it.
+
+    Needs q != 1: at q = 1 a node's eigenvalue Q_c q^content forgets the
+    content, so the spectra cannot separate the blocks; a component is then
+    not primitive and the call raises. No command-line path specializes
+    to q = 1.
     """
+    d = ctx.domain
     zbasis = center_basis(ctx)
-    k_table, k_identity = _structure_constants(ctx, zbasis)
-    view = _RationalView(ctx, zbasis)
-    A = _restrict_scalars(view, k_table, k_identity)
-    rng = random.Random(seed)
-    finished = []
-    work = [A.identity]
-    while work:
-        e = work.pop()
-        ideal = _ideal_basis(A, e)
-        if len(ideal) == 1:
-            finished.append(e)
-            continue
-        pieces = _try_split(A, e, ideal, rng)
-        if pieces is None:
-            if _certify_primitive(ctx, view, zbasis, e):
-                finished.append(e)
-            else:
-                raise IdempotentSplitError(
-                    "no split found within the trial budget; retry with a "
-                    "different seed (the component may involve a residue "
-                    "field extension)")
-        else:
-            work.extend(pieces)
-    elements = [view.element_from_rational(e) for e in finished]
+    z, values = _separating_element(ctx, _spectrum_classes(ctx))
+    factors = [z - v for v in values]
+    elements = []
+    for i, value in enumerate(values):
+        e = ctx.one()
+        for j, other in enumerate(values):
+            if j != i:
+                e = e * factors[j] * d.inv(value - other)
+        e = _lift_idempotent(ctx, e)
+        if e.is_zero():
+            raise IdempotentSplitError("zero component")
+        if not _certify_primitive(ctx, zbasis, e):
+            raise IdempotentSplitError("component not primitive")
+        elements.append(e)
     elements.sort(key=_first_support_index)
     _verify_idempotent_family(ctx, elements)
     return elements

@@ -190,7 +190,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
         "classes": len(classes),
     }
     try:
-        idempotents = central_idempotents(ctx, seed=seed)
+        idempotents = central_idempotents(ctx)
     except IdempotentSplitError as exc:
         # no decomposition to compare with the classes: not verified
         return VerificationReport(

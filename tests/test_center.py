@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cyclohecke.center import (
+    IdempotentSplitError,
+    _certify_primitive,
     center_basis,
     central_characters,
     central_idempotents,
@@ -20,6 +22,7 @@ from cyclohecke.center import (
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext
+from cyclohecke.ktheory import verify_blocks
 from cyclohecke.linalg import rank
 from cyclohecke.rings import (
     CyclotomicDomain,
@@ -201,19 +204,66 @@ class TestIdempotents:
             total = total + e
         assert total == ctx.one()
 
-    def test_deterministic_given_seed(self, rational_ctx):
+    def test_deterministic(self, rational_ctx):
         ctx = rational_ctx(3, 1, Fraction(-1), [1])
-        eps1 = central_idempotents(ctx, seed=5)
-        eps2 = central_idempotents(ctx, seed=5)
+        eps1 = central_idempotents(ctx)
+        eps2 = central_idempotents(ctx)
         assert all(a == b for a, b in zip(eps1, eps2))
 
     def test_galois_stable_split_over_larger_field(self):
         # order-4 cyclotomic parameters: semisimple with two blocks whose
-        # eigenvalues live in Q(i); exercises the scalar-restriction path
+        # spectra and idempotent coefficients live in Q(i), not in Q
         dom = CyclotomicDomain(4)
         ctx = AlgebraContext(2, 1, dom, dom.zeta(1), [dom.one])
         eps = central_idempotents(ctx)
         assert len(eps) == 2
+
+    def test_q_one_is_refused(self, rational_ctx):
+        # at q = 1 the spectra cannot separate the two blocks of Q[S_2]
+        ctx = rational_ctx(2, 1, Fraction(1), [1])
+        with pytest.raises(IdempotentSplitError, match="not primitive"):
+            central_idempotents(ctx)
+
+
+def _root_of_unity_ctx(n, r, ell, charge):
+    dom = CyclotomicDomain(ell)
+    return AlgebraContext(n, r, dom, dom.zeta(1),
+                          [dom.zeta(s) for s in charge])
+
+
+class TestPrimitivityCertificate:
+    def test_rejects_identity_of_two_blocks(self):
+        ctx = _root_of_unity_ctx(3, 1, 2, (0,))
+        zbasis = center_basis(ctx)
+        assert not _certify_primitive(ctx, zbasis, ctx.one())
+        for eps in central_idempotents(ctx):
+            assert _certify_primitive(ctx, zbasis, eps)
+
+    def test_rejects_sum_of_two_blocks(self):
+        ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
+        zbasis = center_basis(ctx)
+        eps = central_idempotents(ctx)
+        assert len(eps) == 3
+        assert not _certify_primitive(ctx, zbasis, eps[0] + eps[1])
+        for e in eps:
+            assert _certify_primitive(ctx, zbasis, e)
+
+    def test_merged_spectrum_classes_are_refused(self, monkeypatch):
+        # (3,1) at ell = 2 has two blocks; pretending both spectra are one
+        # class gives the identity as the only component, which is not
+        # primitive
+        from cyclohecke import center
+
+        true_classes = center._spectrum_classes
+        monkeypatch.setattr(center, "_spectrum_classes",
+                            lambda ctx: true_classes(ctx)[:1])
+        ctx = _root_of_unity_ctx(3, 1, 2, (0,))
+        with pytest.raises(IdempotentSplitError, match="not primitive"):
+            central_idempotents(ctx)
+        rep = verify_blocks(3, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses == [{"reason": "idempotent splitting failed",
+                                  "error": "component not primitive"}]
 
 
 class TestBlockSpectra:

@@ -272,9 +272,7 @@ def test_cli_fuzz_exits_cleanly(data):
         if data.draw(st.booleans()):
             argv += ["--Q", literals]
     else:
-        # orders with phi(ell) <= 2: at (2,2) with ell = 7 the rational
-        # root search of the idempotent splitting runs for minutes
-        ell = data.draw(st.sampled_from([2, 3, 4, 6, 1, 0, -1]))
+        ell = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 1, 0, -1]))
         charge = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
                                     min_size=count, max_size=count))
         argv = ["blocks", *sizes, "--ell", str(ell),

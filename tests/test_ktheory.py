@@ -182,18 +182,24 @@ class TestBlocks:
         for b in rep.params["per_block"]:
             assert b["jm_image_dim"] == b["class_size"]
 
-    def test_nontrivial_charge(self):
-        rep = verify_blocks(2, 2, 2, (0, 1))
+    @pytest.mark.parametrize("ell,charge", [
+        (2, (0, 1)),
+        (5, (0, 1)), (5, (0, 2)),
+        (7, (0, 1)), (7, (0, 2)),
+        (8, (0, 1)), (8, (0, 2)),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_nontrivial_charge(self, ell, charge):
+        rep = verify_blocks(2, 2, ell, charge)
         assert rep.passed
         assert rep.params["blocks"] == rep.params["classes"]
 
     def test_split_failure_is_a_failed_report(self, monkeypatch):
-        # at (2,2) with ell = 5 and charge (0,1) the splitting finds no
-        # decomposition; the check must fail with a witness, not raise
+        # when no certified family of idempotents is found the check must
+        # fail with a witness, not raise
         from cyclohecke import ktheory
         from cyclohecke.center import IdempotentSplitError
 
-        def no_split(ctx, *, seed=0):
+        def no_split(ctx):
             raise IdempotentSplitError("no split found")
 
         monkeypatch.setattr(ktheory, "central_idempotents", no_split)
