@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
-from .linalg import RowSpace, coordinates_in, kernel_basis, rank, solve_linear
+from .hecke import AlgebraElement
+from .linalg import RowSpace, kernel_basis, rank, solve_linear
 from .rings import (
     LaurentPoly,
     NotInvertibleError,
@@ -37,43 +38,49 @@ class IdempotentSplitError(Exception):
 # center of the algebra
 # ---------------------------------------------------------------------------
 
-def _commutation_constraints(ctx):
-    """Rows of the stacked (left - right) multiplication matrices for the
-    generators T_1..T_{n-1}, L_1; the kernel is the center."""
-    d = ctx.domain
-    rows = []
-    mats = []
-    for i in range(1, ctx.n):
-        mats.append((ctx._matrices[("T", i - 1)], ctx.right_T_matrix(i)))
-    mats.append((ctx._matrices[("L", 1)],
-                 ctx.right_multiplication_matrix(ctx.jm_element(1))))
-    for left_cols, right_cols in mats:
-        for i in range(ctx.dim):
-            row = [d.zero] * ctx.dim
-            touched = False
-            for j in range(ctx.dim):
-                val = left_cols[j].get(i, d.zero) - right_cols[j].get(i, d.zero)
-                if not d.is_zero(val):
-                    row[j] = val
-                    touched = True
-            if touched:
-                rows.append(row)
-    return rows
+def commutator_operators(ctx):
+    """For each generator g of T_1..T_{n-1}, L_1, the sparse columns of
+    ad_g: b -> g b - b g. Left multiplication is the cached generator
+    matrix, right multiplication by T_i is right_T_matrix, and only b L_1
+    takes products. The common kernel of the ad_g is the center; the span
+    of all their columns is [H, H]."""
+    lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
+    lefts.append(ctx._matrices[("L", 1)])
+    rights = [ctx.right_T_matrix(i) for i in range(1, ctx.n)]
+    rights.append(ctx.right_multiplication_matrix(ctx.jm_element(1)))
+    minus_one = -ctx.domain.one
+    ops = []
+    for left, right in zip(lefts, rights):
+        ops.append([dict(col) for col in left])
+        for col, right_col in zip(ops[-1], right):
+            ctx._add_scaled(col, right_col, minus_one)
+    return ops
 
 
 def center_basis(ctx):
-    """Exact basis of the center {z : z T_i = T_i z, z L_1 = L_1 z} via the
-    kernel of the stacked commutator constraints.
+    """Exact basis of the center {z : z T_i = T_i z, z L_1 = L_1 z}: the
+    common kernel of the commutator operators, whose columns are transposed
+    into constraint rows (generator by generator, nonzero rows only).
 
     The kernel needs a field domain: over the symbolic Laurent ring this
     raises UnsupportedDomainError unless there are no constraints at all;
     use sampled rational specializations instead.
     """
-    rows = _commutation_constraints(ctx)
+    d = ctx.domain
+    rows = []
+    for cols in commutator_operators(ctx):
+        by_row = {}
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                by_row.setdefault(i, {})[j] = x
+        for i in sorted(by_row):
+            row = [d.zero] * ctx.dim
+            for j, x in by_row[i].items():
+                row[j] = x
+            rows.append(row)
     if not rows:
         return [ctx.basis_element(i) for i in range(ctx.dim)]
-    vectors = kernel_basis(rows, ctx.domain)
-    return [ctx.from_vector(v) for v in vectors]
+    return [ctx.from_vector(v) for v in kernel_basis(rows, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +113,7 @@ def jm_center_span(ctx):
     span = RowSpace(ctx.domain, ctx.dim)
     one = ctx.one()
     zero_desc = (0,) * (n + 1)
-    span.add(one.to_vector())
+    span.add(one.terms)
     elements = [one]
     descriptors = [zero_desc]
     frontier = [(one, zero_desc)]
@@ -121,7 +128,7 @@ def jm_center_span(ctx):
         for element, desc in frontier:
             for gen, slot in gens:
                 candidate = element * gen
-                if span.add(candidate.to_vector()):
+                if span.add(candidate.terms):
                     new_desc = tuple(
                         d + (1 if i == slot else 0)
                         for i, d in enumerate(desc))
@@ -130,6 +137,15 @@ def jm_center_span(ctx):
                     new_frontier.append((candidate, new_desc))
         frontier = new_frontier
     return JMCenterSpan(span.rank, elements, descriptors, capped)
+
+
+def jm_span_in_center(ctx, zbasis, span):
+    """Whether every element of the JM-center span lies in the span of the
+    center basis zbasis: the inclusion JM <= Z, checked exactly."""
+    center = RowSpace(ctx.domain, ctx.dim)
+    for z in zbasis:
+        center.add(z.terms)
+    return all(center.contains(x.terms) for x in span.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +236,13 @@ class CocenterCoordinates:
 
 
 def commutator_coordinates(ctx):
-    """[H, H] as the span of [b, g] over PBW basis words b and generators g
-    (commutators are derivation-like in each argument, so this span is the
-    whole commutator subspace)."""
+    """[H, H] as the span of the commutator operator columns g b - b g over
+    PBW basis words b and generators g (commutators are derivation-like in
+    each argument, so this span is the whole commutator subspace)."""
     span = RowSpace(ctx.domain, ctx.dim)
-    gens = ctx.generators()
-    for j in range(ctx.dim):
-        b = ctx.basis_element(j)
-        for g in gens:
-            span.add((b * g - g * b).to_vector())
+    for cols in commutator_operators(ctx):
+        for col in cols:
+            span.add(col)
     return CocenterCoordinates(span, span.non_pivot_columns())
 
 
@@ -239,9 +253,7 @@ def cocenter_dim(ctx):
 def cocenter_project(coords, element):
     """Canonical representative of an element's cocenter class, supported on
     the complement words."""
-    residual = coords.span.reduce(element.to_vector())
-    return {j: residual[j] for j in coords.complement
-            if not element.ctx.domain.is_zero(residual[j])}
+    return coords.span.reduce(element.terms)
 
 
 def trace_gram_matrix(ctx, span, coords):
@@ -293,11 +305,7 @@ def character_dual(ctx, x, span=None, coords=None, gram=None, chars=None):
 
 
 def cocenter_class_to_element(ctx, coords_map):
-    d = ctx.domain
-    vec = [d.zero] * ctx.dim
-    for j, c in coords_map.items():
-        vec[j] = c
-    return ctx.from_vector(vec)
+    return AlgebraElement(ctx, coords_map)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +403,9 @@ def central_idempotents(ctx):
         if not _certify_primitive(ctx, zbasis, e):
             raise IdempotentSplitError("component not primitive")
         elements.append(e)
-    elements.sort(key=_first_support_index)
+    elements.sort(key=lambda e: min(e.terms))
     _verify_idempotent_family(ctx, elements)
     return elements
-
-
-def _first_support_index(element):
-    return min(element.ctx.index[w] for w in element.terms)
 
 
 def _verify_idempotent_family(ctx, elements):
@@ -426,19 +430,24 @@ def _verify_idempotent_family(ctx, elements):
 
 def min_poly_on_center_ideal(ctx, eps, z):
     """Monic minimal polynomial (ascending K coefficients) of the central
-    element z acting on the ideal eps * Z."""
+    element z acting on the ideal eps * Z.
+
+    The power z^k eps enters one RowSpace with a 1 in the extra column
+    dim + k, which records the combination of powers each row stands for.
+    The first power that depends on the earlier ones reduces to a residual
+    supported only on the extra columns: the relation among the powers with
+    coefficient 1 at z^k, which is the minimal polynomial."""
     d = ctx.domain
-    span = RowSpace(d, ctx.dim)
-    powers = [eps.to_vector()]
-    span.add(powers[0])
-    current = eps
+    span = RowSpace(d, 2 * ctx.dim + 1)
+    power = eps
+    k = 0
     while True:
-        current = z * current
-        v = current.to_vector()
-        if not span.add(v):
-            combo = coordinates_in(powers, v, d)
-            return [-c for c in combo] + [d.one]
-        powers.append(v)
+        residual = span.reduce({**power.terms, ctx.dim + k: d.one})
+        if min(residual) >= ctx.dim:
+            return [residual.get(ctx.dim + j, d.zero) for j in range(k + 1)]
+        span.add(residual)
+        power = z * power
+        k += 1
 
 
 def unique_eigenvalue(ctx, mu):

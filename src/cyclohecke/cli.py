@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .center import center_basis, jm_center_span
+from .center import center_basis, jm_center_span, jm_span_in_center
 from .combinatorics import enumerate_multipartitions
 from .hecke import AlgebraContext, EngineError
 from .ktheory import restriction_table, verify_blocks, verify_main_theorem
@@ -142,6 +142,8 @@ def _check_nonzero(specs, name):
 
 
 def cmd_verify_main(args):
+    if args.n is None and args.r is not None:
+        raise UsageError("--r needs --n")
     if args.n is not None:
         _check_sizes(args, min_n=0)
         reports = [verify_main_theorem(args.n, args.r or 1)]
@@ -201,6 +203,7 @@ def cmd_center(args):
     q_spec = parse_scalar(args.q)
     Q_specs = _parse_Q_list(args.Q, args.r)
     results = []
+    witnesses = []
     if q_spec[0] == "generic" or any(s[0] == "generic" for s in Q_specs):
         if not (q_spec[0] == "generic"
                 and all(s[0] == "generic" for s in Q_specs)):
@@ -214,18 +217,24 @@ def cmd_center(args):
         contexts = [AlgebraContext(args.n, args.r, domain, q_val, Q_vals)]
         label = "explicit"
     for ctx in contexts:
-        dim_center = len(center_basis(ctx))
+        zbasis = center_basis(ctx)
         span = jm_center_span(ctx)
         results.append({
             "q": str(ctx.q_val), "Q": [str(Q) for Q in ctx.Q_vals],
-            "dim_center": dim_center, "dim_jm_center": span.rank,
+            "dim_center": len(zbasis), "dim_jm_center": span.rank,
             "jm_span_capped": span.capped,
         })
+        if not jm_span_in_center(ctx, zbasis, span):
+            witnesses.append({
+                "reason": "a JM-center element is not in the center",
+                "q": str(ctx.q_val),
+            })
     report = VerificationReport(
         check="center_dimensions",
         params={"n": args.n, "r": args.r, "specialization": label,
                 "results": results},
-        status="pass",
+        status="fail" if witnesses else "pass",
+        witnesses=witnesses,
         seed=args.seed,
         duration=time.perf_counter() - start,
     )

@@ -1,8 +1,10 @@
 """The cyclotomic Hecke algebra engine.
 
 Elements live in the PBW basis {L_1^a_1 ... L_n^a_n T_w : 0 <= a_i <= r-1,
-w in S_n}. Multiplication applies cached generator left-multiplication
-maps (T_1..T_{n-1}, L_1, and higher L_i via the defining conjugation
+w in S_n}, as sparse dicts {basis index: nonzero coefficient}, the one
+vector format of the package; index 0 is the identity word.
+Multiplication applies cached generator left-multiplication maps
+(T_1..T_{n-1}, L_1, and higher L_i via the defining conjugation
 L_{i+1} = q^{-1} T_i L_i T_i) to the right factor in two shared stages:
 T_w y once per distinct suffix of the left factor's reduced words, then
 the L-exponents by Horner's rule over the trie of exponent tuples.
@@ -169,7 +171,8 @@ def validate_straightening(max_exp=4):
 # ---------------------------------------------------------------------------
 
 class AlgebraElement:
-    """Sparse vector over the PBW basis; immutable by convention."""
+    """Sparse vector {PBW basis index: nonzero coefficient}; index 0 is the
+    identity word. Immutable by convention."""
 
     __slots__ = ("ctx", "terms")
 
@@ -186,13 +189,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             terms = dict(self.terms)
-            d = self.ctx.domain
-            for w, c in other.terms.items():
-                acc = terms.get(w, d.zero) + c
-                if d.is_zero(acc):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = acc
+            self.ctx._add_scaled(terms, other.terms)
             return AlgebraElement(self.ctx, terms)
         return self + self.ctx.scalar(other) * self.ctx.one()
 
@@ -235,13 +232,13 @@ class AlgebraElement:
 
     def tau(self):
         """Symmetrizing trace: the coefficient of the identity basis word."""
-        return self.terms.get(self.ctx.identity_word, self.ctx.domain.zero)
+        return self.terms.get(0, self.ctx.domain.zero)
 
     def to_vector(self):
         d = self.ctx.domain
         vec = [d.zero] * self.ctx.dim
-        for w, c in self.terms.items():
-            vec[self.ctx.index[w]] = c
+        for k, c in self.terms.items():
+            vec[k] = c
         return vec
 
     def render(self):
@@ -249,16 +246,15 @@ class AlgebraElement:
             return "0"
         ctx = self.ctx
         pieces = []
-        for word in sorted(self.terms, key=ctx.index.__getitem__):
-            coeff = self.terms[word]
-            exps, perm = word
+        for k in sorted(self.terms):
+            exps, perm = ctx.basis[k]
             factors = [f"L{i + 1}^{e}" if e != 1 else f"L{i + 1}"
                        for i, e in enumerate(exps) if e]
             if perm != ctx._identity_perm:
                 factors.append(
                     "T[" + ",".join(str(x + 1) for x in perm) + "]")
             body = "*".join(factors) if factors else "1"
-            pieces.append(f"({ctx.domain.render(coeff)}) * {body}")
+            pieces.append(f"({ctx.domain.render(self.terms[k])}) * {body}")
         return " + ".join(pieces)
 
     def __repr__(self):
@@ -319,7 +315,6 @@ class AlgebraContext:
         ]
         self.index = {word: i for i, word in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self.identity_word = ((0,) * n, self._identity_perm)
 
         # L_1^r = sum_j cyclo_red[j] L_1^j from prod_i (L_1 - Q_i) = 0
         poly = [domain.one]
@@ -455,23 +450,20 @@ class AlgebraContext:
         return AlgebraElement(self, {})
 
     def one(self):
-        return AlgebraElement(self, {self.identity_word: self.domain.one})
+        return AlgebraElement(self, {0: self.domain.one})
 
     def T(self, i):
         """The generator T_i, 1 <= i <= n-1."""
         if not 1 <= i <= self.n - 1:
             raise ValueError("T index out of range")
         perm = right_mult_simple(self._identity_perm, i - 1)
-        return AlgebraElement(
-            self, {((0,) * self.n, perm): self.domain.one})
+        return self.basis_element(self.index[((0,) * self.n, perm)])
 
     def basis_element(self, idx):
-        return AlgebraElement(self, {self.basis[idx]: self.domain.one})
+        return AlgebraElement(self, {idx: self.domain.one})
 
     def from_vector(self, vec):
-        d = self.domain
-        return AlgebraElement(self, {
-            self.basis[i]: c for i, c in enumerate(vec) if not d.is_zero(c)})
+        return AlgebraElement(self, dict(enumerate(vec)))
 
     def generators(self):
         """T_1..T_{n-1} and L_1: a generating set of the algebra."""
@@ -513,9 +505,10 @@ class AlgebraContext:
                     "product exceeded the rewrite step budget")
             return vec
 
-        suffixes = {(): {self.index[w]: c for w, c in y.terms.items()}}
+        suffixes = {(): y.terms}
         nodes = {}
-        for (exps, w), cx in x.terms.items():
+        for k, cx in x.terms.items():
+            exps, w = self.basis[k]
             word = reduced_word(w)
             for j in range(len(word) - 1, -1, -1):
                 if word[j:] not in suffixes:
@@ -535,24 +528,16 @@ class AlgebraContext:
                     by_depth.setdefault(depth - 1, []).append(parent)
                 self._add_scaled(
                     nodes[parent], apply(("L", k + 1), nodes[exps]))
-        out = nodes.get((0,) * self.n, {})
-        return AlgebraElement(
-            self, {self.basis[k]: c for k, c in out.items()})
+        return AlgebraElement(self, nodes.get((0,) * self.n, {}))
 
     def left_multiplication_matrix(self, x):
         """Columns of left multiplication by x on the PBW basis."""
-        cols = []
-        for j in range(self.dim):
-            prod = self.multiply(x, self.basis_element(j))
-            cols.append({self.index[w]: c for w, c in prod.terms.items()})
-        return cols
+        return [self.multiply(x, self.basis_element(j)).terms
+                for j in range(self.dim)]
 
     def right_multiplication_matrix(self, x):
-        cols = []
-        for j in range(self.dim):
-            prod = self.multiply(self.basis_element(j), x)
-            cols.append({self.index[w]: c for w, c in prod.terms.items()})
-        return cols
+        return [self.multiply(self.basis_element(j), x).terms
+                for j in range(self.dim)]
 
     def right_T_matrix(self, i):
         """Right multiplication by T_i (1-based), via the Hecke rule on the
@@ -579,11 +564,8 @@ class AlgebraContext:
         if not 1 <= i <= self.n:
             raise ValueError("L index out of range")
         if i not in self._jm_cache:
-            vec = self._apply_cols(
-                self._matrices[("L", i)],
-                {self.index[self.identity_word]: self.domain.one})
-            self._jm_cache[i] = AlgebraElement(
-                self, {self.basis[k]: c for k, c in vec.items()})
+            self._jm_cache[i] = AlgebraElement(self, self._apply_cols(
+                self._matrices[("L", i)], {0: self.domain.one}))
         return self._jm_cache[i]
 
     def symmetric_jm(self, k):
@@ -614,8 +596,8 @@ class AlgebraContext:
             n = self.n
 
             def L1_power(k):  # a basis word for k < r
-                word = ((k,) + (0,) * (n - 1), self._identity_perm)
-                return AlgebraElement(self, {word: d.one})
+                return self.basis_element(
+                    self.index[((k,) + (0,) * (n - 1), self._identity_perm)])
 
             c = self.cyclo_red
             L_inv = L1_power(self.r - 1)
@@ -746,22 +728,13 @@ def check_relations(ctx, assoc_trials=200, seed=0):
     for name, lhs, rhs in _relation_operator_checks(ctx):
         for j in range(ctx.dim):
             unit = {j: d.one}
-            left = lhs(unit)
-            right = rhs(unit)
-            diff = dict(left)
-            for k, x in right.items():
-                acc = diff.get(k, d.zero) - x
-                if d.is_zero(acc):
-                    diff.pop(k, None)
-                else:
-                    diff[k] = acc
+            diff = lhs(unit)
+            ctx._add_scaled(diff, {k: -x for k, x in rhs(unit).items()})
             if diff:
                 witnesses.append({
                     "relation": name,
                     "word": ctx.basis_element(j).render(),
-                    "residual": ctx.from_vector(
-                        [diff.get(i, d.zero) for i in range(ctx.dim)]
-                    ).render(),
+                    "residual": AlgebraElement(ctx, diff).render(),
                 })
                 break
         if witnesses:
@@ -807,9 +780,9 @@ def check_relations(ctx, assoc_trials=200, seed=0):
 def _random_element(ctx, rng, max_terms=3, coeff_range=5):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        word = ctx.basis[rng.randrange(ctx.dim)]
+        k = rng.randrange(ctx.dim)
         coeff = ctx.domain.from_int(rng.randint(-coeff_range, coeff_range))
-        terms[word] = terms.get(word, ctx.domain.zero) + coeff
+        terms[k] = terms.get(k, ctx.domain.zero) + coeff
     return AlgebraElement(ctx, terms)
 
 

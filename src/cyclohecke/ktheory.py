@@ -261,7 +261,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
         for eps, residue in block_info:
             image = RowSpace(ctx.domain, ctx.dim)
             for z in span.elements:
-                image.add((eps * z).to_vector())
+                image.add((eps * z).terms)
             class_size = len(classes[residue])
             per_block.append({
                 "residue": str(residue),

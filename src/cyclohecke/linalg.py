@@ -1,12 +1,14 @@
 """Exact linear algebra over the field domains (rationals, cyclotomic
 fields), built on one sparse reduced row echelon form.
 
-A RowSpace holds its rows as dicts {column: nonzero entry} in reduced row
-echelon form: each row has a 1 at its pivot (its first nonzero column) and a
-0 at every other pivot. Rank, kernels, solving and coordinates all feed rows
-into a RowSpace. The reduced form of a row space is unique, so every result
-is independent of row order: kernel vectors have a 1 at their own free column
-and a 0 at the other free columns, and solutions set free variables to 0.
+A RowSpace takes and returns sparse vectors, dicts {column: entry}: explicit
+zero entries are ignored and an argument is never modified. It holds its
+rows in reduced row echelon form: each row has a 1 at its pivot (its first
+nonzero column) and a 0 at every other pivot. Rank, kernels and solving take
+dense row lists and feed their rows into a RowSpace. The reduced form of a
+row space is unique, so every result is independent of row order: kernel
+vectors have a 1 at their own free column and a 0 at the other free columns,
+and solutions set free variables to 0.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ class RowSpace:
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vector):
-        """Sparse residual of a dense vector: zero at every pivot column.
+    def reduce(self, vector):
+        """Sparse residual of a sparse vector: zero at every pivot column.
 
         One pass suffices because each stored row is zero at the other
         pivots, so clearing one pivot leaves the others untouched."""
         is_zero = self.domain.is_zero
-        v = {j: x for j, x in enumerate(vector) if not is_zero(x)}
+        v = {j: x for j, x in vector.items() if not is_zero(x)}
         for pc in [c for c in v if c in self.rows]:
             self._subtract(v, v[pc], self.rows[pc])
         return v
@@ -52,7 +54,7 @@ class RowSpace:
                 target[j] = y
 
     def _add(self, vector):
-        v = self._reduce(vector)
+        v = self.reduce(vector)
         if not v:
             return False
         d = self.domain
@@ -66,17 +68,12 @@ class RowSpace:
         self.rows[pc] = row
         return True
 
-    def reduce(self, vector):
-        v = self._reduce(vector)
-        zero = self.domain.zero
-        return [v.get(j, zero) for j in range(self.ncols)]
-
     def add(self, vector):
         """Add a vector; returns True if it enlarged the span."""
         return self._add(vector)
 
     def contains(self, vector):
-        return not self._reduce(vector)
+        return not self.reduce(vector)
 
     def pivot_columns(self):
         return sorted(self.rows)
@@ -88,7 +85,7 @@ class RowSpace:
 def _row_space(matrix, domain, ncols):
     space = RowSpace(domain, ncols)
     for row in matrix:
-        space._add(row)
+        space._add(dict(enumerate(row)))
     return space
 
 
@@ -129,11 +126,3 @@ def solve_linear(matrix, rhs, domain):
     for pc, row in space.rows.items():
         x[pc] = row.get(ncols, domain.zero)
     return x
-
-
-def coordinates_in(columns, vector, domain):
-    """Coefficients expressing vector as a combination of the columns."""
-    nrows = len(vector)
-    matrix = [[columns[j][i] for j in range(len(columns))]
-              for i in range(nrows)]
-    return solve_linear(matrix, vector, domain)

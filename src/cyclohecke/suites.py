@@ -27,6 +27,7 @@ from .center import (
     commutator_coordinates,
     descriptor_characters,
     jm_center_span,
+    jm_span_in_center,
     trace_gram_matrix,
 )
 from .hecke import (
@@ -131,8 +132,9 @@ def suite_hilb_fg06(n, q_specs, *, seed=0):
         else:
             raise ValueError(f"unknown q spec {spec!r}")
         ctx = AlgebraContext(n, 1, domain, q_val, [domain.one])
-        dim_center = len(center_basis(ctx))
-        dim_jm = jm_center_span(ctx).rank
+        zbasis = center_basis(ctx)
+        span = jm_center_span(ctx)
+        dim_center, dim_jm = len(zbasis), span.rank
         results.append({
             "q": label, "dim_center": dim_center, "dim_jm_center": dim_jm})
         if dim_center != dim_jm:
@@ -146,6 +148,11 @@ def suite_hilb_fg06(n, q_specs, *, seed=0):
                 "reason": "generic dimensions differ from p(n)",
                 "q": label, "expected": p_n,
                 "dim_center": dim_center, "dim_jm_center": dim_jm,
+            })
+        if not jm_span_in_center(ctx, zbasis, span):
+            witnesses.append({
+                "reason": "a JM-center element is not in the center",
+                "q": label,
             })
     return VerificationReport(
         check="hilb_center_equals_jm_center",
@@ -299,7 +306,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
                 got = ctx.multiply(
                     ctx.basis_element(ctx.index[x]),
                     ctx.basis_element(ctx.index[y]))
-                got_terms = {w: c for w, c in got.terms.items()}
+                got_terms = {ctx.basis[k]: c for k, c in got.terms.items()}
                 if got_terms != expected_terms:
                     witnesses.append({
                         "reason": "engine at q = 1 differs from the smash "

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclohecke import cli, hecke
+from cyclohecke import center, cli, hecke, suites
 from cyclohecke.hecke import EngineError, RewriteBudgetError
 from cyclohecke.cli import (
     UsageError,
@@ -153,6 +153,7 @@ class TestExitCodes:
         "hilb --n 2 --q-values zeta_1",
         "hilb --n 2 --q-values 0",
         "verify-main --n 2 --r 0",
+        "verify-main --r 2",
         "--samples 0 pairing --n 2 --r 1",
         "--samples 0 center --n 2 --r 1 --q generic --Q generic",
         "--trials 0 pairing --n 2 --r 1",
@@ -168,6 +169,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestInclusionCertificate:
+    """hilb and center check that the JM-center span lies in the center."""
+
+    @pytest.mark.parametrize("argv", [
+        "hilb --n 3 --q-values 2",
+        "center --n 2 --r 2 --q 3 --Q 2,5",
+        "center --n 3 --r 1 --q generic --Q generic",
+    ])
+    def test_jm_element_outside_the_center_fails(self, monkeypatch, capsys,
+                                                 argv):
+        def with_T1(ctx):
+            span = center.jm_center_span(ctx)
+            span.elements.append(ctx.T(1))
+            return span
+
+        monkeypatch.setattr(cli, "jm_center_span", with_T1)
+        monkeypatch.setattr(suites, "jm_center_span", with_T1)
+        assert main(argv.split()) == 1
+        reports = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert [r["status"] for r in reports] == ["fail"]
+        assert {w["reason"] for w in reports[0]["witnesses"]} == {
+            "a JM-center element is not in the center"}
 
 
 class TestEngineErrors:

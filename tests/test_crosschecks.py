@@ -60,7 +60,8 @@ class TestBlocksKnownRegimes:
         assert rep.params["per_block"][0]["jm_image_dim"] == 5
 
     def test_single_block_at_third_root_of_unity(self):
-        # exercises the cyclotomic scalar-restriction path (phi(3) = 2)
+        # q = zeta_3 with phi(3) = 2: the three partitions of 3 form one
+        # residue class, so the spectra give a single block
         rep = verify_blocks(3, 1, 3, (0,))
         assert rep.passed
         assert rep.params["blocks"] == 1

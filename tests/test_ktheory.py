@@ -103,17 +103,17 @@ class TestRestrictionTable:
                 for j in range(len(table.column_labels))
             ]
             span = RowSpace(dom, count)
-            span.add([dom.one] * count)
+            span.add(dict(enumerate([dom.one] * count)))
             frontier = []
             for col in columns:
-                if span.add(col):
+                if span.add(dict(enumerate(col))):
                     frontier.append(col)
             while frontier:
                 new_frontier = []
                 for vec in frontier:
                     for col in columns:
                         prod = [a * b for a, b in zip(vec, col)]
-                        if span.add(prod):
+                        if span.add(dict(enumerate(prod))):
                             new_frontier.append(prod)
                 frontier = new_frontier
             assert span.rank == count

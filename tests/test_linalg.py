@@ -5,7 +5,6 @@ import pytest
 
 from cyclohecke.linalg import (
     RowSpace,
-    coordinates_in,
     kernel_basis,
     rank,
     solve_linear,
@@ -44,10 +43,14 @@ def sparse_matrix(rng, nrows, ncols):
     return rows
 
 
+def sparse(vector):
+    return dict(enumerate(vector))
+
+
 def free_columns(matrix, ncols):
     rs = RowSpace(DOM, ncols)
     for row in matrix:
-        rs.add(row)
+        rs.add(sparse(row))
     return rs.non_pivot_columns()
 
 
@@ -119,22 +122,36 @@ class TestSolve:
             solve_linear(frac_matrix([[1], [1]]),
                          [Fraction(1), Fraction(2)], DOM)
 
-    def test_coordinates_in(self):
-        cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-        coords = coordinates_in(cols, [Fraction(3), Fraction(2)], DOM)
-        assert coords == [Fraction(1), Fraction(2)]
-
 
 class TestRowSpace:
     def test_incremental_rank(self):
         rs = RowSpace(DOM, 3)
-        assert rs.add([Fraction(1), Fraction(1), Fraction(0)])
-        assert not rs.add([Fraction(2), Fraction(2), Fraction(0)])
-        assert rs.add([Fraction(0), Fraction(0), Fraction(5)])
+        assert rs.add({0: Fraction(1), 1: Fraction(1), 2: Fraction(0)})
+        assert not rs.add({0: Fraction(2), 1: Fraction(2)})
+        assert rs.add({2: Fraction(5)})
         assert rs.rank == 2
-        assert rs.contains([Fraction(3), Fraction(3), Fraction(-1)])
-        assert not rs.contains([Fraction(1), Fraction(0), Fraction(0)])
+        assert rs.contains({0: Fraction(3), 1: Fraction(3), 2: Fraction(-1)})
+        assert not rs.contains({0: Fraction(1)})
         assert rs.non_pivot_columns() == [1]
+
+    def test_explicit_zero_is_never_a_pivot(self):
+        rs = RowSpace(DOM, 3)
+        assert not rs.add({0: Fraction(0), 1: Fraction(0)})
+        assert rs.rank == 0
+        assert rs.add({0: Fraction(0), 2: Fraction(4)})
+        assert rs.pivot_columns() == [2]
+        assert rs.rows[2] == {2: Fraction(1)}
+        assert rs.contains({0: Fraction(0)})
+
+    def test_reduce_leaves_its_input_unchanged(self):
+        rs = RowSpace(DOM, 3)
+        rs.add({0: Fraction(1), 1: Fraction(2)})
+        vector = {0: Fraction(3), 1: Fraction(0), 2: Fraction(1)}
+        before = dict(vector)
+        assert rs.reduce(vector) == {1: Fraction(-6), 2: Fraction(1)}
+        assert rs.contains(vector) is False
+        rs.add(vector)
+        assert vector == before
 
 
 class TestSympyOracle:
@@ -181,8 +198,9 @@ class TestCanonicalForm:
             ncols = rng.randint(1, 10)
             rs = RowSpace(DOM, ncols)
             for row in sparse_matrix(rng, rng.randint(1, 10), ncols):
-                rs.add(row)
+                rs.add(sparse(row))
             vector = sparse_matrix(rng, 1, ncols)[0]
-            residual = rs.reduce(vector)
-            assert all(residual[pc] == 0 for pc in rs.pivot_columns())
-            assert rs.contains([a - b for a, b in zip(vector, residual)])
+            residual = rs.reduce(sparse(vector))
+            assert all(pc not in residual for pc in rs.pivot_columns())
+            assert rs.contains(sparse(
+                [x - residual.get(j, 0) for j, x in enumerate(vector)]))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclohecke.hecke import AlgebraContext
 from cyclohecke.reports import VerificationReport, summarize
 from cyclohecke.suites import (
     SmashProduct,
@@ -159,6 +160,30 @@ class TestPairingSuite:
         a = suite_pairing(2, 1, trials=20, seed=3, samples=1).to_json()
         b = suite_pairing(2, 1, trials=20, seed=3, samples=1).to_json()
         assert a == b
+
+
+class TestCommutatorOperatorFault:
+    def test_center_and_cocenter_fail_on_a_corrupted_right_T(self,
+                                                              monkeypatch):
+        # the center and the cocenter both read the commutator operators;
+        # dropping the diagonal (q-1) entries of right multiplication by
+        # T_i must make both suites fail
+        right_T = AlgebraContext.right_T_matrix
+
+        def without_diagonal(self, i):
+            cols = right_T(self, i)
+            for j, col in enumerate(cols):
+                col.pop(j, None)
+            return cols
+
+        monkeypatch.setattr(AlgebraContext, "right_T_matrix",
+                            without_diagonal)
+        hilb = suite_hilb_fg06(3, [("rational", 2)])
+        assert hilb.status == "fail"
+        assert hilb.params["results"][0]["dim_center"] == 1
+        pairing = suite_pairing(2, 2, trials=5, samples=1)
+        assert pairing.status == "fail"
+        assert pairing.witnesses[0]["cocenter_dim"] == 2
 
 
 class TestDimensionReport:
