@@ -61,6 +61,7 @@ from .ktheory import (
 from .reports import VerificationReport
 from .suites import (
     SmashProduct,
+    suite_center,
     suite_hilb_fg06,
     suite_main_theorem,
     suite_pairing,

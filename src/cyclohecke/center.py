@@ -83,6 +83,12 @@ def center_basis(ctx):
     return [ctx.from_vector(v) for v in kernel_basis(rows, d)]
 
 
+def is_central(ctx, x):
+    """Whether x commutes with the generators T_1..T_{n-1}, L_1, hence with
+    the whole algebra."""
+    return all(x * g == g * x for g in ctx.generators())
+
+
 # ---------------------------------------------------------------------------
 # Jucys-Murphy center
 # ---------------------------------------------------------------------------
@@ -270,7 +276,7 @@ def trace_gram_matrix(ctx, span, coords):
     return gram
 
 
-def character_dual(ctx, x, span=None, coords=None, gram=None, chars=None):
+def character_dual(ctx, x, span=None, coords=None, gram=None):
     """The unique cocenter class with tau(z * result) = sum over
     multipartitions of char(z) * x, for all z in the JM-center basis; this is
     the adjoint of the character map under the trace pairing.
@@ -287,8 +293,7 @@ def character_dual(ctx, x, span=None, coords=None, gram=None, chars=None):
             "center/cocenter dimensions do not match the fixed points")
     if gram is None:
         gram = trace_gram_matrix(ctx, span, coords)
-    char_matrix = chars if chars is not None \
-        else descriptor_characters(ctx, span.descriptors)
+    char_matrix = descriptor_characters(ctx, span.descriptors)
     d = ctx.domain
     rhs = []
     for i in range(len(span.elements)):
@@ -416,9 +421,8 @@ def _verify_idempotent_family(ctx, elements):
         for j in range(i + 1, len(elements)):
             if not (e * elements[j]).is_zero():
                 raise IdempotentSplitError("components are not orthogonal")
-        for g in ctx.generators():
-            if not (e * g == g * e):
-                raise IdempotentSplitError("component is not central")
+        if not is_central(ctx, e):
+            raise IdempotentSplitError("component is not central")
         total = total + e
     if not (total == ctx.one()):
         raise IdempotentSplitError("components do not sum to the identity")

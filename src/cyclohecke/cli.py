@@ -13,18 +13,16 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 from fractions import Fraction
 
-from .center import center_basis, jm_center_span, jm_span_in_center
 from .combinatorics import enumerate_multipartitions
-from .hecke import AlgebraContext, EngineError
+from .hecke import EngineError
 from .ktheory import restriction_table, verify_blocks, verify_main_theorem
 from .reports import VerificationReport, summarize
 from .rings import CyclotomicDomain, RationalDomain
 from .suites import (
-    generic_contexts,
     pbw_dimension_report,
+    suite_center,
     suite_hilb_fg06,
     suite_main_theorem,
     suite_pairing,
@@ -127,9 +125,9 @@ def _check_sizes(args, min_n=1):
 
 
 def _check_counts(args):
-    """Reject sample, trial and budget counts below 1: with none of them a
-    suite checks nothing and still reports a pass."""
-    for name in ("samples", "trials", "budget"):
+    """Reject sample and budget counts below 1: with none of them a suite
+    checks nothing and still reports a pass."""
+    for name in ("samples", "budget"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name} must be at least 1")
@@ -192,53 +190,27 @@ def cmd_q1_gap(args):
 
 def cmd_pairing(args):
     _check_sizes(args)
-    reports = [suite_pairing(args.n, args.r, trials=args.trials,
-                             seed=args.seed, samples=args.samples)]
+    reports = [suite_pairing(args.n, args.r, seed=args.seed,
+                             samples=args.samples)]
     return _emit(reports, args)
 
 
 def cmd_center(args):
-    start = time.perf_counter()
     _check_sizes(args)
     q_spec = parse_scalar(args.q)
     Q_specs = _parse_Q_list(args.Q, args.r)
-    results = []
-    witnesses = []
+    explicit = None
     if q_spec[0] == "generic" or any(s[0] == "generic" for s in Q_specs):
         if not (q_spec[0] == "generic"
                 and all(s[0] == "generic" for s in Q_specs)):
             raise UsageError("mix of generic and explicit literals")
-        contexts = generic_contexts(args.n, args.r, args.seed, args.samples)
-        label = "generic (sampled)"
     else:
         _check_nonzero([q_spec], "q")
         _check_nonzero(Q_specs, "Q")
-        domain, q_val, Q_vals = build_domain_and_values(q_spec, Q_specs)
-        contexts = [AlgebraContext(args.n, args.r, domain, q_val, Q_vals)]
-        label = "explicit"
-    for ctx in contexts:
-        zbasis = center_basis(ctx)
-        span = jm_center_span(ctx)
-        results.append({
-            "q": str(ctx.q_val), "Q": [str(Q) for Q in ctx.Q_vals],
-            "dim_center": len(zbasis), "dim_jm_center": span.rank,
-            "jm_span_capped": span.capped,
-        })
-        if not jm_span_in_center(ctx, zbasis, span):
-            witnesses.append({
-                "reason": "a JM-center element is not in the center",
-                "q": str(ctx.q_val),
-            })
-    report = VerificationReport(
-        check="center_dimensions",
-        params={"n": args.n, "r": args.r, "specialization": label,
-                "results": results},
-        status="fail" if witnesses else "pass",
-        witnesses=witnesses,
-        seed=args.seed,
-        duration=time.perf_counter() - start,
-    )
-    return _emit([report], args)
+        explicit = build_domain_and_values(q_spec, Q_specs)
+    reports = [suite_center(args.n, args.r, explicit, seed=args.seed,
+                            samples=args.samples)]
+    return _emit(reports, args)
 
 
 def cmd_table(args):
@@ -274,8 +246,6 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=3,
                         help="random specializations per generic claim")
-    parser.add_argument("--trials", type=int, default=1000,
-                        help="random trials for property checks")
     parser.add_argument("--format", choices=["json", "table", "csv"],
                         default="json")
     parser.add_argument("--timings", action="store_true",

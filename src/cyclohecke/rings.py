@@ -453,15 +453,6 @@ class CyclotomicNumber:
         inv_scale = Fraction(1) / r0[0]
         return CyclotomicNumber(self.order, [c * inv_scale for c in s0])
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
@@ -478,14 +469,6 @@ class CyclotomicNumber:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def to_fraction(self):
-        if not self.is_rational():
-            raise DomainError("not a rational cyclotomic number")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -6,11 +6,23 @@ settings.load_profile("ci")
 
 from fractions import Fraction
 
-from cyclohecke.hecke import AlgebraContext, symbolic_context
+from cyclohecke.hecke import AlgebraContext, AlgebraElement, symbolic_context
 from cyclohecke.rings import RationalDomain
 from cyclohecke.suites import generic_contexts
 
 _SYMBOLIC_CACHE = {}
+
+
+def _random_element(ctx, rng, max_terms=3, coeff_range=5):
+    """A random sparse element: up to max_terms words with small integer
+    coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        k = rng.randrange(ctx.dim)
+        coeff = ctx.domain.from_int(rng.randint(-coeff_range, coeff_range))
+        terms[k] = terms.get(k, ctx.domain.zero) + coeff
+    return AlgebraElement(ctx, terms)
+
 _SAMPLED_CACHE = {}
 
 

@@ -109,8 +109,7 @@ class TestCommands:
         assert target.read_text().startswith("multipartition,e1,det_inv")
 
     def test_pairing_command(self, capsys):
-        code = main(["--samples", "1", "--trials", "20",
-                     "pairing", "--n", "2", "--r", "1"])
+        code = main(["--samples", "1", "pairing", "--n", "2", "--r", "1"])
         assert code == 0
 
 
@@ -122,6 +121,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_removed_trials_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--trials", "5", "pairing", "--n", "2", "--r", "1"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_literal_is_usage_error(self, capsys):
         code = main(["center", "--n", "2", "--r", "1",
@@ -156,8 +161,6 @@ class TestExitCodes:
         "verify-main --r 2",
         "--samples 0 pairing --n 2 --r 1",
         "--samples 0 center --n 2 --r 1 --q generic --Q generic",
-        "--trials 0 pairing --n 2 --r 1",
-        "--trials -3 pairing --n 2 --r 1",
         "verify-main --budget 0",
         "table --n 2 --r 2 --out {tmp}/missing/x.csv",
     ])
@@ -186,7 +189,6 @@ class TestInclusionCertificate:
             span.elements.append(ctx.T(1))
             return span
 
-        monkeypatch.setattr(cli, "jm_center_span", with_T1)
         monkeypatch.setattr(suites, "jm_center_span", with_T1)
         assert main(argv.split()) == 1
         reports = [json.loads(line)
@@ -236,7 +238,7 @@ class TestEngineErrors:
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys):
-        args = ["--seed", "7", "--samples", "1", "--trials", "50",
+        args = ["--seed", "7", "--samples", "1",
                 "pairing", "--n", "2", "--r", "1"]
         main(args)
         first = capsys.readouterr().out
@@ -281,7 +283,7 @@ def test_cli_fuzz_exits_cleanly(data):
     # any literal and small size either runs (exit 0 or 1) or is a usage
     # error (exit 2); an uncaught exception fails the test with its traceback
     command = data.draw(st.sampled_from(["center", "hilb", "q1-gap",
-                                         "blocks"]))
+                                         "blocks", "pairing"]))
     n, r = data.draw(_SIZES), data.draw(_SIZES)
     # mostly one literal per level, sometimes a wrong count
     count = data.draw(st.sampled_from([max(r, 1)] * 3 + [1, 3]))
@@ -297,6 +299,8 @@ def test_cli_fuzz_exits_cleanly(data):
         argv = ["q1-gap", *sizes]
         if data.draw(st.booleans()):
             argv += ["--Q", literals]
+    elif command == "pairing":
+        argv = ["pairing", *sizes]
     else:
         ell = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 1, 0, -1]))
         charge = data.draw(st.lists(st.integers(min_value=-3, max_value=3),

@@ -9,7 +9,6 @@ from cyclohecke.hecke import (
     AlgebraElement,
     EngineError,
     RewriteBudgetError,
-    _random_element,
     all_permutations,
     check_relations,
     one_step_T_push,
@@ -22,6 +21,7 @@ from cyclohecke.hecke import (
     validate_straightening,
 )
 from cyclohecke.rings import CyclotomicDomain, LaurentPoly, RationalDomain
+from conftest import _random_element
 
 
 def literal_product(ctx, x, y, l_first=False):
@@ -159,7 +159,7 @@ class TestStraighteningOracle:
                               [Fraction(2), Fraction(5)], self_check=False)
         assert ctx._matrices[("T", 0)] != good._matrices[("T", 0)]
         assert ctx._matrices[("L", 1)] == good._matrices[("L", 1)]
-        assert not check_relations(ctx, assoc_trials=0).passed
+        assert not check_relations(ctx).passed
 
 
 class TestMultiplication:
@@ -434,7 +434,6 @@ class TestTrace:
         assert ctx.domain.is_zero(pairing(ctx.T(1), ctx.one()))
 
     def test_trace_symmetry_random(self, rational_ctx):
-        from cyclohecke.hecke import _random_element
         ctx = rational_ctx(2, 2, Fraction(3), [Fraction(2), Fraction(5)])
         rng = random.Random(0)
         for _ in range(200):
@@ -487,7 +486,7 @@ class TestCertificate:
         conjugate_generators(ctx, 1, 2)
         # the relation families run first and stop at their first failure,
         # so a reconstruction witness means every one of them passed
-        rep = check_relations(ctx, assoc_trials=0)
+        rep = check_relations(ctx)
         assert rep.status == "fail"
         assert rep.witnesses[0]["relation"] == "reconstruction"
         assert rep.witnesses[0]["word"] == ctx.basis_element(1).render()
@@ -509,7 +508,7 @@ class TestCertificate:
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                              [Fraction(2), Fraction(5)], self_check=False)
         l_before_t_multiply(monkeypatch)
-        rep = check_relations(ctx, assoc_trials=0)
+        rep = check_relations(ctx)
         assert rep.status == "fail"
         witness = rep.witnesses[0]
         assert witness["relation"] == "reconstruction"
@@ -519,19 +518,20 @@ class TestCertificate:
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])
 
-    def test_build_gate_is_certificate_plus_smoke_trials(self, monkeypatch):
-        reports = []
+    def test_build_gate_is_the_certificate(self, monkeypatch):
+        calls = []
         check = hecke.check_relations
 
-        def spy(ctx, **kwargs):
-            reports.append(check(ctx, **kwargs))
-            return reports[-1]
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return check(*args, **kwargs)
 
         monkeypatch.setattr(hecke, "check_relations", spy)
         ctx = AlgebraContext(3, 2, RationalDomain(), Fraction(3),
                              [Fraction(2), Fraction(5)])
-        (rep,) = reports
+        # one call with the context alone: relations plus reconstruction
+        assert calls == [((ctx,), {})]
+        rep = check(ctx)
         assert rep.passed
-        assert rep.params["reconstructed"] == ctx.dim
-        assert rep.params["assoc_trials"] == hecke._GATE_ASSOC_TRIALS == 20
-
+        assert rep.params == {"n": 3, "r": 2, "domain": "rational",
+                              "reconstructed": ctx.dim}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclohecke import center, suites
 from cyclohecke.hecke import AlgebraContext
 from cyclohecke.reports import VerificationReport, summarize
 from cyclohecke.suites import (
@@ -152,14 +153,69 @@ class TestSmashProduct:
 
 class TestPairingSuite:
     def test_small_run_passes(self):
-        rep = suite_pairing(2, 1, trials=50, seed=0, samples=1)
+        rep = suite_pairing(2, 1, seed=0, samples=1)
         assert rep.passed
         assert rep.params["specialization"] == "generic (sampled)"
+        assert "trials" not in rep.params
 
     def test_deterministic_given_seed(self):
-        a = suite_pairing(2, 1, trials=20, seed=3, samples=1).to_json()
-        b = suite_pairing(2, 1, trials=20, seed=3, samples=1).to_json()
+        a = suite_pairing(2, 1, seed=3, samples=1).to_json()
+        b = suite_pairing(2, 1, seed=3, samples=1).to_json()
         assert a == b
+
+
+class TestPairingCertificateFaults:
+    """Each pairing certificate fails on its own fault, with its own
+    witness reason."""
+
+    def test_commutator_with_trace_fails_trace_symmetry(self, monkeypatch):
+        # a commutator column with a nonzero identity-word entry puts a
+        # pivot at word 0: tau no longer vanishes on the span
+        operators = center.commutator_operators
+
+        def with_trace(ctx):
+            ops = operators(ctx)
+            ops[0][-1][0] = ctx.domain.one
+            return ops
+
+        monkeypatch.setattr(center, "commutator_operators", with_trace)
+        rep = suite_pairing(2, 2, samples=1)
+        assert rep.status == "fail"
+        assert rep.witnesses[0]["reason"] == "trace symmetry failed"
+
+    def test_non_central_span_element_fails_adjointness(self, monkeypatch):
+        span_of = suites.jm_center_span
+
+        def with_T1(ctx):
+            span = span_of(ctx)
+            span.elements.append(ctx.T(1))
+            return span
+
+        monkeypatch.setattr(suites, "jm_center_span", with_T1)
+        rep = suite_pairing(2, 2, samples=1)
+        assert rep.status == "fail"
+        assert rep.witnesses[0] == {
+            "reason": "JM-center element is not central",
+            "a": "(1) * T[2,1]"}
+
+    @pytest.mark.parametrize("module", [center, suites],
+                             ids=["center", "suites"])
+    def test_swapped_character_rows_fail_module_property(self, monkeypatch,
+                                                         module):
+        # the dual is built from center's character table and checked
+        # against the suite's: a relabeling on either side is caught
+        characters = module.descriptor_characters
+
+        def swapped(ctx, descriptors):
+            rows = characters(ctx, descriptors)
+            rows[0], rows[1] = rows[1], rows[0]
+            return rows
+
+        monkeypatch.setattr(module, "descriptor_characters", swapped)
+        rep = suite_pairing(2, 2, samples=1)
+        assert rep.status == "fail"
+        assert [w["reason"] for w in rep.witnesses] == [
+            "character dual is not a module map"]
 
 
 class TestCommutatorOperatorFault:
@@ -181,7 +237,7 @@ class TestCommutatorOperatorFault:
         hilb = suite_hilb_fg06(3, [("rational", 2)])
         assert hilb.status == "fail"
         assert hilb.params["results"][0]["dim_center"] == 1
-        pairing = suite_pairing(2, 2, trials=5, samples=1)
+        pairing = suite_pairing(2, 2, samples=1)
         assert pairing.status == "fail"
         assert pairing.witnesses[0]["cocenter_dim"] == 2
 
