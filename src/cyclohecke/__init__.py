@@ -37,7 +37,6 @@ from .hecke import (
     check_relations,
     pairing,
     symbolic_context,
-    trace_form,
     validate_straightening,
 )
 from .center import (

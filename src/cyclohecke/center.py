@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
-from .linalg import RowSpace, kernel_basis, rank, solve_linear
+from .linalg import RowSpace, kernel_basis, rank, solve_linear, transpose
 from .rings import (
     LaurentPoly,
     NotInvertibleError,
@@ -66,21 +66,13 @@ def center_basis(ctx):
     raises UnsupportedDomainError unless there are no constraints at all;
     use sampled rational specializations instead.
     """
-    d = ctx.domain
     rows = []
     for cols in commutator_operators(ctx):
-        by_row = {}
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                by_row.setdefault(i, {})[j] = x
-        for i in sorted(by_row):
-            row = [d.zero] * ctx.dim
-            for j, x in by_row[i].items():
-                row[j] = x
-            rows.append(row)
+        rows.extend(row for row in transpose(cols, ctx.dim) if row)
     if not rows:
         return [ctx.basis_element(i) for i in range(ctx.dim)]
-    return [ctx.from_vector(v) for v in kernel_basis(rows, d)]
+    return [AlgebraElement(ctx, v)
+            for v in kernel_basis(rows, ctx.domain, ctx.dim)]
 
 
 def is_central(ctx, x):
@@ -264,12 +256,13 @@ def cocenter_project(coords, element):
 
 def trace_gram_matrix(ctx, span, coords):
     """Gram matrix tau(z_i * b_j) between the JM-center basis and the
-    cocenter complement words; SingularGramError when not invertible."""
-    gram = [
-        [(z * ctx.basis_element(j)).tau() for j in coords.complement]
-        for z in span.elements
-    ]
-    if not gram or len(gram) != len(gram[0]):
+    cocenter complement words, as sparse rows {position in the complement:
+    entry}; SingularGramError when not invertible."""
+    is_zero = ctx.domain.is_zero
+    gram = [{k: x for k, j in enumerate(coords.complement)
+             if not is_zero(x := (z * ctx.basis_element(j)).tau())}
+            for z in span.elements]
+    if not gram or len(gram) != coords.dim:
         raise SingularGramError("center and cocenter coordinates differ")
     if rank(gram, ctx.domain) != len(gram):
         raise SingularGramError("trace Gram matrix is singular")
@@ -302,15 +295,10 @@ def character_dual(ctx, x, span=None, coords=None, gram=None):
             acc = acc + char_matrix[lam][i] * x[lam]
         rhs.append(acc)
     try:
-        sol = solve_linear(gram, rhs, d)
+        sol = solve_linear(gram, rhs, d, coords.dim)
     except NotInvertibleError as exc:
         raise SingularGramError(str(exc)) from exc
-    return {j: c for j, c in zip(coords.complement, sol)
-            if not d.is_zero(c)}
-
-
-def cocenter_class_to_element(ctx, coords_map):
-    return AlgebraElement(ctx, coords_map)
+    return {coords.complement[k]: c for k, c in sol.items()}
 
 
 # ---------------------------------------------------------------------------

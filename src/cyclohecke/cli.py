@@ -3,9 +3,10 @@
 Scalar literals are exact: rationals as "3/2" or "-1", roots of unity as
 "zeta_6^2", and "generic" for sampled rational specializations. Reports go
 to stdout as JSON lines (one object per check) unless --format table is
-given; exit status is 0 when everything passed, 1 on any failure, 2 on a
-usage error. An engine error (a failed context self-test or an exhausted
-step budget) is reported as a failed ``engine_error`` check.
+given; the table command exports JSON unless --format csv is given, and a
+format the command does not write is a usage error. Exit status is 0 when
+everything passed, 1 on any failure, 2 on a usage error. An engine error (a
+failed context self-test) is reported as a failed ``engine_error`` check.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def build_domain_and_values(q_spec, Q_specs):
 def _emit(reports, args):
     out = sys.stdout
     for report in reports:
-        if args.format != "table":  # csv only applies to table exports
+        if args.format == "json":
             out.write(report.to_json() + "\n")
         else:
             head = f"[{report.status.upper():4s}] {report.check}"
@@ -131,6 +132,15 @@ def _check_counts(args):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name} must be at least 1")
+
+
+def _check_format(args):
+    """Reports are written as json or table, restriction tables as json or
+    csv; reject the format the command would silently ignore."""
+    ignored = "table" if args.command == "table" else "csv"
+    if args.format == ignored:
+        raise UsageError(
+            f"--format {ignored} does not apply to {args.command}")
 
 
 def _check_nonzero(specs, name):
@@ -312,12 +322,13 @@ def main(argv=None):
         return 2
     try:
         _check_counts(args)
+        _check_format(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except EngineError as exc:
-        # an engine self-test or step budget failed: nothing was verified
+        # an engine self-test failed: nothing was verified
         return _emit([VerificationReport(
             check="engine_error",
             params={"command": args.command},

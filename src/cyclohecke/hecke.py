@@ -28,16 +28,12 @@ from fractions import Fraction
 from functools import cache
 
 from .rings import LaurentDomain, LaurentPoly, NotInvertibleError
-from .linalg import solve_linear
+from .linalg import solve_linear, transpose
 from .reports import VerificationReport
 
 
 class EngineError(Exception):
     """Internal inconsistency detected by the engine self-tests."""
-
-
-class RewriteBudgetError(EngineError):
-    """A product exceeded the rewrite step budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +102,12 @@ def straightening_closed_form(a, b):
     return out
 
 
-def one_step_T_push(a, b, budget=10 ** 6):
+def one_step_T_push(a, b):
     """Normal form of T L^a M^b using only the degree-1 exchange rules
     T L = M T - (q-1) M and T M = L T + (q-1) M, pushing T one variable at
     a time. Independent oracle for the closed form above."""
     q = LaurentPoly.variable(0, 1)
     qm1 = q - 1
-    remaining = [budget]
 
     def add(target, key, coeff):
         acc = target.get(key)
@@ -123,9 +118,6 @@ def one_step_T_push(a, b, budget=10 ** 6):
             target[key] = acc
 
     def push(a, b):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise RewriteBudgetError("one-step rewriter exceeded its budget")
         if a > 0:
             # T L^a M^b = (M T - (q-1) M) L^{a-1} M^b
             out = {}
@@ -233,13 +225,6 @@ class AlgebraElement:
         """Symmetrizing trace: the coefficient of the identity basis word."""
         return self.terms.get(0, self.ctx.domain.zero)
 
-    def to_vector(self):
-        d = self.ctx.domain
-        vec = [d.zero] * self.ctx.dim
-        for k, c in self.terms.items():
-            vec[k] = c
-        return vec
-
     def render(self):
         if not self.terms:
             return "0"
@@ -260,11 +245,6 @@ class AlgebraElement:
         return self.render()
 
 
-def trace_form(x):
-    """The symmetrizing trace of an algebra element."""
-    return x.tau()
-
-
 def pairing(a, b):
     """The trace pairing (a, b) -> tau(a b)."""
     a._check(b)
@@ -282,8 +262,7 @@ class AlgebraContext:
     Immutable once built; all operations afterwards are read-only.
     """
 
-    def __init__(self, n, r, domain, q_val, Q_vals, *, self_check=True,
-                 step_budget=10 ** 6):
+    def __init__(self, n, r, domain, q_val, Q_vals, *, self_check=True):
         if n < 1 or r < 1:
             raise ValueError("need n >= 1 and r >= 1")
         if len(Q_vals) != r:
@@ -294,7 +273,6 @@ class AlgebraContext:
         self.domain = domain
         self.q_val = q_val
         self.Q_vals = list(Q_vals)
-        self.step_budget = step_budget
         # parameters must be invertible
         self.q_inv = domain.inv(q_val)
         for Q in Q_vals:
@@ -455,9 +433,6 @@ class AlgebraContext:
     def basis_element(self, idx):
         return AlgebraElement(self, {idx: self.domain.one})
 
-    def from_vector(self, vec):
-        return AlgebraElement(self, dict(enumerate(vec)))
-
     def generators(self):
         """T_1..T_{n-1} and L_1: a generating set of the algebra."""
         return [self.T(i) for i in range(1, self.n)] + [self.jm_element(1)]
@@ -487,17 +462,7 @@ class AlgebraContext:
         deepest first: Horner's rule with L_n innermost, one L_k
         application per trie node. Every word still sees its own factor
         order, so no commutation of the L_i is assumed."""
-        steps = 0
-
-        def apply(key, vec):
-            nonlocal steps
-            vec = self._apply_cols(self._matrices[key], vec)
-            steps += len(vec)
-            if steps > self.step_budget:
-                raise RewriteBudgetError(
-                    "product exceeded the rewrite step budget")
-            return vec
-
+        mats = self._matrices
         suffixes = {(): y.terms}
         nodes = {}
         for k, cx in x.terms.items():
@@ -505,8 +470,8 @@ class AlgebraContext:
             word = reduced_word(w)
             for j in range(len(word) - 1, -1, -1):
                 if word[j:] not in suffixes:
-                    suffixes[word[j:]] = apply(
-                        ("T", word[j]), suffixes[word[j + 1:]])
+                    suffixes[word[j:]] = self._apply_cols(
+                        mats[("T", word[j])], suffixes[word[j + 1:]])
             self._add_scaled(nodes.setdefault(exps, {}), suffixes[word], cx)
 
         by_depth = {}
@@ -519,8 +484,8 @@ class AlgebraContext:
                 if parent not in nodes:
                     nodes[parent] = {}
                     by_depth.setdefault(depth - 1, []).append(parent)
-                self._add_scaled(
-                    nodes[parent], apply(("L", k + 1), nodes[exps]))
+                self._add_scaled(nodes[parent], self._apply_cols(
+                    mats[("L", k + 1)], nodes[exps]))
         return AlgebraElement(self, nodes.get((0,) * self.n, {}))
 
     def left_multiplication_matrix(self, x):
@@ -610,13 +575,10 @@ class AlgebraContext:
 
         Needs a field domain; over the rationals and cyclotomic fields it is
         the reference that symmetric_jm_inverse is tested against."""
-        cols = self.left_multiplication_matrix(x)
         d = self.domain
-        matrix = [[cols[j].get(i, d.zero) for j in range(self.dim)]
-                  for i in range(self.dim)]
-        rhs = self.one().to_vector()
-        sol = solve_linear(matrix, rhs, d)
-        z = self.from_vector(sol)
+        rows = transpose(self.left_multiplication_matrix(x), self.dim)
+        rhs = [d.one] + [d.zero] * (self.dim - 1)
+        z = AlgebraElement(self, solve_linear(rows, rhs, d, self.dim))
         if not (self.multiply(x, z) == self.one()
                 and self.multiply(z, x) == self.one()):
             raise NotInvertibleError("element is not invertible")

@@ -5,10 +5,10 @@ A RowSpace takes and returns sparse vectors, dicts {column: entry}: explicit
 zero entries are ignored and an argument is never modified. It holds its
 rows in reduced row echelon form: each row has a 1 at its pivot (its first
 nonzero column) and a 0 at every other pivot. Rank, kernels and solving take
-dense row lists and feed their rows into a RowSpace. The reduced form of a
-row space is unique, so every result is independent of row order: kernel
-vectors have a 1 at their own free column and a 0 at the other free columns,
-and solutions set free variables to 0.
+a list of such rows, feed them into a RowSpace and return sparse vectors.
+The reduced form of a row space is unique, so every result is independent of
+row order: kernel vectors have a 1 at their own free column and no entry at
+the other free columns, and solutions set free variables to 0.
 """
 
 from __future__ import annotations
@@ -75,37 +75,39 @@ class RowSpace:
     def contains(self, vector):
         return not self.reduce(vector)
 
-    def pivot_columns(self):
-        return sorted(self.rows)
-
     def non_pivot_columns(self):
         return [c for c in range(self.ncols) if c not in self.rows]
 
 
-def _row_space(matrix, domain, ncols):
+def transpose(cols, nrows):
+    """The rows of a matrix given by its sparse columns: one {column: entry}
+    dict per row index below nrows, empty rows included."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _row_space(rows, domain, ncols):
     space = RowSpace(domain, ncols)
-    for row in matrix:
-        space._add(dict(enumerate(row)))
+    for row in rows:
+        space._add(row)
     return space
 
 
-def rank(matrix, domain):
-    if not matrix:
-        return 0
-    return _row_space(matrix, domain, len(matrix[0])).rank
+def rank(rows, domain):
+    ncols = max((j + 1 for row in rows for j in row), default=0)
+    return _row_space(rows, domain, ncols).rank
 
 
-def kernel_basis(matrix, domain):
+def kernel_basis(rows, domain, ncols):
     """Exact basis of the right kernel, one vector per free column: 1 there,
-    0 at the other free columns, minus that column's entries at the pivots.
-    """
-    if not matrix:
-        return []
-    space = _row_space(matrix, domain, len(matrix[0]))
+    minus that column's entries at the pivots, no other entries."""
+    space = _row_space(rows, domain, ncols)
     basis = []
     for free in space.non_pivot_columns():
-        vec = [domain.zero] * space.ncols
-        vec[free] = domain.one
+        vec = {free: domain.one}
         for pc, row in space.rows.items():
             if free in row:
                 vec[pc] = -row[free]
@@ -113,16 +115,12 @@ def kernel_basis(matrix, domain):
     return basis
 
 
-def solve_linear(matrix, rhs, domain):
-    """One exact solution of matrix @ x = rhs with free variables 0, or
-    NotInvertibleError when the system is inconsistent (works over any field
-    domain)."""
-    ncols = len(matrix[0]) if matrix else 0
+def solve_linear(rows, rhs, domain, ncols):
+    """One exact solution x of rows @ x = rhs (one rhs entry per row) with
+    free variables 0, or NotInvertibleError when the system is inconsistent
+    (works over any field domain)."""
     space = _row_space(
-        (list(row) + [b] for row, b in zip(matrix, rhs)), domain, ncols + 1)
+        ({**row, ncols: b} for row, b in zip(rows, rhs)), domain, ncols + 1)
     if ncols in space.rows:
         raise NotInvertibleError("inconsistent linear system")
-    x = [domain.zero] * ncols
-    for pc, row in space.rows.items():
-        x[pc] = row.get(ncols, domain.zero)
-    return x
+    return {pc: row[ncols] for pc, row in space.rows.items() if ncols in row}

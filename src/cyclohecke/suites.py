@@ -283,23 +283,15 @@ class SmashProduct:
     def invariant_polynomial_dim(self):
         """Dimension of the symmetric-group invariants of P_Q: kernel of the
         stacked (swap - identity) actions on the monomial basis."""
-        domain = RationalDomain()
         rows = []
-        size = len(self.exponents)
         for i in range(self.n - 1):
             for col, exps in enumerate(self.exponents):
                 swapped = list(exps)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                 target = self.exp_index[tuple(swapped)]
-                if target == col:
-                    continue
-                row = [Fraction(0)] * size
-                row[col] = Fraction(-1)
-                row[target] = Fraction(1)
-                rows.append(row)
-        if not rows:
-            return size
-        return len(kernel_basis(rows, domain))
+                if target != col:
+                    rows.append({col: Fraction(-1), target: Fraction(1)})
+        return len(kernel_basis(rows, RationalDomain(), len(self.exponents)))
 
 
 def suite_q1_gap(n, r, Q_vals=None, *, seed=0):

@@ -107,7 +107,8 @@ def test_criterion_04_sigma_injectivity_shadow(sampled_ctxs):
             span = jm_center_span(ctx)
             assert span.rank == expected, (n, r)
             matrix = descriptor_characters(ctx, span.descriptors)
-            assert rank(matrix, ctx.domain) == expected, (n, r)
+            rows = [dict(enumerate(row)) for row in matrix]
+            assert rank(rows, ctx.domain) == expected, (n, r)
     _announce("C4 sigma injectivity shadow", "(|P^2_3| = 10)")
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclohecke import center, cli, hecke, suites
-from cyclohecke.hecke import EngineError, RewriteBudgetError
+from cyclohecke.hecke import EngineError
+from cyclohecke.linalg import kernel_basis
 from cyclohecke.cli import (
     UsageError,
     build_domain_and_values,
@@ -163,6 +164,14 @@ class TestExitCodes:
         "--samples 0 center --n 2 --r 1 --q generic --Q generic",
         "verify-main --budget 0",
         "table --n 2 --r 2 --out {tmp}/missing/x.csv",
+        "--format csv verify-main --n 2 --r 1",
+        "--format csv hilb --n 2 --q-values 2",
+        "--format csv blocks --n 2 --r 1 --ell 2 --charge 0",
+        "--format csv q1-gap --n 2 --r 1",
+        "--format csv pairing --n 2 --r 1",
+        "--format csv center --n 2 --r 1 --q 2 --Q 1",
+        "--format csv dims --n 2 --r 2",
+        "--format table table --n 2 --r 2",
     ])
     def test_invalid_parameters_are_usage_errors(self, argv, tmp_path,
                                                  capsys):
@@ -198,14 +207,33 @@ class TestInclusionCertificate:
             "a JM-center element is not in the center"}
 
 
+class TestCenterKernelFault:
+    def test_corrupted_constraint_row_fails_hilb(self, monkeypatch, capsys):
+        # every single commutator row at (3,1) is redundant, so the fault
+        # drops one entry of the first row on its way into the sparse kernel
+        def cut(rows, domain, ncols):
+            first = dict(rows[0])
+            del first[min(first)]
+            return kernel_basis([first] + rows[1:], domain, ncols)
+
+        monkeypatch.setattr(center, "kernel_basis", cut)
+        assert main(["hilb", "--n", "3", "--q-values", "2"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "fail"
+        assert report["params"]["results"][0]["dim_center"] == 2
+        assert "a JM-center element is not in the center" in {
+            w["reason"] for w in report["witnesses"]}
+
+
 class TestEngineErrors:
     """An engine error is a failed report, not a traceback."""
 
-    @pytest.mark.parametrize("error", [EngineError, RewriteBudgetError])
+    @pytest.mark.parametrize("error", [EngineError])
     def test_suite_error_is_one_failed_report(self, monkeypatch, capsys,
                                               error):
         def broken(*args, **kwargs):
-            raise error("product exceeded the rewrite step budget")
+            raise error("context self-test failed")
 
         monkeypatch.setattr(cli, "suite_q1_gap", broken)
         code = main(["--seed", "4", "q1-gap", "--n", "2", "--r", "1"])
@@ -219,7 +247,7 @@ class TestEngineErrors:
             "status": "fail", "seed": 4,
             "witnesses": [{
                 "error": error.__name__,
-                "message": "product exceeded the rewrite step budget"}]}
+                "message": "context self-test failed"}]}
 
     def test_failed_engine_build_is_reported(self, monkeypatch, capsys):
         # a closed form with the (q-1) terms negated fails its oracle
