@@ -10,6 +10,7 @@ computable from combinatorics plus exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
@@ -188,10 +189,7 @@ def specialized_elementary_characters(ctx):
             specialize(m, ctx.q_val, ctx.Q_vals, d)
             for m in jm_eigenvalues(mp, ctx.r)
         ]
-        rows.append([
-            elementary_symmetric(k, alphas, d.one)
-            for k in range(1, ctx.n + 1)
-        ])
+        rows.append(elementary_symmetric(alphas, d.one)[1:])
     return mps, rows
 
 
@@ -451,17 +449,8 @@ def unique_eigenvalue(ctx, mu):
     if k == 0:
         return None
     v = -mu[k - 1] * d.inv(d.from_int(k))
-    # verify (x - v)^k == mu exactly
-    poly = [d.one]
-    for _ in range(k):
-        nxt = [d.zero] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * v
-        poly = nxt
-    if len(poly) != len(mu):
-        return None
-    for a, b in zip(poly, mu):
-        if not d.is_zero(a - b):
+    # verify (x - v)^k == mu exactly, by the binomial theorem
+    for i, c in enumerate(mu):
+        if not d.is_zero(d.from_int(comb(k, i)) * (-v) ** (k - i) - c):
             return None
     return v

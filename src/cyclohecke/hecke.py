@@ -27,7 +27,8 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .rings import LaurentDomain, LaurentPoly, NotInvertibleError
+from .rings import (LaurentDomain, LaurentPoly, NotInvertibleError,
+                    elementary_symmetric)
 from .linalg import solve_linear, transpose
 from .reports import VerificationReport
 
@@ -287,14 +288,14 @@ class AlgebraContext:
         self.index = {word: i for i, word in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-        # L_1^r = sum_j cyclo_red[j] L_1^j from prod_i (L_1 - Q_i) = 0
-        poly = [domain.one]
-        for Q in Q_vals:
-            poly = self._mul_linear(poly, Q)
-        self.cyclo_red = [-c for c in poly[:r]]
+        # L_1^r = sum_j cyclo_red[j] L_1^j from prod_i (L_1 - Q_i) = 0; by
+        # Vieta the coefficient of x^j in that product is (-1)^(r-j) e_{r-j}
+        e = elementary_symmetric(Q_vals, domain.one)
+        self.cyclo_red = [e[r - j] if (r - j) % 2 else -e[r - j]
+                          for j in range(r)]
 
         self._jm_cache = {}
-        self._sym_cache = {}
+        self._sym_row = None
         self._sym_inverse = None
         self._straightening_cache = {}
         self._build_matrices()
@@ -305,15 +306,6 @@ class AlgebraContext:
                     f"context self-test failed: {report.witnesses[:3]}")
 
     # -- construction -----------------------------------------------------
-
-    def _mul_linear(self, poly, root):
-        """poly(x) * (x - root), ascending coefficients."""
-        d = self.domain
-        out = [d.zero] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            out[i + 1] = out[i + 1] + c
-            out[i] = out[i] - c * root
-        return out
 
     def _build_matrices(self):
         mats = {}
@@ -527,19 +519,15 @@ class AlgebraContext:
         return self._jm_cache[i]
 
     def symmetric_jm(self, k):
-        """e_k(L_1, ..., L_n) in PBW normal form."""
+        """e_k(L_1, ..., L_n) in PBW normal form, 1 <= k <= n; the first call
+        caches the whole row e_0..e_n, one sweep over the commuting L_i."""
         if not 1 <= k <= self.n:
             raise ValueError("degree out of range")
-        if k not in self._sym_cache:
-            # one-row recurrence over L_1..L_n
-            row = [self.one()] + [self.zero() for _ in range(self.n)]
-            for i in range(1, self.n + 1):
-                li = self.jm_element(i)
-                for j in range(min(self.n, i), 0, -1):
-                    row[j] = row[j] + row[j - 1] * li
-            for j in range(1, self.n + 1):
-                self._sym_cache[j] = row[j]
-        return self._sym_cache[k]
+        if self._sym_row is None:
+            self._sym_row = elementary_symmetric(
+                [self.jm_element(i) for i in range(1, self.n + 1)],
+                self.one())
+        return self._sym_row[k]
 
     def symmetric_jm_inverse(self):
         """e_n^{-1} = L_n^{-1} ... L_1^{-1} in closed form, with coefficients

@@ -125,8 +125,7 @@ def restriction_table(n, r):
     entries = []
     for mp in rows:
         weights = fixed_point_character(mp, r).weights
-        row = [elementary_symmetric(k, weights, one)
-               for k in range(1, n + 1)]
+        row = elementary_symmetric(weights, one)[1:]
         det_inv = one
         for w in weights:
             det_inv = det_inv * w.inverse()
@@ -149,8 +148,7 @@ def verify_main_theorem(n, r, table=None):
     for mp, row in zip(table.rows, table.entries):
         rows_checked += 1
         alphas = jm_eigenvalues(mp, r)
-        algebraic = [elementary_symmetric(k, alphas, one)
-                     for k in range(1, n + 1)]
+        algebraic = elementary_symmetric(alphas, one)[1:]
         det_inv = one
         for a in alphas:
             det_inv = det_inv * a.inverse()

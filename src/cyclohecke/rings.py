@@ -340,28 +340,26 @@ def Q_poly(k, num_Q):
     return LaurentPoly.variable(k, 1 + num_Q)
 
 
-def elementary_symmetric(k, values, one):
-    """e_k of a list of ring elements, by the iterative one-row recurrence."""
-    if k < 0 or k > len(values):
-        raise ValueError("elementary symmetric degree out of range")
-    row = [one] + [None] * k
+def elementary_symmetric(values, one):
+    """The row [e_0, e_1, ..., e_m] of a list of m ring elements (the
+    coefficients of prod (x + v), highest power first) in one sweep: each v
+    multiplies the row by (1 + v t), highest degree first, so every e_{j-1}
+    read is still the one from before v."""
+    row = [one]
     for v in values:
-        for j in range(min(k, len(row) - 1), 0, -1):
-            if row[j] is None:
-                if row[j - 1] is not None:
-                    row[j] = row[j - 1] * v
-            else:
-                row[j] = row[j] + row[j - 1] * v
-    if row[k] is None:
-        raise ValueError("not enough values")
-    return row[k]
+        row.append(row[-1] * v)
+        for j in range(len(row) - 2, 0, -1):
+            row[j] = row[j] + row[j - 1] * v
+    return row
 
 
 def elementary_symmetric_poly(k, n):
     """e_k(x_1..x_n) as a LaurentPoly in n variables."""
+    if not 0 <= k <= n:
+        raise ValueError("elementary symmetric degree out of range")
     one = LaurentPoly.const(1, n)
     xs = [LaurentPoly.variable(i, n) for i in range(n)]
-    return elementary_symmetric(k, xs, one)
+    return elementary_symmetric(xs, one)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -78,22 +78,26 @@ def generic_contexts(n, r, seed, samples=3):
 # main theorem
 # ---------------------------------------------------------------------------
 
-def main_theorem_coverage(budget=400, n_cap=8, r_cap=6):
-    """All (n, r) with r^n * n! within the dimension budget, under sane caps
-    on n and r (the budget alone leaves r unbounded for n <= 1)."""
+N_CAP, R_CAP = 8, 6
+
+
+def main_theorem_coverage(budget=400):
+    """All (n, r) with r^n * n! within the dimension budget, under the caps
+    n <= N_CAP and r <= R_CAP (the budget alone leaves r unbounded for
+    n <= 1)."""
     pairs = []
-    for r in range(1, r_cap + 1):
-        for n in range(0, n_cap + 1):
+    for r in range(1, R_CAP + 1):
+        for n in range(0, N_CAP + 1):
             if r ** n * math.factorial(n) <= budget:
                 pairs.append((n, r))
     return pairs
 
 
-def suite_main_theorem(budget=400, n_cap=8, r_cap=6):
+def suite_main_theorem(budget=400):
     """The main identity (geometric vs algebraic restriction tables) over
     every (n, r) in the dimension budget."""
     return [verify_main_theorem(n, r)
-            for n, r in main_theorem_coverage(budget, n_cap, r_cap)]
+            for n, r in main_theorem_coverage(budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,24 @@ class TestBlockSpectra:
         value = unique_eigenvalue(ctx, mu)
         # e_1 = L_1 + L_2 = Q_1 + q Q_1 = 0 at q = -1, Q_1 = 1
         assert value == Fraction(0)
+        # cyclotomic, k = 3: (x - v)^3 = x^3 - 3v x^2 + 3v^2 x - v^3
+        ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
+        d = ctx.domain
+        v = d.from_int(2) - d.zeta(1) + d.zeta(3)
+        three = d.from_int(3)
+        mu = [-(v * v * v), three * v * v, -(three * v), d.one]
+        assert unique_eigenvalue(ctx, mu) == v
+        for i in range(3):
+            bent = list(mu)
+            bent[i] = bent[i] + d.zeta(2)
+            assert unique_eigenvalue(ctx, bent) is None, i
+        # a minimal polynomial of degree 3 from a real block: e_2 on the
+        # first block of (2,2) at q = -1, Q = (1, 1)
+        ctx = _root_of_unity_ctx(2, 2, 2, (0, 0))
+        eps = central_idempotents(ctx)[0]
+        mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(2))
+        assert len(mu) == 4
+        assert unique_eigenvalue(ctx, mu) == ctx.domain.from_int(-1)
 
     def test_rejects_multi_eigenvalue_polynomials(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(2), [1])

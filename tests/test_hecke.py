@@ -340,6 +340,33 @@ class TestJMElements:
                 assert (ek * g - g * ek).is_zero(), (n, r, k)
 
 
+def _cyclo_red_contexts(r):
+    rat = RationalDomain()
+    cyc = CyclotomicDomain(5)
+    return [
+        AlgebraContext(1, r, rat, Fraction(3),
+                       [Fraction(2 * i - 5, i + 1) for i in range(r)]),
+        AlgebraContext(1, r, cyc, cyc.zeta(1),
+                       [cyc.zeta(i) + cyc.from_int(i) for i in range(r)]),
+        symbolic_context(1, r),
+    ]
+
+
+class TestCyclotomicReduction:
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_matches_expanded_product(self, r):
+        # oracle: expand prod_i (x - Q_i) factor by factor, ascending
+        # coefficients; L_1^r = -(lower part of that product)
+        for ctx in _cyclo_red_contexts(r):
+            d = ctx.domain
+            poly = [d.one]
+            for Q in ctx.Q_vals:
+                shifted = [d.zero] + poly
+                poly = [a - Q * b for a, b in zip(shifted, poly + [d.zero])]
+            assert poly[r] == d.one
+            assert ctx.cyclo_red == [-c for c in poly[:r]], (d.name, r)
+
+
 class TestInvert:
     def test_invert_one(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(2), [1])

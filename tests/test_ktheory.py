@@ -119,7 +119,7 @@ class TestRestrictionTable:
             assert span.rank == count
 
     def test_golden_csv_files_are_stable(self):
-        for n, r in [(2, 1), (2, 2)]:
+        for n, r in [(2, 1), (2, 2), (4, 2), (3, 3)]:
             golden = (GOLDEN_DIR / f"restriction-n{n}-r{r}.csv").read_text()
             assert restriction_table(n, r).to_csv() == golden
 

@@ -1,5 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +15,7 @@ from cyclohecke.rings import (
     NotInvertibleError,
     RationalDomain,
     cyclotomic_polynomial,
+    elementary_symmetric,
     elementary_symmetric_poly,
     euler_phi,
     q_poly,
@@ -73,6 +77,46 @@ class TestLaurentPoly:
         assert e2.is_symmetric()
         x0 = LaurentPoly.variable(0, 3)
         assert not x0.is_symmetric()
+
+
+def _random_values(kind, rng, m):
+    """m random ring elements of one kind, with the ring's one."""
+    if kind == "fraction":
+        return Fraction(1), [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(m)]
+    if kind == "laurent":
+        return LaurentPoly.const(1, 2), [random_poly(rng) for _ in range(m)]
+    return CyclotomicDomain(5).one, [
+        CyclotomicNumber(5, [rng.randint(-3, 3) for _ in range(euler_phi(5))])
+        for _ in range(m)]
+
+
+class TestElementarySymmetric:
+    @pytest.mark.parametrize("kind", ["fraction", "laurent", "cyclotomic"])
+    @pytest.mark.parametrize("m", range(7))
+    def test_row_is_sum_over_subsets(self, kind, m):
+        # oracle: e_k is the sum of the products of all k-element subsets
+        rng = random.Random(m)
+        one, values = _random_values(kind, rng, m)
+        row = elementary_symmetric(values, one)
+        assert len(row) == m + 1
+        for k in range(m + 1):
+            expected = one - one
+            for subset in itertools.combinations(values, k):
+                expected = expected + reduce(mul, subset, one)
+            assert row[k] == expected, (kind, m, k)
+
+    def test_poly_entry_point(self):
+        x = [LaurentPoly.variable(i, 3) for i in range(3)]
+        assert elementary_symmetric_poly(0, 3) == LaurentPoly.const(1, 3)
+        assert elementary_symmetric_poly(2, 3) == \
+            x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
+        assert elementary_symmetric_poly(3, 3) == x[0] * x[1] * x[2]
+
+    @pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (-1, 0), (1, 0)])
+    def test_poly_degree_out_of_range(self, k, n):
+        with pytest.raises(ValueError, match="out of range"):
+            elementary_symmetric_poly(k, n)
 
 
 class TestSpecialize:
