@@ -9,6 +9,7 @@ computable from combinatorics plus exact linear algebra.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 
@@ -101,49 +102,58 @@ class JMCenterSpan:
     capped: bool
 
 
-def jm_center_span(ctx):
+def jm_center_span(ctx, center=None):
     """Span monomials in the elementary symmetric functions of the JM
     elements (and the inverse of the top one) until the span stabilizes,
-    or mark the span capped after n*r + n + 10 rounds."""
+    or mark the span capped after n*r + n + 10 rounds.
+
+    Each candidate is one operator application, e_k x or e_n^{-1} x, to an
+    earlier monomial x; the monomials commute pairwise, so this is x e_k.
+    center, the RowSpace of the center, allows an exact early stop: when
+    every generator e_k and e_n^{-1} lies in it, every monomial is central,
+    so the loop ends as soon as the span has the center's rank. Otherwise
+    it runs to the end."""
     n = ctx.n
     max_rounds = n * ctx.r + n + 10
-    gens = [(ctx.symmetric_jm(k), k - 1) for k in range(1, n + 1)]
-    gens.append((ctx.symmetric_jm_inverse(), n))
-    span = RowSpace(ctx.domain, ctx.dim)
     one = ctx.one()
+    gens = [ctx.symmetric_jm(k).terms for k in range(1, n + 1)]
+    gens.append(ctx.symmetric_jm_inverse().terms)
+    target = None
+    if center is not None and all(center.contains(g) for g in gens):
+        target = center.rank
+    span = RowSpace(ctx.domain, ctx.dim)
     zero_desc = (0,) * (n + 1)
     span.add(one.terms)
     elements = [one]
     descriptors = [zero_desc]
-    frontier = [(one, zero_desc)]
+    queue = deque([(one, zero_desc, 0)])  # breadth first: round = depth + 1
     capped = False
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > max_rounds:
+    while queue and span.rank != target:
+        element, desc, depth = queue.popleft()
+        if depth == max_rounds:
             capped = True
             break
-        new_frontier = []
-        for element, desc in frontier:
-            for gen, slot in gens:
-                candidate = element * gen
-                if span.add(candidate.terms):
-                    new_desc = tuple(
-                        d + (1 if i == slot else 0)
-                        for i, d in enumerate(desc))
-                    elements.append(candidate)
-                    descriptors.append(new_desc)
-                    new_frontier.append((candidate, new_desc))
-        frontier = new_frontier
+        if element is one:  # e_k 1 and e_n^{-1} 1, already built
+            candidates = gens
+        else:
+            candidates = ctx.apply_symmetric_jm(element.terms)
+            candidates.append(ctx.apply_symmetric_jm_inverse(element.terms))
+        for slot, vec in enumerate(candidates):
+            if span.add(vec):
+                new_desc = tuple(
+                    d + (1 if i == slot else 0) for i, d in enumerate(desc))
+                candidate = AlgebraElement(ctx, vec)
+                elements.append(candidate)
+                descriptors.append(new_desc)
+                queue.append((candidate, new_desc, depth + 1))
+                if span.rank == target:
+                    break
     return JMCenterSpan(span.rank, elements, descriptors, capped)
 
 
-def jm_span_in_center(ctx, zbasis, span):
-    """Whether every element of the JM-center span lies in the span of the
-    center basis zbasis: the inclusion JM <= Z, checked exactly."""
-    center = RowSpace(ctx.domain, ctx.dim)
-    for z in zbasis:
-        center.add(z.terms)
+def jm_span_in_center(center, span):
+    """Whether every element of the JM-center span lies in center, the
+    RowSpace of the center basis: the inclusion JM <= Z, checked exactly."""
     return all(center.contains(x.terms) for x in span.elements)
 
 

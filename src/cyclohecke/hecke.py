@@ -7,7 +7,10 @@ Multiplication applies cached generator left-multiplication maps
 (T_1..T_{n-1}, L_1, and higher L_i via the defining conjugation
 L_{i+1} = q^{-1} T_i L_i T_i) to the right factor in two shared stages:
 T_w y once per distinct suffix of the left factor's reduced words, then
-the L-exponents by Horner's rule over the trie of exponent tuples.
+the L-exponents by Horner's rule over the trie of exponent tuples. The
+central elements e_k(L_1..L_n) and e_n^{-1} act on vectors directly through
+the same cached matrices (apply_symmetric_jm, apply_symmetric_jm_inverse),
+with no product.
 
 The only nontrivial rewriting rule is the straightening identity
 
@@ -518,44 +521,72 @@ class AlgebraContext:
                 self._matrices[("L", i)], {0: self.domain.one}))
         return self._jm_cache[i]
 
+    def apply_symmetric_jm(self, vec):
+        """[e_1 v, ..., e_n v] for a sparse vector v, e_k = e_k(L_1..L_n), in
+        one sweep over the cached L_i matrices: E_k += L_i E_{k-1}, highest k
+        first, so every E_{k-1} read is still the one from before L_i."""
+        row = [vec]
+        for i in range(1, self.n + 1):
+            mat = self._matrices[("L", i)]
+            row.append(self._apply_cols(mat, row[-1]))
+            for k in range(len(row) - 2, 0, -1):
+                self._add_scaled(row[k], self._apply_cols(mat, row[k - 1]))
+        return row[1:]
+
+    def apply_symmetric_jm_inverse(self, vec):
+        """e_n^{-1} v = L_n^{-1} ... L_1^{-1} v for a sparse vector v, with
+        coefficients in the ring generated by the parameters and their
+        inverses.
+
+        L_1^{-1} comes from the cyclotomic relation: with L_1^r =
+        sum_j c_j L_1^j, L_1^{-1} = c_0^{-1} (L_1^{r-1} - sum_{j>=1} c_j
+        L_1^{j-1}), applied by Horner's rule. Then T_i^{-1} = q^{-1} (T_i -
+        (q-1)) and L_{i+1}^{-1} = q T_i^{-1} L_i^{-1} T_i^{-1}. The scalars
+        c_0^{-1} and q^{-1} are collected into one factor at the end."""
+        d = self.domain
+        c = self.cyclo_red
+        qm1 = self.q_val - d.one
+
+        def L1_inv(v):  # c_0 L_1^{-1}
+            acc = v
+            for j in range(self.r - 1, 0, -1):
+                acc = self._apply_cols(self._matrices[("L", 1)], acc)
+                self._add_scaled(acc, v, -c[j])
+            return acc
+
+        def T_shift(i, v):  # q T_i^{-1} = T_i - (q-1), 0-based i
+            out = self._apply_cols(self._matrices[("T", i)], v)
+            self._add_scaled(out, v, -qm1)
+            return out
+
+        def L_inv(i, v):  # c_0 q^(i-1) L_i^{-1}
+            if i == 1:
+                return L1_inv(v)
+            return T_shift(i - 2, L_inv(i - 1, T_shift(i - 2, v)))
+
+        for i in range(1, self.n + 1):
+            vec = L_inv(i, vec)
+        scale = d.inv(c[0]) ** self.n * self.q_inv ** (
+            self.n * (self.n - 1) // 2)
+        return {k: x * scale for k, x in vec.items()}
+
     def symmetric_jm(self, k):
         """e_k(L_1, ..., L_n) in PBW normal form, 1 <= k <= n; the first call
-        caches the whole row e_0..e_n, one sweep over the commuting L_i."""
+        caches the whole row e_1..e_n, apply_symmetric_jm on 1."""
         if not 1 <= k <= self.n:
             raise ValueError("degree out of range")
         if self._sym_row is None:
-            self._sym_row = elementary_symmetric(
-                [self.jm_element(i) for i in range(1, self.n + 1)],
-                self.one())
-        return self._sym_row[k]
+            self._sym_row = [
+                AlgebraElement(self, v)
+                for v in self.apply_symmetric_jm({0: self.domain.one})]
+        return self._sym_row[k - 1]
 
     def symmetric_jm_inverse(self):
-        """e_n^{-1} = L_n^{-1} ... L_1^{-1} in closed form, with coefficients
-        in the ring generated by the parameters and their inverses.
-
-        L_1^{-1} comes from the cyclotomic relation: with L_1^r =
-        sum_j c_j L_1^j and c_0 = +-prod Q_i, L_1^{-1} = c_0^{-1} (L_1^{r-1}
-        - sum_{j>=1} c_j L_1^{j-1}). Then T_i^{-1} = q^{-1} (T_i - (q-1))
-        and L_{i+1}^{-1} = q T_i^{-1} L_i^{-1} T_i^{-1}."""
+        """e_n^{-1} = L_n^{-1} ... L_1^{-1}: apply_symmetric_jm_inverse on 1,
+        cached."""
         if self._sym_inverse is None:
-            d = self.domain
-            n = self.n
-
-            def L1_power(k):  # a basis word for k < r
-                return self.basis_element(
-                    self.index[((k,) + (0,) * (n - 1), self._identity_perm)])
-
-            c = self.cyclo_red
-            L_inv = L1_power(self.r - 1)
-            for j in range(1, self.r):
-                L_inv = L_inv - L1_power(j - 1) * c[j]
-            L_inv = L_inv * d.inv(c[0])
-            total = L_inv
-            for i in range(1, n):
-                T_inv = (self.T(i) - (self.q_val - d.one)) * self.q_inv
-                L_inv = T_inv * L_inv * T_inv * self.q_val
-                total = L_inv * total
-            self._sym_inverse = total
+            self._sym_inverse = AlgebraElement(
+                self, self.apply_symmetric_jm_inverse({0: self.domain.one}))
         return self._sym_inverse
 
     def invert(self, x):

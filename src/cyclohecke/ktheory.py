@@ -125,12 +125,9 @@ def restriction_table(n, r):
     entries = []
     for mp in rows:
         weights = fixed_point_character(mp, r).weights
-        row = elementary_symmetric(weights, one)[1:]
-        det_inv = one
-        for w in weights:
-            det_inv = det_inv * w.inverse()
-        row.append(det_inv)
-        entries.append(row)
+        row = elementary_symmetric(weights, one)
+        # e_n, the product of the weights, is a monomial (1 when n = 0)
+        entries.append(row[1:] + [row[-1].inverse()])
     return RestrictionTable(n, r, rows, entries)
 
 
@@ -148,11 +145,8 @@ def verify_main_theorem(n, r, table=None):
     for mp, row in zip(table.rows, table.entries):
         rows_checked += 1
         alphas = jm_eigenvalues(mp, r)
-        algebraic = elementary_symmetric(alphas, one)[1:]
-        det_inv = one
-        for a in alphas:
-            det_inv = det_inv * a.inverse()
-        algebraic.append(det_inv)
+        sym = elementary_symmetric(alphas, one)
+        algebraic = sym[1:] + [sym[-1].inverse()]
         for label, geom, alg in zip(table.column_labels, row, algebraic):
             if geom != alg:
                 witnesses.append({

@@ -22,7 +22,7 @@ from cyclohecke.center import (
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
 from cyclohecke.ktheory import verify_blocks
-from cyclohecke.linalg import rank
+from cyclohecke.linalg import RowSpace, rank
 from cyclohecke.rings import (
     CyclotomicDomain,
     LaurentPoly,
@@ -78,6 +78,78 @@ class TestJMCenterSpan:
         span = jm_center_span(ctx)
         assert len(span.elements) == len(span.descriptors) == span.rank
         assert not span.capped
+
+
+def _early_stop_context(kind):
+    rat = RationalDomain()
+    cyc = CyclotomicDomain(3)
+    return {
+        "n4-q2": lambda: AlgebraContext(4, 1, rat, Fraction(2), [rat.one]),
+        "n4-q-1": lambda: AlgebraContext(4, 1, rat, Fraction(-1), [rat.one]),
+        "n4-zeta3": lambda: AlgebraContext(4, 1, cyc, cyc.zeta(1),
+                                           [cyc.one]),
+        "rat32": lambda: AlgebraContext(3, 2, rat, Fraction(3),
+                                        [Fraction(2), Fraction(5)]),
+        "rat23": lambda: AlgebraContext(
+            2, 3, rat, Fraction(3), [Fraction(2), Fraction(5), Fraction(7)]),
+    }[kind]()
+
+
+def _row_space(ctx, elements):
+    space = RowSpace(ctx.domain, ctx.dim)
+    for x in elements:
+        space.add(x.terms)
+    return space
+
+
+def _counting_operator(monkeypatch, ctx):
+    """Count the vectors the e_k sweep is applied to."""
+    calls = []
+    sweep = ctx.apply_symmetric_jm
+
+    def counted(vec):
+        calls.append(vec)
+        return sweep(vec)
+
+    monkeypatch.setattr(ctx, "apply_symmetric_jm", counted)
+    return calls
+
+
+def _same_span(a, b):
+    assert a.rank == b.rank
+    assert a.capped == b.capped
+    assert a.descriptors == b.descriptors
+    assert [x.terms for x in a.elements] == [x.terms for x in b.elements]
+
+
+class TestJMSpanEarlyStop:
+    """With the center's RowSpace the span stops at the center's rank and
+    still equals the full loop term for term."""
+
+    @pytest.mark.parametrize(
+        "kind", ["n4-q2", "n4-q-1", "n4-zeta3", "rat32", "rat23"])
+    def test_equals_full_loop(self, monkeypatch, kind):
+        ctx = _early_stop_context(kind)
+        center = _row_space(ctx, center_basis(ctx))
+        calls = _counting_operator(monkeypatch, ctx)
+        full = jm_center_span(ctx)
+        full_calls = len(calls)
+        stopped = jm_center_span(ctx, center)
+        _same_span(stopped, full)
+        assert stopped.rank == center.rank
+        assert not stopped.capped
+        # the stop fires: fewer monomials are pushed through the operators
+        assert len(calls) - full_calls < full_calls
+
+    def test_guard_blocks_stop_outside_the_center(self):
+        # {1, e_1} has rank 2 but does not contain e_2, so the span may not
+        # stop when it reaches rank 2
+        ctx = _early_stop_context("n4-q2")
+        fake = _row_space(ctx, [ctx.one(), ctx.symmetric_jm(1)])
+        assert not fake.contains(ctx.symmetric_jm(2).terms)
+        span = jm_center_span(ctx, fake)
+        _same_span(span, jm_center_span(ctx))
+        assert span.rank == 5
 
 
 class TestCharacters:

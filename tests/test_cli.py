@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +20,8 @@ from cyclohecke.cli import (
     parse_scalar,
 )
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "testdata" / "tables"
 
 
 class TestScalarLiterals:
@@ -114,6 +118,42 @@ class TestCommands:
         assert code == 0
 
 
+class TestReach:
+    """Sizes past PBW dimension 48, reached through the JM-span early stop:
+    (5,1) has dimension 120 and (4,2) dimension 384."""
+
+    def test_hilb_n5(self, capsys):
+        code = main(["hilb", "--n", "5", "--q-values", "2,-1,zeta_3^1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        assert [(res["q"], res["dim_center"], res["dim_jm_center"])
+                for res in report["params"]["results"]] == [
+            ("2", 7, 7), ("-1", 7, 7), ("zeta_3^1", 7, 7)]
+
+    def test_center_n4_r2(self, capsys):
+        code = main(["center", "--n", "4", "--r", "2",
+                     "--q", "3", "--Q", "2,5"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        (res,) = report["params"]["results"]
+        assert (res["dim_center"], res["dim_jm_center"]) == (20, 20)
+        assert res["jm_span_capped"] is False
+
+
+def test_python_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclohecke", "dims", "--n", "2", "--r", "2"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    report = json.loads(line)
+    assert report["check"] == "pbw_dimension"
+    assert report["status"] == "pass"
+
+
 class TestExitCodes:
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -193,8 +233,8 @@ class TestInclusionCertificate:
     ])
     def test_jm_element_outside_the_center_fails(self, monkeypatch, capsys,
                                                  argv):
-        def with_T1(ctx):
-            span = center.jm_center_span(ctx)
+        def with_T1(ctx, *args):
+            span = center.jm_center_span(ctx, *args)
             span.elements.append(ctx.T(1))
             return span
 

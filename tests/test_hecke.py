@@ -18,7 +18,9 @@ from cyclohecke.hecke import (
     symbolic_context,
     validate_straightening,
 )
-from cyclohecke.rings import CyclotomicDomain, LaurentPoly, RationalDomain
+from cyclohecke.center import center_basis
+from cyclohecke.rings import (CyclotomicDomain, LaurentPoly, RationalDomain,
+                              elementary_symmetric)
 from conftest import _random_element
 
 
@@ -403,7 +405,7 @@ class TestInvert:
 
 
 class TestSymmetricJMInverse:
-    """The closed-form e_n^{-1} against the elimination oracle over fields,
+    """The operator-built e_n^{-1} against the elimination oracle over fields,
     and as a two-sided inverse with Laurent coefficients symbolically."""
 
     @pytest.mark.parametrize("n,r", [(4, 1), (2, 2), (3, 2)])
@@ -431,6 +433,52 @@ class TestSymmetricJMInverse:
     def test_cached(self, symbolic_ctx):
         ctx = symbolic_ctx(2, 2)
         assert ctx.symmetric_jm_inverse() is ctx.symmetric_jm_inverse()
+
+
+def _operator_context(kind):
+    rat = RationalDomain()
+    cyc = CyclotomicDomain(3)
+    return {
+        "rat41": lambda: AlgebraContext(4, 1, rat, Fraction(3, 2),
+                                        [Fraction(2)]),
+        "rat32": lambda: AlgebraContext(3, 2, rat, Fraction(3),
+                                        [Fraction(2), Fraction(5)]),
+        "zeta3-22": lambda: AlgebraContext(2, 2, cyc, cyc.zeta(1),
+                                           [cyc.zeta(0), cyc.zeta(2)]),
+        "q1-22": lambda: AlgebraContext(2, 2, rat, Fraction(1),
+                                        [Fraction(2), Fraction(5)]),
+    }[kind]()
+
+
+class TestSymmetricJMOperators:
+    """apply_symmetric_jm and apply_symmetric_jm_inverse on non-identity
+    vectors against products: e_k built by multiplying the L_i elements,
+    and e_n^{-1} from the elimination oracle invert."""
+
+    @pytest.mark.parametrize("kind", ["rat41", "rat32", "zeta3-22", "q1-22"])
+    def test_match_products(self, kind):
+        ctx = _operator_context(kind)
+        row = elementary_symmetric(
+            [ctx.jm_element(i) for i in range(1, ctx.n + 1)], ctx.one())
+        e_inv = ctx.invert(row[ctx.n])
+        words = [ctx.basis_element(j)
+                 for j in range(1, ctx.dim, max(1, ctx.dim // 7))]
+        central = center_basis(ctx)[-1]
+        assert len(central.terms) > 1
+        for x in words + [central]:
+            got = ctx.apply_symmetric_jm(x.terms)
+            assert len(got) == ctx.n
+            for k, vec in enumerate(got, start=1):
+                assert AlgebraElement(ctx, vec) == row[k] * x, (k, x)
+            assert AlgebraElement(
+                ctx, ctx.apply_symmetric_jm_inverse(x.terms)) == e_inv * x
+
+    def test_input_not_modified(self, rational_ctx):
+        ctx = rational_ctx(3, 2, Fraction(3), [Fraction(2), Fraction(5)])
+        vec = {5: Fraction(2), 17: Fraction(-1)}
+        ctx.apply_symmetric_jm(vec)
+        ctx.apply_symmetric_jm_inverse(vec)
+        assert vec == {5: Fraction(2), 17: Fraction(-1)}
 
 
 class TestTrace:

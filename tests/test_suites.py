@@ -186,8 +186,8 @@ class TestPairingCertificateFaults:
     def test_non_central_span_element_fails_adjointness(self, monkeypatch):
         span_of = suites.jm_center_span
 
-        def with_T1(ctx):
-            span = span_of(ctx)
+        def with_T1(ctx, *args):
+            span = span_of(ctx, *args)
             span.elements.append(ctx.T(1))
             return span
 
