@@ -8,6 +8,7 @@ underneath, no floats anywhere).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -109,7 +110,8 @@ def cyclotomic_polynomial(order):
 
 class LaurentPoly:
     """Sparse Laurent polynomial in ``nvars`` commuting variables with
-    Fraction coefficients.
+    rational coefficients, stored as ``int`` when integral and as
+    ``Fraction`` otherwise (the two compare and hash alike).
 
     Terms map exponent tuples (ints, possibly negative) to nonzero
     coefficients; the term map is the canonical form, so equality is map
@@ -129,9 +131,11 @@ class LaurentPoly:
                 if len(exps) != nvars:
                     raise ValueError(f"exponent vector {exps} has wrong length")
                 coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
                 if coeff:
                     key = tuple(exps)
-                    acc = clean.get(key, Fraction(0)) + coeff
+                    acc = clean.get(key, 0) + coeff
                     if acc:
                         clean[key] = acc
                     else:
@@ -175,7 +179,7 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
+            acc = terms.get(e, 0) + c
             if acc:
                 terms[e] = acc
             else:
@@ -207,8 +211,8 @@ class LaurentPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                acc = terms.get(e, 0) + c1 * c2
                 if acc:
                     terms[e] = acc
                 else:

@@ -179,6 +179,24 @@ def test_criterion_09_q1_gap():
     _announce("C9 q=1 gap", "(3 < 5 and 6 < 9)")
 
 
+def _dropped_commutations_hold(ctx):
+    """The commutations the certificate derives from the presentation
+    instead of checking: L_i L_j = L_j L_i for every pair and
+    T_i L_j = L_j T_i for j not in {i, i+1}, on every basis word."""
+    n, d, mats = ctx.n, ctx.domain, ctx._matrices
+    pairs = [(("L", i), ("L", j))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs += [(("T", i - 1), ("L", j))
+              for i in range(1, n) for j in range(1, n + 1)
+              if j not in (i, i + 1)]
+    for a, b in pairs:
+        for k in range(ctx.dim):
+            ab = ctx._apply_cols(mats[a], ctx._apply_cols(mats[b], {k: d.one}))
+            ba = ctx._apply_cols(mats[b], ctx._apply_cols(mats[a], {k: d.one}))
+            ctx._add_scaled(ab, ba, -d.one)
+            assert not ab, (ctx.domain.name, a, b, ctx.basis[k])
+
+
 def test_criterion_10_engine_self_test(symbolic_ctx, sampled_ctxs):
     # straightening oracle first, for all exponents up to 4
     for a in range(5):
@@ -209,13 +227,16 @@ def test_criterion_10_engine_self_test(symbolic_ctx, sampled_ctxs):
     for ctx, report in zip(contexts, reports):
         assert report.params["reconstructed"] == ctx.dim
         assert "assoc_trials" not in report.params
-    # test-side cross-check of the certificate: 200 random triples each
+    # test-side cross-checks of the certificate: the commutations it derives,
+    # and 200 random triples each
     for ctx in contexts:
+        _dropped_commutations_hold(ctx)
         rng = random.Random(0)
         for _ in range(200):
             x, y, z = (_random_element(ctx, rng) for _ in range(3))
             assert (x * y) * z == x * (y * z), ctx.domain.name
     _announce("C10 engine certificate",
               f"({len(contexts)} specializations: relations and PBW "
-              f"reconstruction on every basis word, associativity x200 each "
-              f"as a cross-check)")
+              f"reconstruction on every basis word; every L_i L_j and "
+              f"T_i L_j commutation on every basis word and associativity "
+              f"x200 each as cross-checks)")

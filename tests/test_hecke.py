@@ -82,6 +82,84 @@ def conjugate_generators(ctx, a, b):
             for j in range(ctx.dim)]
 
 
+def recompose_L(ctx):
+    """Rebuild L_2..L_n from the current T and L_1 matrices by the defining
+    conjugation, so that a fault in those stays invisible to it."""
+    for i in range(2, ctx.n + 1):
+        ctx._matrices[("L", i)] = ctx._compose_L(ctx._matrices, i)
+
+
+def scale_matrices(ctx, kind, c):
+    for key, cols in ctx._matrices.items():
+        if key[0] == kind:
+            ctx._matrices[key] = [{k: c * v for k, v in col.items()}
+                                  for col in cols]
+
+
+def fault_T3_is_T2(ctx):
+    ctx._matrices[("T", 2)] = ctx._matrices[("T", 1)]
+    recompose_L(ctx)
+
+
+def fault_conjugated_L1(ctx):
+    """L_1 replaced by P L_1 P, P swapping the basis indices 0 and 1: still
+    a root of the cyclotomic polynomial."""
+    cols = ctx._matrices[("L", 1)]
+    swap = {0: 1, 1: 0}
+    ctx._matrices[("L", 1)] = [
+        {swap.get(k, k): v for k, v in cols[swap.get(j, j)].items()}
+        for j in range(ctx.dim)]
+    recompose_L(ctx)
+
+
+def fault_T3_is_T1(ctx):
+    ctx._matrices[("T", 2)] = ctx._matrices[("T", 0)]
+    recompose_L(ctx)
+
+
+def fault_T2_other_root(ctx):
+    """T_2 replaced by (q-1) - T_2, which swaps the roots q and -1 of the
+    quadratic relation."""
+    d = ctx.domain
+    qm1 = ctx.q_val - d.one
+    cols = []
+    for j, col in enumerate(ctx._matrices[("T", 1)]):
+        new = {k: -v for k, v in col.items()}
+        new[j] = new.get(j, d.zero) + qm1
+        cols.append({k: v for k, v in new.items() if not d.is_zero(v)})
+    ctx._matrices[("T", 1)] = cols
+    recompose_L(ctx)
+
+
+def fault_scaled_T(ctx):
+    scale_matrices(ctx, "T", ctx.domain.from_int(2))
+    recompose_L(ctx)
+
+
+def fault_L3_column(ctx):
+    col = ctx._matrices[("L", 3)][ctx.dim - 1]
+    col[ctx.dim - 1] = col.get(ctx.dim - 1, ctx.domain.zero) + ctx.domain.one
+
+
+def fault_scaled_L(ctx):
+    scale_matrices(ctx, "L", ctx.domain.from_int(2))
+
+
+def failing_families(ctx):
+    """Names of every relation family with a failing basis word (the
+    certificate itself stops at the first)."""
+    d = ctx.domain
+    failing = []
+    for name, lhs, rhs in hecke._relation_operator_checks(ctx):
+        for j in range(ctx.dim):
+            diff = lhs({j: d.one})
+            ctx._add_scaled(diff, rhs({j: d.one}), -d.one)
+            if diff:
+                failing.append(name)
+                break
+    return failing
+
+
 def l_before_t_multiply(monkeypatch):
     """Make every product apply each word's L factors before its T_w."""
     def wrong(self, x, y):
@@ -579,6 +657,48 @@ class TestCertificate:
         with pytest.raises(EngineError, match="reconstruction"):
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])
+
+    @pytest.mark.parametrize("fault,n,failing", [
+        (fault_T3_is_T2, 4, ["commute T1 T3"]),
+        (fault_conjugated_L1, 2, ["commute L1 L2"]),
+        (fault_conjugated_L1, 4,
+         ["commute L1 L2", "commute T2 L1", "commute T3 L1"]),
+        (fault_T3_is_T1, 4, ["commute T3 L1"]),
+        (fault_T2_other_root, 4, ["braid T1 T2", "braid T2 T3"]),
+        (fault_scaled_T, 4, ["quadratic T1", "quadratic T2", "quadratic T3"]),
+        (fault_L3_column, 4, ["conjugation q L3 = T2 L2 T2",
+                              "conjugation q L4 = T3 L3 T3"]),
+        (fault_scaled_L, 4, ["cyclotomic prod (L1 - Qi)"]),
+    ], ids=lambda v: v.__name__[len("fault_"):] if callable(v) else None)
+    def test_each_family_catches_its_fault(self, fault, n, failing):
+        """Each fault breaks one family of the presentation (or the
+        conjugation that defines the higher L matrices) and keeps every
+        other family, so the first witness names that family."""
+        ctx = AlgebraContext(n, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)], self_check=False)
+        fault(ctx)
+        assert failing_families(ctx) == failing
+        rep = check_relations(ctx)
+        assert rep.status == "fail"
+        assert rep.witnesses[0]["relation"] == failing[0]
+        assert rep.params["reconstructed"] == 0
+
+    @pytest.mark.parametrize("n,r", [(6, 1), (4, 3)])
+    def test_build_gate_reach(self, monkeypatch, n, r):
+        """PBW dimensions 720 and 1944, certified at build."""
+        reports = []
+        check = hecke.check_relations
+
+        def spy(ctx):
+            reports.append(check(ctx))
+            return reports[-1]
+
+        monkeypatch.setattr(hecke, "check_relations", spy)
+        ctx = AlgebraContext(n, r, RationalDomain(), Fraction(3),
+                             [Fraction(k + 2) for k in range(r)])
+        (rep,) = reports
+        assert rep.passed
+        assert rep.params["reconstructed"] == ctx.dim
 
     def test_build_gate_is_the_certificate(self, monkeypatch):
         calls = []

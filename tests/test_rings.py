@@ -72,6 +72,28 @@ class TestLaurentPoly:
         assert LaurentPoly.zero(2).render() == "0"
         assert (-Q1).render() == "-Q1"
 
+    def test_integer_products_keep_int_coefficients(self):
+        q, Q1 = q_poly(1), Q_poly(1, 1)
+        p = (q + 2 * Q1 - 3) * (q ** -1 - Q1) * LaurentPoly.const(
+            Fraction(4), 2)
+        assert p.terms
+        assert all(type(c) is int for c in p.terms.values())
+
+    def test_fraction_and_int_coefficients_agree(self):
+        a = LaurentPoly(2, {(1, 0): Fraction(2), (0, -1): Fraction(-3)})
+        b = LaurentPoly(2, {(1, 0): 2, (0, -1): -3})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.render() == b.render() == "-3*Q1^-1 + 2*q"
+
+    def test_non_integral_coefficient(self):
+        half = LaurentPoly.monomial(Fraction(1, 2), (1, 0))
+        assert half.render() == "1/2*q"
+        inv = half.inverse()
+        assert inv.render() == "2*q^-1"
+        assert inv.inverse() == half
+        assert half * inv == LaurentPoly.const(1, 2)
+
     def test_symmetry_detection(self):
         e2 = elementary_symmetric_poly(2, 3)
         assert e2.is_symmetric()
