@@ -1,8 +1,9 @@
 """Exact arithmetic tower: rationals, sparse multivariate Laurent polynomials,
 cyclotomic number fields, and the pluggable scalar domains built on them.
 
-Everything here is immutable after construction and exact (big rationals
-underneath, no floats anywhere).
+Everything here is immutable after construction and exact (big integers
+and rationals underneath, no floats anywhere). Cyclotomic numbers are
+integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -25,21 +26,14 @@ class UnsupportedDomainError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over Fraction (dense, ascending coefficients)
+# univariate polynomials over Fraction (dense, ascending), for the
+# cyclotomic polynomials only
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly_trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
 
 
 def _poly_mul(p, q):
@@ -370,90 +364,174 @@ def elementary_symmetric_poly(k, n):
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-class CyclotomicNumber:
-    """Element of the cyclotomic field of the given order, stored as the
-    reduced residue mod the cyclotomic polynomial (coefficient vector of
-    length phi(order))."""
+_FIELD_CACHE = {}
 
-    __slots__ = ("order", "coeffs")
+
+def _field(order):
+    """(phi, rows) for the cyclotomic field of the given order: rows[k - phi]
+    holds the nonzero (i, c) of x^k mod the cyclotomic polynomial, for
+    phi <= k <= max(2 phi - 2, order - 1). The polynomial is monic with
+    integer coefficients, so every row is integral."""
+    field = _FIELD_CACHE.get(order)
+    if field is None:
+        modulus = cyclotomic_polynomial(order)
+        phi = len(modulus) - 1
+        base = [-c for c in modulus[:phi]]  # x^phi
+        row, rows = base, []
+        for _ in range(max(phi - 1, order - phi)):
+            rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+            top = row[-1]
+            row = [top * b + a for a, b in zip([0] + row[:-1], base)]
+        field = _FIELD_CACHE[order] = (phi, rows)
+    return field
+
+
+def _reduce(vec, phi, rows):
+    """The integer vector vec (ascending powers, length at most
+    phi + len(rows)) mod the cyclotomic polynomial, as a tuple of phi ints."""
+    low = list(vec[:phi]) + [0] * (phi - len(vec))
+    for k in range(phi, len(vec)):
+        c = vec[k]
+        if c:
+            for i, r in rows[k - phi]:
+                low[i] += c * r
+    return tuple(low)
+
+
+def _mul_num(a, b, phi, rows):
+    """Product of two integer residues: schoolbook, then one table pass."""
+    out = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, phi, rows)
+
+
+def _canonical(num, den):
+    """num/den with gcd(den, *num) = 1 (den > 0 on input); zero is 0/1."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return num, den
+
+
+class CyclotomicNumber:
+    """Element of the cyclotomic field of the given order: the residue mod
+    the cyclotomic polynomial with coefficients ``num[i] / den``, for a
+    tuple ``num`` of phi(order) ints and one int ``den``.
+
+    The form is canonical (den > 0, gcd(den, *num) = 1, zero is all zeros
+    over 1), so equality is tuple equality. Products are integer schoolbook
+    products reduced through a cached table of powers of the root. The
+    coefficients as ``Fraction``s are the read-only ``coeffs``.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
-        phi = euler_phi(order)
+        phi, rows = _field(order)
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > phi:
-            modulus = [Fraction(c) for c in cyclotomic_polynomial(order)]
-            _, coeffs = _poly_divmod(coeffs, modulus)
-        coeffs = list(coeffs) + [Fraction(0)] * (phi - len(coeffs))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        vec = [0] * min(len(coeffs), order)
+        for k, c in enumerate(coeffs):  # x^order = 1 mod the polynomial
+            vec[k % order] += c.numerator * (den // c.denominator)
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.num, self.den = _canonical(_reduce(vec, phi, rows), den)
+
+    @classmethod
+    def _make(cls, order, num, den):
+        self = object.__new__(cls)
+        self.order = order
+        self.num, self.den = _canonical(num, den)
+        return self
 
     @classmethod
     def from_fraction(cls, order, value):
-        return cls(order, [Fraction(value)])
+        return cls(order, [value])
 
     @classmethod
     def zeta(cls, order, power=1):
         """The root of unity zeta_order ** power."""
-        power %= order
-        coeffs = [Fraction(0)] * power + [Fraction(1)]
-        return cls(order, coeffs)
+        return cls(order, [0] * (power % order) + [1])
 
-    def _coerce(self, other):
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _operand(self, other):
+        """(num, den) of an element of the same field or of a rational;
+        None for anything else."""
         if isinstance(other, CyclotomicNumber):
             if other.order != self.order:
                 raise ValueError("cyclotomic order mismatch")
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_fraction(self.order, other)
-        return NotImplemented
+            return ((other.numerator,) + (0,) * (len(self.num) - 1),
+                    other.denominator)
+        return None
+
+    def _combine(self, other, op):
+        parts = self._operand(other)
+        if parts is None:
+            return NotImplemented
+        num, den = parts
+        if den == self.den:
+            return CyclotomicNumber._make(
+                self.order, tuple(map(op, self.num, num)), den)
+        return CyclotomicNumber._make(
+            self.order, tuple(op(a * den, b * self.den)
+                              for a, b in zip(self.num, num)),
+            self.den * den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CyclotomicNumber(self.order, [-a for a in self.coeffs])
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return CyclotomicNumber._make(
+            self.order, tuple(-c for c in self.num), self.den)
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        parts = self._operand(other)
+        if parts is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CyclotomicNumber(self.order, prod)
+        num, den = parts
+        phi, rows = _field(self.order)
+        return CyclotomicNumber._make(
+            self.order, _mul_num(self.num, num, phi, rows), self.den * den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse mod the cyclotomic polynomial via the extended Euclidean
-        algorithm (the modulus is irreducible, so any nonzero residue is a
-        unit)."""
+        """den * P / N: P is the product of the Galois conjugates of the
+        integral numerator a (a(x) -> a(x^k) for 1 < k < order prime to
+        order), and N = a P is the norm of a, a nonzero rational integer
+        because the cyclotomic polynomial is irreducible."""
         if self.is_zero():
             raise NotInvertibleError("zero has no inverse")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # extended euclid on (self, modulus)
-        r0, r1 = _poly_trim(list(self.coeffs)), modulus
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        assert len(r0) == 1, "gcd with irreducible modulus must be a unit"
-        inv_scale = Fraction(1) / r0[0]
-        return CyclotomicNumber(self.order, [c * inv_scale for c in s0])
+        order = self.order
+        phi, rows = _field(order)
+        conj = (1,) + (0,) * (phi - 1)
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                vec = [0] * order
+                for i, c in enumerate(self.num):
+                    vec[i * k % order] += c
+                conj = _mul_num(conj, _reduce(vec, phi, rows), phi, rows)
+        norm, *rest = _mul_num(self.num, conj, phi, rows)
+        assert not any(rest), "the norm must be rational"
+        sign = 1 if norm > 0 else -1
+        return CyclotomicNumber._make(
+            order, tuple(sign * self.den * c for c in conj), abs(norm))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -470,17 +548,24 @@ class CyclotomicNumber:
         return result
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return (self.order == other.order and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_fraction(self.order, other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        """A rational value hashes as that Fraction, so equal objects hash
+        equally; any other value hashes from (order, num, den)."""
+        if any(self.num[1:]):
+            return hash((self.order, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     def render(self):
         name = f"zeta_{self.order}"
@@ -563,7 +648,7 @@ class CyclotomicDomain(ScalarDomain):
         return self.from_fraction(x)
 
     def is_zero(self, x):
-        return self._as_element(x).is_zero()
+        return x == 0
 
     def render(self, x):
         return self._as_element(x).render()

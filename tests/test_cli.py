@@ -119,8 +119,9 @@ class TestCommands:
 
 
 class TestReach:
-    """Sizes past PBW dimension 48, reached through the JM-span early stop:
-    (5,1) has dimension 120 and (4,2) dimension 384."""
+    """Sizes at and past PBW dimension 48, reached through the JM-span
+    early stop and, at roots of unity, integer cyclotomic arithmetic:
+    (3,2) has dimension 48, (5,1) 120 and (4,2) 384."""
 
     def test_hilb_n5(self, capsys):
         code = main(["hilb", "--n", "5", "--q-values", "2,-1,zeta_3^1"])
@@ -140,6 +141,25 @@ class TestReach:
         (res,) = report["params"]["results"]
         assert (res["dim_center"], res["dim_jm_center"]) == (20, 20)
         assert res["jm_span_capped"] is False
+
+    def test_hilb_n5_at_zeta_5(self, capsys):
+        code = main(["hilb", "--n", "5", "--q-values", "zeta_5^1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        (res,) = report["params"]["results"]
+        assert (res["dim_center"], res["dim_jm_center"]) == (7, 7)
+
+    def test_blocks_n3_r2_ell3(self, capsys):
+        code = main(["blocks", "--n", "3", "--r", "2", "--ell", "3",
+                     "--charge", "0,1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        params = report["params"]
+        assert params["blocks"] == params["classes"] == 3
+        assert sorted(b["class_size"] for b in params["per_block"]) == \
+            [1, 1, 8]
 
 
 def test_python_m_runs_the_cli():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -238,6 +240,163 @@ class TestCyclotomic:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CyclotomicDomain(3).zeta(1) + CyclotomicDomain(4).zeta(1)
+
+
+# Oracle: dense Fraction polynomials (ascending coefficients), the schoolbook
+# product and the long division by the cyclotomic polynomial that
+# CyclotomicNumber computed with before its integer form.
+
+def _oracle_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _oracle_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return _oracle_trim(out)
+
+
+def _oracle_divmod(p, q):
+    p = [Fraction(c) for c in p]
+    q = _oracle_trim([Fraction(c) for c in q])
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    lead = q[-1]
+    while len(_oracle_trim(p)) >= len(q):
+        p = _oracle_trim(p)
+        shift = len(p) - len(q)
+        factor = p[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            p[shift + i] -= factor * c
+    return _oracle_trim(quot), _oracle_trim(p)
+
+
+def _oracle_residue(order, coeffs):
+    """The coefficient tuple of length phi(order) of coeffs mod Phi_order."""
+    _, rem = _oracle_divmod(coeffs, cyclotomic_polynomial(order))
+    return tuple(rem) + (Fraction(0),) * (euler_phi(order) - len(rem))
+
+
+ORACLE_ORDERS = [1, 2, 3, 4, 5, 7, 8, 12]
+
+
+def _random_coeffs(rng, length):
+    """Rationals with small denominators, a third of them zero."""
+    return [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+            if rng.random() > 0.3 else Fraction(0) for _ in range(length)]
+
+
+def _random_element(rng, order):
+    return CyclotomicNumber(order, _random_coeffs(rng, euler_phi(order)))
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num)
+    assert math.gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+class TestCyclotomicAgainstOracle:
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_arithmetic_matches_fraction_polynomials(self, order):
+        rng = random.Random(100 + order)
+        for _ in range(60):
+            x, y = _random_element(rng, order), _random_element(rng, order)
+            a, b = list(x.coeffs), list(y.coeffs)
+            assert (x * y).coeffs == _oracle_residue(order, _oracle_mul(a, b))
+            assert (x + y).coeffs == tuple(map(operator.add, a, b))
+            assert (x - y).coeffs == tuple(map(operator.sub, a, b))
+            assert (-x).coeffs == tuple(-c for c in a)
+            for z in (x * y, x + y, x - y, -x):
+                _assert_canonical(z)
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_constructor_reduces_long_vectors(self, order):
+        rng = random.Random(200 + order)
+        for length in range(3 * order + 2):
+            coeffs = _random_coeffs(rng, length)
+            x = CyclotomicNumber(order, coeffs)
+            assert x.coeffs == _oracle_residue(order, coeffs)
+            _assert_canonical(x)
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_ring_axioms(self, order):
+        rng = random.Random(300 + order)
+        one = CyclotomicDomain(order).one
+        for _ in range(40):
+            x, y, z = (_random_element(rng, order) for _ in range(3))
+            assert (x * y) * z == x * (y * z)
+            assert (x + y) + z == x + (y + z)
+            assert x * (y + z) == x * y + x * z
+            assert x * y == y * x
+            assert x + y == y + x
+            assert x * one == x
+            assert (x - x).is_zero()
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_equal_values_have_equal_form(self, order):
+        rng = random.Random(400 + order)
+        for _ in range(40):
+            x, y, z = (_random_element(rng, order) for _ in range(3))
+            pairs = [((x * y) * z, x * (y * z)),
+                     (x + y - y, x),
+                     (CyclotomicNumber(order, x.coeffs), x),
+                     (x - x, CyclotomicNumber(order, []))]
+            for u, v in pairs:
+                _assert_canonical(u)
+                assert (u.order, u.num, u.den) == (v.order, v.num, v.den)
+        zero = CyclotomicNumber(order, [Fraction(0, 1)] * 3)
+        assert zero.num == (0,) * euler_phi(order) and zero.den == 1
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_inverse(self, order):
+        rng = random.Random(500 + order)
+        for _ in range(40):
+            x = _random_element(rng, order)
+            if x.is_zero():
+                with pytest.raises(NotInvertibleError):
+                    x.inverse()
+                continue
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert x * inv == 1
+
+    @pytest.mark.parametrize("order", ORACLE_ORDERS)
+    def test_zeta_powers_by_repeated_multiplication(self, order):
+        zeta = CyclotomicNumber.zeta(order, 1)
+        zeta_inv = zeta.inverse()
+        power = CyclotomicDomain(order).one
+        for p in range(2 * order):
+            assert CyclotomicNumber.zeta(order, p) == power, p
+            power = power * zeta
+        power = CyclotomicDomain(order).one
+        for p in range(0, -order, -1):
+            assert CyclotomicNumber.zeta(order, p) == power, p
+            power = power * zeta_inv
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_rational_elements_hash_like_their_value(order):
+    for value in (0, 2, -1, Fraction(3, 2), Fraction(-7, 4)):
+        x = CyclotomicNumber.from_fraction(order, value)
+        assert x == value and value == x
+        assert hash(x) == hash(value)
+        assert x in {value} and value in {x}
+    x = CyclotomicNumber.from_fraction(order, Fraction(3, 2))
+    assert x != 2 and 2 not in {x} and x not in {2}
+    if order > 2:
+        zeta = CyclotomicNumber.zeta(order, 1)
+        assert all(zeta != v and v not in {zeta} for v in (1, -1, 0))
 
 
 class TestLaurentDomain:
