@@ -17,10 +17,10 @@ The only nontrivial rewriting rule is the straightening identity
     T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
         + (q-1) sgn(b-a) sum_{k=min(a,b)}^{max(a,b)-1} L_i^k L_{i+1}^{a+b-k}
 
-from whose closed form the T matrices are built. It is validated, before
-first use, against an independent one-step rewriter that only knows the
-two degree-1 exchange rules. Each context then certifies its product at
-build time with check_relations.
+from whose closed form the T matrices are built. Every exponent a context
+uses is validated first against an independent one-step rewriter that only
+knows the two degree-1 exchange rules. Each context then certifies its
+product at build time with check_relations.
 """
 
 from __future__ import annotations
@@ -141,15 +141,16 @@ def one_step_T_push(a, b):
     return push(a, b)
 
 
-_STRAIGHTENING_VALIDATED = False
+_STRAIGHTENING_VALIDATED_THROUGH = -1  # largest exponent validated so far
 
 
 def validate_straightening(max_exp=4):
     """Compare the closed-form straightening against the one-step rewriter
     for all exponents up to max_exp; raises EngineError on any mismatch.
-    Runs once per process before any multiplication matrix is built."""
-    global _STRAIGHTENING_VALIDATED
-    if _STRAIGHTENING_VALIDATED:
+    Each context calls it before building its T matrices, and a process
+    validates each exponent once."""
+    global _STRAIGHTENING_VALIDATED_THROUGH
+    if max_exp <= _STRAIGHTENING_VALIDATED_THROUGH:
         return
     for a in range(max_exp + 1):
         for b in range(max_exp + 1):
@@ -158,7 +159,7 @@ def validate_straightening(max_exp=4):
             if got != expected:
                 raise EngineError(
                     f"straightening mismatch at exponents ({a}, {b})")
-    _STRAIGHTENING_VALIDATED = True
+    _STRAIGHTENING_VALIDATED_THROUGH = max_exp
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,8 @@ class AlgebraContext:
             raise ValueError("need n >= 1 and r >= 1")
         if len(Q_vals) != r:
             raise ValueError("need one cyclotomic parameter per level")
-        validate_straightening()
+        # T matrices (n > 1) use the exponents 0..r-1
+        validate_straightening(max(4, r - 1) if n > 1 else 4)
         self.n = n
         self.r = r
         self.domain = domain

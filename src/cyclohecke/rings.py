@@ -8,6 +8,7 @@ integer numerators over one common denominator.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -25,46 +26,6 @@ class UnsupportedDomainError(DomainError):
     """Operation not available over this scalar domain."""
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomials over Fraction (dense, ascending), for the
-# cyclotomic polynomials only
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, q):
-    """Exact division with remainder; q must be nonzero."""
-    p = [Fraction(c) for c in p]
-    q = _poly_trim([Fraction(c) for c in q])
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(_poly_trim(p)) >= len(q):
-        p = _poly_trim(p)
-        shift = len(p) - len(q)
-        factor = p[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            p[shift + i] -= factor * c
-    return _poly_trim(quot), _poly_trim(p)
-
-
 def euler_phi(n):
     count = 0
     for k in range(1, n + 1):
@@ -73,29 +34,45 @@ def euler_phi(n):
     return count
 
 
-_CYCLO_CACHE = {}
-
-
+@functools.cache
 def cyclotomic_polynomial(order):
     """Coefficients (ascending, ints) of the cyclotomic polynomial of the
-    given order, computed by exact division of x^order - 1 by the product of
-    the cyclotomic polynomials of the proper divisors.
+    given order: x^order - 1 divided exactly by the cyclotomic polynomial of
+    each proper divisor, by synthetic division (each divisor is monic with
+    integer coefficients, so every quotient stays integral).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order in _CYCLO_CACHE:
-        return _CYCLO_CACHE[order]
-    num = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            den = _poly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
-    quot, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic division must be exact"
-    coeffs = tuple(int(c) for c in quot)
-    assert len(coeffs) == euler_phi(order) + 1
-    _CYCLO_CACHE[order] = coeffs
-    return coeffs
+            divisor = cyclotomic_polynomial(d)
+            m = len(divisor) - 1
+            quot = [0] * (len(poly) - m)
+            for k in reversed(range(len(quot))):
+                c = quot[k] = poly[k + m]
+                for i, a in enumerate(divisor):
+                    poly[k + i] -= c * a
+            assert not any(poly), "cyclotomic division must be exact"
+            poly = quot
+    assert len(poly) == euler_phi(order) + 1
+    return tuple(poly)
+
+
+def _power(x, k, one):
+    """x ** k by square-and-multiply from ``one``; a negative k inverts x
+    first."""
+    if not isinstance(k, int):
+        return NotImplemented
+    if k < 0:
+        x, k = x.inverse(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +202,7 @@ class LaurentPoly:
         return LaurentPoly.monomial(Fraction(1) / c, tuple(-x for x in e))
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = LaurentPoly.const(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPoly.const(1, self.nvars))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,8 +212,14 @@ class LaurentPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        """A constant (zero included) hashes as its coefficient, so equal
+        objects hash equally; anything else hashes from its term map."""
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            origin = (0,) * self.nvars
+            if self.terms.keys() <= {origin}:
+                self._hash = hash(self.terms.get(origin, 0))
+            else:
+                self._hash = hash((self.nvars, frozenset(self.terms.items())))
         return self._hash
 
     def sorted_terms(self):
@@ -364,26 +336,21 @@ def elementary_symmetric_poly(k, n):
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE = {}
-
-
+@functools.cache
 def _field(order):
     """(phi, rows) for the cyclotomic field of the given order: rows[k - phi]
     holds the nonzero (i, c) of x^k mod the cyclotomic polynomial, for
     phi <= k <= max(2 phi - 2, order - 1). The polynomial is monic with
     integer coefficients, so every row is integral."""
-    field = _FIELD_CACHE.get(order)
-    if field is None:
-        modulus = cyclotomic_polynomial(order)
-        phi = len(modulus) - 1
-        base = [-c for c in modulus[:phi]]  # x^phi
-        row, rows = base, []
-        for _ in range(max(phi - 1, order - phi)):
-            rows.append(tuple((i, c) for i, c in enumerate(row) if c))
-            top = row[-1]
-            row = [top * b + a for a, b in zip([0] + row[:-1], base)]
-        field = _FIELD_CACHE[order] = (phi, rows)
-    return field
+    modulus = cyclotomic_polynomial(order)
+    phi = len(modulus) - 1
+    base = [-c for c in modulus[:phi]]  # x^phi
+    row, rows = base, []
+    for _ in range(max(phi - 1, order - phi)):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [top * b + a for a, b in zip([0] + row[:-1], base)]
+    return phi, rows
 
 
 def _reduce(vec, phi, rows):
@@ -534,18 +501,7 @@ class CyclotomicNumber:
             order, tuple(sign * self.den * c for c in conj), abs(norm))
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CyclotomicNumber.from_fraction(self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, CyclotomicNumber.from_fraction(self.order, 1))
 
     def is_zero(self):
         return not any(self.num)

@@ -314,7 +314,7 @@ class TestEngineErrors:
         closed_form = hecke.straightening_closed_form
         monkeypatch.setattr(hecke, "straightening_closed_form", lambda a, b: {
             key: c if key[2] else -c for key, c in closed_form(a, b).items()})
-        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", False)
+        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED_THROUGH", -1)
         code = main(["--format", "table", "center", "--n", "2", "--r", "2",
                      "--q", "3", "--Q", "2,5"])
         out = capsys.readouterr().out

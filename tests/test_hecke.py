@@ -178,7 +178,7 @@ def corrupt_closed_form(monkeypatch):
                 for key, c in closed_form(a, b).items()}
 
     monkeypatch.setattr(hecke, "straightening_closed_form", corrupted)
-    monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", False)
+    monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED_THROUGH", -1)
 
 
 class TestPermutations:
@@ -225,11 +225,29 @@ class TestStraighteningOracle:
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)], self_check=False)
 
+    def test_every_exponent_a_context_uses_is_validated(self, monkeypatch):
+        # a closed form wrong only at exponent 5: level 5 uses exponents
+        # up to 4 and builds, level 6 uses 5 and must be rejected
+        closed_form = hecke.straightening_closed_form
+
+        def corrupted(a, b):
+            return {key: c if key[2] or 5 not in (a, b) else -c
+                    for key, c in closed_form(a, b).items()}
+
+        monkeypatch.setattr(hecke, "straightening_closed_form", corrupted)
+        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED_THROUGH", -1)
+        Qs = [Fraction(k) for k in range(2, 8)]
+        AlgebraContext(2, 5, RationalDomain(), Fraction(3), Qs[:5])
+        with pytest.raises(EngineError,
+                           match=r"straightening mismatch at exponents \(0, 5\)"):
+            AlgebraContext(2, 6, RationalDomain(), Fraction(3), Qs,
+                           self_check=False)
+
     def test_T_matrices_are_built_from_the_closed_form(self, monkeypatch):
         # with the oracle bypassed, the corrupted closed form reaches the T
         # matrices: so the oracle validates the code that builds them
         corrupt_closed_form(monkeypatch)
-        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED", True)
+        monkeypatch.setattr(hecke, "_STRAIGHTENING_VALIDATED_THROUGH", 4)
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                              [Fraction(2), Fraction(5)], self_check=False)
         monkeypatch.undo()
