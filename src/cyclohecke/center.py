@@ -93,13 +93,17 @@ class JMCenterSpan:
 
     Each basis element carries its monomial descriptor: exponents
     (d_1..d_n, d_inv) meaning prod_k e_k^{d_k} * (e_n^{-1})^{d_inv}, which is
-    what makes exact character evaluation cheap.
+    what makes exact character evaluation cheap. generators holds e_1..e_n
+    and e_n^{-1}; in_center says whether they all lie in the center the
+    span was given (None without one).
     """
 
     rank: int
     elements: list
     descriptors: list
     capped: bool
+    generators: list
+    in_center: bool | None
 
 
 def jm_center_span(ctx, center=None):
@@ -109,18 +113,22 @@ def jm_center_span(ctx, center=None):
 
     Each candidate is one operator application, e_k x or e_n^{-1} x, to an
     earlier monomial x; the monomials commute pairwise, so this is x e_k.
-    center, the RowSpace of the center, allows an exact early stop: when
-    every generator e_k and e_n^{-1} lies in it, every monomial is central,
-    so the loop ends as soon as the span has the center's rank. Otherwise
-    it runs to the end."""
+    So every span element is a product of generators, and a property closed
+    under products holds on the span once it holds on them. center, the
+    RowSpace of the center, gives the inclusion certificate JM <= Z
+    (in_center) and, when it holds, an exact early stop: the loop ends as
+    soon as the span has the center's rank. Otherwise it runs to the
+    end."""
     n = ctx.n
     max_rounds = n * ctx.r + n + 10
     one = ctx.one()
-    gens = [ctx.symmetric_jm(k).terms for k in range(1, n + 1)]
-    gens.append(ctx.symmetric_jm_inverse().terms)
-    target = None
-    if center is not None and all(center.contains(g) for g in gens):
-        target = center.rank
+    generators = [ctx.symmetric_jm(k) for k in range(1, n + 1)]
+    generators.append(ctx.symmetric_jm_inverse())
+    in_center = target = None
+    if center is not None:
+        in_center = all(center.contains(g.terms) for g in generators)
+        if in_center:
+            target = center.rank
     span = RowSpace(ctx.domain, ctx.dim)
     zero_desc = (0,) * (n + 1)
     span.add(one.terms)
@@ -134,7 +142,7 @@ def jm_center_span(ctx, center=None):
             capped = True
             break
         if element is one:  # e_k 1 and e_n^{-1} 1, already built
-            candidates = gens
+            candidates = [g.terms for g in generators]
         else:
             candidates = ctx.apply_symmetric_jm(element.terms)
             candidates.append(ctx.apply_symmetric_jm_inverse(element.terms))
@@ -148,13 +156,17 @@ def jm_center_span(ctx, center=None):
                 queue.append((candidate, new_desc, depth + 1))
                 if span.rank == target:
                     break
-    return JMCenterSpan(span.rank, elements, descriptors, capped)
+    return JMCenterSpan(span.rank, elements, descriptors, capped, generators,
+                        in_center)
 
 
-def jm_span_in_center(center, span):
-    """Whether every element of the JM-center span lies in center, the
-    RowSpace of the center basis: the inclusion JM <= Z, checked exactly."""
-    return all(center.contains(x.terms) for x in span.elements)
+def center_and_jm_span(ctx):
+    """The center as one RowSpace of its basis, and the JM-center span
+    stopped early against it, which carries the inclusion certificate."""
+    center = RowSpace(ctx.domain, ctx.dim)
+    for z in center_basis(ctx):
+        center.add(z.terms)
+    return center, jm_center_span(ctx, center)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +268,6 @@ def cocenter_dim(ctx):
     return commutator_coordinates(ctx).dim
 
 
-def cocenter_project(coords, element):
-    """Canonical representative of an element's cocenter class, supported on
-    the complement words."""
-    return coords.span.reduce(element.terms)
-
-
 def trace_gram_matrix(ctx, span, coords):
     """Gram matrix tau(z_i * b_j) between the JM-center basis and the
     cocenter complement words, as sparse rows {position in the complement:
@@ -357,31 +363,34 @@ def _lift_idempotent(ctx, e):
     raise IdempotentSplitError("idempotent lift did not converge")
 
 
-def _certify_primitive(ctx, zbasis, eps):
-    """True when every center basis element has a single eigenvalue on the
-    ideal eps * Z. Then eps * Z is K * eps plus a nilpotent ideal, hence
-    local, so eps is a primitive central idempotent over any extension of
-    the coefficient field."""
-    for z in zbasis:
-        mu = min_poly_on_center_ideal(ctx, eps, z)
-        if unique_eigenvalue(ctx, mu) is None:
-            return False
-    return True
+def _single_eigenvalues(ctx, eps, elements):
+    """The eigenvalue of each central element on the ideal eps * Z, or None
+    if one of them has more than one there."""
+    values = [unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, x))
+              for x in elements]
+    return None if any(v is None for v in values) else values
 
 
 def central_idempotents(ctx):
     """The complete set of primitive central idempotents of a specialized
-    algebra, read off the Jucys-Murphy spectra.
+    algebra, read off the Jucys-Murphy spectra, as (idempotents, spectra,
+    span): spectra[i] holds the eigenvalues of e_1..e_n on idempotents[i] Z,
+    and span is the JM-center span, stopped early against the center.
 
     Multipartitions are grouped by the scalars of e_1..e_n on their cell
     modules. A central z = sum_k c_k e_k separates the classes, and the
     Lagrange element prod_{D != C} (z - lambda_D) / (lambda_C - lambda_D)
     is, up to a nilpotent error, the sum of the block idempotents in class
-    C; the Newton lift removes the error. Each lifted component must be
-    nonzero and certified primitive, and the family must be idempotent,
-    orthogonal, central and sum to one; otherwise IdempotentSplitError.
-    Primitive central idempotents are unique, so a family passing these
-    checks is the block decomposition whatever built it.
+    C; the Newton lift removes the error. Each component eps must be
+    nonzero, and e_1..e_n must each have a single eigenvalue on eps Z. When
+    the span is the center, Z is generated by e_1..e_n and e_n^{-1}, so
+    eps Z is then K eps plus a nilpotent ideal: local, and eps primitive
+    over any extension of the coefficient field. Otherwise (rank JM <
+    dim Z) the center basis joins the certificate. The family must be
+    idempotent, orthogonal, central and sum to one; any failure raises
+    IdempotentSplitError. Primitive central idempotents are unique, so a
+    family passing these checks is the block decomposition whatever built
+    it.
 
     Needs q != 1: at q = 1 a node's eigenvalue Q_c q^content forgets the
     content, so the spectra cannot separate the blocks; a component is then
@@ -389,10 +398,13 @@ def central_idempotents(ctx):
     to q = 1.
     """
     d = ctx.domain
-    zbasis = center_basis(ctx)
+    center, span = center_and_jm_span(ctx)
+    certified = span.generators[:-1]  # e_1..e_n
+    if not (span.in_center and span.rank == center.rank):
+        certified += [AlgebraElement(ctx, row) for row in center.rows.values()]
     z, values = _separating_element(ctx, _spectrum_classes(ctx))
     factors = [z - v for v in values]
-    elements = []
+    blocks = []
     for i, value in enumerate(values):
         e = ctx.one()
         for j, other in enumerate(values):
@@ -401,12 +413,14 @@ def central_idempotents(ctx):
         e = _lift_idempotent(ctx, e)
         if e.is_zero():
             raise IdempotentSplitError("zero component")
-        if not _certify_primitive(ctx, zbasis, e):
+        eigenvalues = _single_eigenvalues(ctx, e, certified)
+        if eigenvalues is None:
             raise IdempotentSplitError("component not primitive")
-        elements.append(e)
-    elements.sort(key=lambda e: min(e.terms))
-    _verify_idempotent_family(ctx, elements)
-    return elements
+        blocks.append((min(e.terms), e, tuple(eigenvalues[:ctx.n])))
+    blocks.sort(key=lambda block: block[0])
+    idempotents = [e for _, e, _ in blocks]
+    _verify_idempotent_family(ctx, idempotents)
+    return idempotents, [spectrum for _, _, spectrum in blocks], span
 
 
 def _verify_idempotent_family(ctx, elements):

@@ -106,39 +106,40 @@ def straightening_closed_form(a, b):
     return out
 
 
+def _exchange(terms, shift, key, coeff):
+    """One degree-1 exchange rule on top of the normal form terms: every
+    term times L (shift (1, 0)) or M (shift (0, 1)), plus coeff at key."""
+    out = {(la + shift[0], lb + shift[1], t): c
+           for (la, lb, t), c in terms.items()}
+    acc = out[key] + coeff if key in out else coeff
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+    return out
+
+
+def _one_step_rows(max_exp):
+    """For a = 0..max_exp, the normal forms of T L^a M^b for b = 0..max_exp,
+    using only the degree-1 exchange rules T L = M T - (q-1) M and
+    T M = L T + (q-1) M: each form is one rule applied to the one before,
+    so every exponent chain is built once."""
+    qm1 = LaurentPoly.variable(0, 1) - 1
+    row = [{(0, 0, True): LaurentPoly.const(1, 1)}]
+    for b in range(1, max_exp + 1):  # T M^b = (L T + (q-1) M) M^{b-1}
+        row.append(_exchange(row[-1], (1, 0), (0, b, False), qm1))
+    minus_qm1 = -qm1
+    for a in range(max_exp + 1):
+        if a:  # T L^a M^b = (M T - (q-1) M) L^{a-1} M^b
+            row = [_exchange(terms, (0, 1), (a - 1, b + 1, False), minus_qm1)
+                   for b, terms in enumerate(row)]
+        yield row
+
+
 def one_step_T_push(a, b):
-    """Normal form of T L^a M^b using only the degree-1 exchange rules
-    T L = M T - (q-1) M and T M = L T + (q-1) M, pushing T one variable at
-    a time. Independent oracle for the closed form above."""
-    q = LaurentPoly.variable(0, 1)
-    qm1 = q - 1
-
-    def add(target, key, coeff):
-        acc = target.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = acc
-
-    def push(a, b):
-        if a > 0:
-            # T L^a M^b = (M T - (q-1) M) L^{a-1} M^b
-            out = {}
-            for (la, lb, t), c in push(a - 1, b).items():
-                add(out, (la, lb + 1, t), c)
-            add(out, (a - 1, b + 1, False), -qm1)
-            return out
-        if b > 0:
-            # T M^b = (L T + (q-1) M) M^{b-1}
-            out = {}
-            for (la, lb, t), c in push(0, b - 1).items():
-                add(out, (la + 1, lb, t), c)
-            add(out, (0, b, False), qm1)
-            return out
-        return {(0, 0, True): LaurentPoly.const(1, 1)}
-
-    return push(a, b)
+    """Normal form of T L^a M^b from the one-step rewriter: the
+    independent oracle for the closed form above."""
+    return list(_one_step_rows(max(a, b)))[a][b]
 
 
 _STRAIGHTENING_VALIDATED_THROUGH = -1  # largest exponent validated so far
@@ -146,17 +147,15 @@ _STRAIGHTENING_VALIDATED_THROUGH = -1  # largest exponent validated so far
 
 def validate_straightening(max_exp=4):
     """Compare the closed-form straightening against the one-step rewriter
-    for all exponents up to max_exp; raises EngineError on any mismatch.
-    Each context calls it before building its T matrices, and a process
-    validates each exponent once."""
+    for all exponents up to max_exp, a outer and b inner; raises
+    EngineError at the first mismatch. Each context calls it before
+    building its T matrices, and a process validates each exponent once."""
     global _STRAIGHTENING_VALIDATED_THROUGH
     if max_exp <= _STRAIGHTENING_VALIDATED_THROUGH:
         return
-    for a in range(max_exp + 1):
-        for b in range(max_exp + 1):
-            expected = one_step_T_push(a, b)
-            got = straightening_closed_form(a, b)
-            if got != expected:
+    for a, row in enumerate(_one_step_rows(max_exp)):
+        for b, expected in enumerate(row):
+            if straightening_closed_form(a, b) != expected:
                 raise EngineError(
                     f"straightening mismatch at exponents ({a}, {b})")
     _STRAIGHTENING_VALIDATED_THROUGH = max_exp

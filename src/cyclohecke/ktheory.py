@@ -26,11 +26,8 @@ from .combinatorics import (
 )
 from .center import (
     IdempotentSplitError,
-    jm_center_span,
     central_idempotents,
-    min_poly_on_center_ideal,
     specialized_elementary_characters,
-    unique_eigenvalue,
 )
 from .hecke import AlgebraContext
 from .linalg import RowSpace
@@ -182,7 +179,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
         "classes": len(classes),
     }
     try:
-        idempotents = central_idempotents(ctx)
+        idempotents, spectra, span = central_idempotents(ctx)
     except IdempotentSplitError as exc:
         # no decomposition to compare with the classes: not verified
         return VerificationReport(
@@ -207,14 +204,14 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
     mp_index = {mp: i for i, mp in enumerate(mps)}
     class_spectra = {}
     for residue, members in classes.items():
-        spectra = {tuple(char_rows[mp_index[mp]]) for mp in members}
-        if len(spectra) != 1:
+        found = {tuple(char_rows[mp_index[mp]]) for mp in members}
+        if len(found) != 1:
             witnesses.append({
                 "reason": "class spectra not constant",
                 "residue": str(residue),
             })
             continue
-        class_spectra[spectra.pop()] = residue
+        class_spectra[found.pop()] = residue
     if len(class_spectra) != len(classes) and not witnesses:
         witnesses.append({
             "reason": "distinct residue classes share a spectrum",
@@ -223,32 +220,18 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
 
     block_info = []
     used = set()
-    for eps in idempotents:
-        spectrum = []
-        for k in range(1, n + 1):
-            mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(k))
-            value = unique_eigenvalue(ctx, mu)
-            if value is None:
-                witnesses.append({
-                    "reason": "block spectrum not a single eigenvalue",
-                    "generator": f"e{k}",
-                })
-                break
-            spectrum.append(value)
-        else:
-            key = tuple(spectrum)
-            residue = class_spectra.get(key)
-            if residue is None or residue in used:
-                witnesses.append({
-                    "reason": "block does not match a residue class",
-                    "spectrum": [ctx.domain.render(v) for v in spectrum],
-                })
-                continue
-            used.add(residue)
-            block_info.append((eps, residue))
+    for eps, spectrum in zip(idempotents, spectra):
+        residue = class_spectra.get(spectrum)
+        if residue is None or residue in used:
+            witnesses.append({
+                "reason": "block does not match a residue class",
+                "spectrum": [ctx.domain.render(v) for v in spectrum],
+            })
+            continue
+        used.add(residue)
+        block_info.append((eps, residue))
 
     if not witnesses:
-        span = jm_center_span(ctx)
         per_block = []
         for eps, residue in block_info:
             image = RowSpace(ctx.domain, ctx.dim)

@@ -23,6 +23,20 @@ def _random_element(ctx, rng, max_terms=3, coeff_range=5):
         terms[k] = terms.get(k, ctx.domain.zero) + coeff
     return AlgebraElement(ctx, terms)
 
+
+def add_T1_to_e1(monkeypatch):
+    """Fault: the e_k sweep returns e_1 v + T_1 v in place of e_1 v, so the
+    generator e_1 of the JM-center span is no longer central."""
+    sweep = AlgebraContext.apply_symmetric_jm
+
+    def with_T1(ctx, vec):
+        row = sweep(ctx, vec)
+        ctx._add_scaled(row[0], ctx._apply_cols(ctx._matrices[("T", 0)], vec))
+        return row
+
+    monkeypatch.setattr(AlgebraContext, "apply_symmetric_jm", with_T1)
+
+
 _SAMPLED_CACHE = {}
 
 

@@ -5,23 +5,25 @@ import pytest
 
 from cyclohecke.center import (
     IdempotentSplitError,
-    _certify_primitive,
+    _single_eigenvalues,
+    center_and_jm_span,
     center_basis,
     central_characters,
     central_idempotents,
     character_dual,
     cocenter_dim,
-    cocenter_project,
     commutator_coordinates,
     descriptor_characters,
     jm_center_span,
     min_poly_on_center_ideal,
     specialized_elementary_characters,
+    trace_gram_matrix,
     unique_eigenvalue,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
 from cyclohecke.ktheory import verify_blocks
+from cyclohecke.suites import _module_map_witness
 from cyclohecke.linalg import RowSpace, rank
 from cyclohecke.rings import (
     CyclotomicDomain,
@@ -136,6 +138,7 @@ class TestJMSpanEarlyStop:
         full_calls = len(calls)
         stopped = jm_center_span(ctx, center)
         _same_span(stopped, full)
+        assert (full.in_center, stopped.in_center) == (None, True)
         assert stopped.rank == center.rank
         assert not stopped.capped
         # the stop fires: fewer monomials are pushed through the operators
@@ -149,6 +152,7 @@ class TestJMSpanEarlyStop:
         assert not fake.contains(ctx.symmetric_jm(2).terms)
         span = jm_center_span(ctx, fake)
         _same_span(span, jm_center_span(ctx))
+        assert span.in_center is False
         assert span.rank == 5
 
 
@@ -239,32 +243,45 @@ class TestCocenter:
             a = span.elements[a_idx]
             ax = [chars[lam][a_idx] * x[lam] for lam in range(2)]
             lhs = character_dual(ctx, ax, span=span, coords=coords)
-            rhs = cocenter_project(
-                coords,
-                a * AlgebraElement(
-                    ctx, character_dual(ctx, x, span=span, coords=coords)))
+            rhs = coords.span.reduce((a * AlgebraElement(
+                ctx, character_dual(ctx, x, span=span, coords=coords))).terms)
             assert lhs == rhs
+
+
+def _generator_certificate(ctx, eps):
+    """The primitivity certificate of central_idempotents when the
+    JM-center span is the center: e_1..e_n have single eigenvalues."""
+    gens = [ctx.symmetric_jm(k) for k in range(1, ctx.n + 1)]
+    return _single_eigenvalues(ctx, eps, gens) is not None
+
+
+def _center_basis_certificate(ctx, zbasis, eps):
+    """The per-element certificate it replaced, kept as an oracle: every
+    center basis element has a single eigenvalue on eps * Z."""
+    return all(unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, z))
+               is not None for z in zbasis)
 
 
 class TestIdempotents:
     def test_generic_n2_r1_two_blocks(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(7), [1])
-        eps = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx)
         assert len(eps) == 2
 
     def test_q_minus_one_single_block(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
-        assert len(central_idempotents(ctx)) == 1
+        eps, _, _ = central_idempotents(ctx)
+        assert len(eps) == 1
 
     def test_cyclotomic_order_two(self):
         dom = CyclotomicDomain(2)
         ctx = AlgebraContext(2, 2, dom, dom.zeta(1), [dom.one, dom.one])
-        eps = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx)
         assert len(eps) == 2
 
     def test_family_is_orthogonal_and_complete(self, rational_ctx):
         ctx = rational_ctx(3, 1, Fraction(-1), [1])
-        eps = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx)
         assert len(eps) == 2
         total = ctx.zero()
         for i, e in enumerate(eps):
@@ -278,21 +295,29 @@ class TestIdempotents:
 
     def test_deterministic(self, rational_ctx):
         ctx = rational_ctx(3, 1, Fraction(-1), [1])
-        eps1 = central_idempotents(ctx)
-        eps2 = central_idempotents(ctx)
+        eps1, spectra1, _ = central_idempotents(ctx)
+        eps2, spectra2, _ = central_idempotents(ctx)
         assert all(a == b for a, b in zip(eps1, eps2))
+        assert spectra1 == spectra2
 
     def test_galois_stable_split_over_larger_field(self):
         # order-4 cyclotomic parameters: semisimple with two blocks whose
         # spectra and idempotent coefficients live in Q(i), not in Q
         dom = CyclotomicDomain(4)
         ctx = AlgebraContext(2, 1, dom, dom.zeta(1), [dom.one])
-        eps = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx)
         assert len(eps) == 2
 
     def test_q_one_is_refused(self, rational_ctx):
-        # at q = 1 the spectra cannot separate the two blocks of Q[S_2]
+        # at q = 1 the spectra cannot separate the two blocks of Q[S_2]:
+        # e_1 and e_2 are scalars there, so the generators accept the
+        # identity; rank JM < dim Z puts the center basis in the
+        # certificate, and T_1 has two eigenvalues
         ctx = rational_ctx(2, 1, Fraction(1), [1])
+        center, span = center_and_jm_span(ctx)
+        assert span.in_center and span.rank < center.rank
+        assert _single_eigenvalues(
+            ctx, ctx.one(), span.generators[:-1]) is not None
         with pytest.raises(IdempotentSplitError, match="not primitive"):
             central_idempotents(ctx)
 
@@ -306,19 +331,28 @@ def _root_of_unity_ctx(n, r, ell, charge):
 class TestPrimitivityCertificate:
     def test_rejects_identity_of_two_blocks(self):
         ctx = _root_of_unity_ctx(3, 1, 2, (0,))
-        zbasis = center_basis(ctx)
-        assert not _certify_primitive(ctx, zbasis, ctx.one())
-        for eps in central_idempotents(ctx):
-            assert _certify_primitive(ctx, zbasis, eps)
+        assert not _generator_certificate(ctx, ctx.one())
+        eps, _, _ = central_idempotents(ctx)
+        assert len(eps) == 2
+        for e in eps:
+            assert _generator_certificate(ctx, e)
 
     def test_rejects_sum_of_two_blocks(self):
         ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
-        zbasis = center_basis(ctx)
-        eps = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx)
         assert len(eps) == 3
-        assert not _certify_primitive(ctx, zbasis, eps[0] + eps[1])
+        assert not _generator_certificate(ctx, eps[0] + eps[1])
         for e in eps:
-            assert _certify_primitive(ctx, zbasis, e)
+            assert _generator_certificate(ctx, e)
+
+    def test_spectra_are_the_certified_eigenvalues(self):
+        ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
+        eps, spectra, _ = central_idempotents(ctx)
+        for e, spectrum in zip(eps, spectra):
+            assert spectrum == tuple(
+                unique_eigenvalue(ctx, min_poly_on_center_ideal(
+                    ctx, e, ctx.symmetric_jm(k)))
+                for k in range(1, ctx.n + 1))
 
     def test_merged_spectrum_classes_are_refused(self, monkeypatch):
         # (3,1) at ell = 2 has two blocks; pretending both spectra are one
@@ -341,7 +375,7 @@ class TestPrimitivityCertificate:
 class TestBlockSpectra:
     def test_unique_eigenvalue_extraction(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
-        (eps,) = central_idempotents(ctx)
+        (eps,), _, _ = central_idempotents(ctx)
         mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(1))
         value = unique_eigenvalue(ctx, mu)
         # e_1 = L_1 + L_2 = Q_1 + q Q_1 = 0 at q = -1, Q_1 = 1
@@ -360,7 +394,7 @@ class TestBlockSpectra:
         # a minimal polynomial of degree 3 from a real block: e_2 on the
         # first block of (2,2) at q = -1, Q = (1, 1)
         ctx = _root_of_unity_ctx(2, 2, 2, (0, 0))
-        eps = central_idempotents(ctx)[0]
+        eps = central_idempotents(ctx)[0][0]
         mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(2))
         assert len(mu) == 4
         assert unique_eigenvalue(ctx, mu) == ctx.domain.from_int(-1)
@@ -371,3 +405,53 @@ class TestBlockSpectra:
         mu = [ctx.domain.from_int(2), ctx.domain.from_int(-3),
               ctx.domain.one]
         assert unique_eigenvalue(ctx, mu) is None
+
+
+class TestPerElementOracles:
+    """The per-element loops that the generator certificates replaced, kept
+    as oracles: inclusion, centrality, the module property and primitivity
+    checked on every span element or center basis element agree with the
+    checks on the generators."""
+
+    @pytest.fixture(params=["(3,1) q=-1", "(2,2) zeta_5", "(3,2) generic"])
+    def ctx(self, request, rational_ctx, sampled_ctxs):
+        if request.param == "(3,1) q=-1":
+            return rational_ctx(3, 1, Fraction(-1), [1])
+        if request.param == "(2,2) zeta_5":
+            return _root_of_unity_ctx(2, 2, 5, (0, 1))
+        return sampled_ctxs(3, 2)[0]
+
+    def test_every_span_element_is_central(self, ctx):
+        center, span = center_and_jm_span(ctx)
+        assert span.in_center
+        for x in span.elements:
+            assert center.contains(x.terms)
+            for g in ctx.generators():
+                assert x * g == g * x
+
+    def test_module_property_on_every_span_element(self, ctx):
+        mps = enumerate_multipartitions(ctx.n, ctx.r)
+        span = jm_center_span(ctx)
+        coords = commutator_coordinates(ctx)
+        gram = trace_gram_matrix(ctx, span, coords)
+        chars = descriptor_characters(ctx, span.descriptors)
+        d = ctx.domain
+        for lam in range(len(mps)):
+            unit = [d.one if k == lam else d.zero for k in range(len(mps))]
+            dual = AlgebraElement(ctx, character_dual(
+                ctx, unit, span=span, coords=coords, gram=gram))
+            for a, sigma in zip(span.elements, chars[lam]):
+                assert coords.span.reduce((a * dual).terms) == \
+                    (dual * sigma).terms
+        assert _module_map_witness(ctx, mps, span, coords, gram) is None
+
+    def test_center_basis_certificate_agrees_on_every_block(self, ctx):
+        zbasis = center_basis(ctx)
+        eps, _, _ = central_idempotents(ctx)
+        assert len(eps) >= 2
+        for e in eps:
+            assert _center_basis_certificate(ctx, zbasis, e)
+            assert _generator_certificate(ctx, e)
+        for merged in (ctx.one(), eps[0] + eps[1]):
+            assert not _center_basis_certificate(ctx, zbasis, merged)
+            assert not _generator_certificate(ctx, merged)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclohecke import center, cli, hecke, suites
+from conftest import add_T1_to_e1
+from cyclohecke import center, cli, hecke
 from cyclohecke.hecke import EngineError
 from cyclohecke.linalg import kernel_basis
 from cyclohecke.cli import (
@@ -244,27 +245,30 @@ class TestExitCodes:
 
 
 class TestInclusionCertificate:
-    """hilb and center check that the JM-center span lies in the center."""
+    """hilb and center check that the generators of the JM-center span lie
+    in the center."""
 
-    @pytest.mark.parametrize("argv", [
-        "hilb --n 3 --q-values 2",
-        "center --n 2 --r 2 --q 3 --Q 2,5",
-        "center --n 3 --r 1 --q generic --Q generic",
-    ])
+    @pytest.mark.parametrize("argv, reasons", [pytest.param(*case, id=case[0])
+                                               for case in [
+        # the non-central e_1 also enlarges the span past dim Z = p(3)
+        ("hilb --n 3 --q-values 2",
+         ["center and JM-center dimensions differ",
+          "generic dimensions differ from p(n)",
+          "a JM-center element is not in the center"]),
+        ("center --n 2 --r 2 --q 3 --Q 2,5",
+         ["a JM-center element is not in the center"]),
+        ("center --n 3 --r 1 --q generic --Q generic",
+         ["a JM-center element is not in the center"] * 3),
+    ]])
     def test_jm_element_outside_the_center_fails(self, monkeypatch, capsys,
-                                                 argv):
-        def with_T1(ctx, *args):
-            span = center.jm_center_span(ctx, *args)
-            span.elements.append(ctx.T(1))
-            return span
-
-        monkeypatch.setattr(suites, "jm_center_span", with_T1)
+                                                 argv, reasons):
+        # the generator e_1 becomes e_1 + T_1, which is not central
+        add_T1_to_e1(monkeypatch)
         assert main(argv.split()) == 1
         reports = [json.loads(line)
                    for line in capsys.readouterr().out.splitlines()]
         assert [r["status"] for r in reports] == ["fail"]
-        assert {w["reason"] for w in reports[0]["witnesses"]} == {
-            "a JM-center element is not in the center"}
+        assert [w["reason"] for w in reports[0]["witnesses"]] == reasons
 
 
 class TestCenterKernelFault:

@@ -212,3 +212,62 @@ class TestBlocks:
         a = verify_blocks(3, 1, 2, (0,), seed=1).to_json()
         b = verify_blocks(3, 1, 2, (0,), seed=1).to_json()
         assert a == b
+
+
+class TestBlockMatchingFaults:
+    """Each block-matching check fails on its own fault, with its own first
+    witness. (3,1) at ell = 2 has the classes (1, 2) = {[2,1]} and
+    (2, 1) = {[3], [1,1,1]}, and two blocks."""
+
+    def test_moved_multipartition_makes_class_spectra_not_constant(
+            self, monkeypatch):
+        from cyclohecke import ktheory
+
+        partition = ktheory.block_partition
+
+        def moved(*args):
+            classes = partition(*args)
+            classes[(1, 2)].append(classes[(2, 1)].pop(0))
+            return classes
+
+        monkeypatch.setattr(ktheory, "block_partition", moved)
+        rep = verify_blocks(3, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses[0] == {"reason": "class spectra not constant",
+                                    "residue": "(1, 2)"}
+
+    def test_equal_spectra_make_classes_share_a_spectrum(self, monkeypatch):
+        from cyclohecke import ktheory
+
+        characters = ktheory.specialized_elementary_characters
+
+        def all_first_row(ctx):
+            mps, rows = characters(ctx)
+            return mps, [rows[0]] * len(rows)
+
+        monkeypatch.setattr(ktheory, "specialized_elementary_characters",
+                            all_first_row)
+        rep = verify_blocks(3, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses[0] == {
+            "reason": "distinct residue classes share a spectrum",
+            "classes": 2, "spectra": 1}
+
+    def test_perturbed_block_spectrum_matches_no_class(self, monkeypatch):
+        # the true spectra of e_1, e_2, e_3 are (1, -1, -1) and (-1, -1, 1)
+        from cyclohecke import ktheory
+
+        split = ktheory.central_idempotents
+
+        def perturbed(ctx):
+            idempotents, spectra, span = split(ctx)
+            first = spectra[0]
+            spectra[0] = (first[0] + ctx.domain.one,) + first[1:]
+            return idempotents, spectra, span
+
+        monkeypatch.setattr(ktheory, "central_idempotents", perturbed)
+        rep = verify_blocks(3, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses == [{
+            "reason": "block does not match a residue class",
+            "spectrum": ["2", "-1", "-1"]}]

@@ -1,8 +1,13 @@
 """Every benchmark workload's seed-0 invocations, run through the CLI in one
 process, print exactly the stored reference output in bench/reference/:
-the byte-stability test of stdout, without a benchmark run."""
+the byte-stability test of stdout, without a benchmark run. The same holds
+for a traced benchmark worker, whose tracer wraps package functions by
+name, so a renamed function fails here rather than in a traced bench run."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +15,8 @@ import pytest
 
 from cyclohecke import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _load_workloads():
@@ -37,5 +43,25 @@ def test_stdout_equals_reference(name, capsys):
     for argv in workloads.WORKLOADS[name].invocations(workloads.DEFAULT_SEED):
         assert cli.main(argv) == 0, argv
         stdout += capsys.readouterr().out
+    reference = (BENCH / "reference" / f"{name}.out").read_bytes()
+    assert stdout.encode() == reference
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_worker_prints_reference(name):
+    invocations = workloads.WORKLOADS[name].invocations(workloads.DEFAULT_SEED)
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), "--trace", "1",
+         json.dumps(invocations)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert "layers" in record
+    for result in record["invocations"]:
+        assert result["traceback"] is None, result["traceback"]
+        assert result["exit_code"] == 0, result["argv"]
+    stdout = "".join(result["stdout"] for result in record["invocations"])
     reference = (BENCH / "reference" / f"{name}.out").read_bytes()
     assert stdout.encode() == reference

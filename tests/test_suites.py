@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import add_T1_to_e1
 from cyclohecke import center, suites
 from cyclohecke.hecke import AlgebraContext
 from cyclohecke.reports import VerificationReport, summarize
@@ -184,34 +185,38 @@ class TestPairingCertificateFaults:
         assert rep.witnesses[0]["reason"] == "trace symmetry failed"
 
     def test_non_central_span_element_fails_adjointness(self, monkeypatch):
-        span_of = suites.jm_center_span
-
-        def with_T1(ctx, *args):
-            span = span_of(ctx, *args)
-            span.elements.append(ctx.T(1))
-            return span
-
-        monkeypatch.setattr(suites, "jm_center_span", with_T1)
+        # the generator e_1 becomes e_1 + T_1, which is not central
+        add_T1_to_e1(monkeypatch)
         rep = suite_pairing(2, 2, samples=1)
         assert rep.status == "fail"
         assert rep.witnesses[0] == {
             "reason": "JM-center element is not central",
-            "a": "(1) * T[2,1]"}
+            "a": "(1) * T[2,1] + (1) * L2 + (1) * L1"}
 
-    @pytest.mark.parametrize("module", [center, suites],
-                             ids=["center", "suites"])
+    @pytest.mark.parametrize("module, table", [
+        (center, "descriptor_characters"),
+        (suites, "specialized_elementary_characters"),
+    ], ids=["center", "suites"])
     def test_swapped_character_rows_fail_module_property(self, monkeypatch,
-                                                         module):
-        # the dual is built from center's character table and checked
-        # against the suite's: a relabeling on either side is caught
-        characters = module.descriptor_characters
+                                                         module, table):
+        # the dual is built from center's character table of the span and
+        # checked against the suite's own table of the generators: a
+        # relabeling on either side is caught
+        characters = getattr(module, table)
 
-        def swapped(ctx, descriptors):
-            rows = characters(ctx, descriptors)
+        def swap(rows):
             rows[0], rows[1] = rows[1], rows[0]
             return rows
 
-        monkeypatch.setattr(module, "descriptor_characters", swapped)
+        if table == "descriptor_characters":
+            def swapped(ctx, descriptors):
+                return swap(characters(ctx, descriptors))
+        else:
+            def swapped(ctx):
+                mps, rows = characters(ctx)
+                return mps, swap(rows)
+
+        monkeypatch.setattr(module, table, swapped)
         rep = suite_pairing(2, 2, samples=1)
         assert rep.status == "fail"
         assert [w["reason"] for w in rep.witnesses] == [
