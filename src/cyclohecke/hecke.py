@@ -173,8 +173,7 @@ class AlgebraElement:
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.terms = {
-            w: c for w, c in terms.items() if not ctx.domain.is_zero(c)}
+        self.terms = ctx.domain.nonzero(terms)
 
     def _check(self, other):
         if self.ctx is not other.ctx:
@@ -342,7 +341,7 @@ class AlgebraContext:
                         self._accumulate(col, (e, w2), c * t)
                 else:
                     self._accumulate(col, (e, w), c)
-            cols.append(col)
+            cols.append(d.nonzero(col))
         return cols
 
     def _straightening(self, a, b):
@@ -369,7 +368,7 @@ class AlgebraContext:
                     if not d.is_zero(c):
                         e = (j,) + exps[1:]
                         self._accumulate(col, (e, w), c)
-            cols.append(col)
+            cols.append(d.nonzero(col))
         return cols
 
     def _compose_L(self, mats, i):
@@ -381,28 +380,17 @@ class AlgebraContext:
             vec = dict(t_mat[j])
             vec = self._apply_cols(l_mat, vec)
             vec = self._apply_cols(t_mat, vec)
-            cols.append({k: v * self.q_inv for k, v in vec.items()})
+            cols.append(self.domain.scale(vec, self.q_inv))
         return cols
 
     def _accumulate(self, col, word, coeff):
+        """col[word] += coeff with no zero check: each column is reduced
+        once, by domain.nonzero, when it is complete."""
         idx = self.index[word]
-        d = self.domain
-        acc = col.get(idx, d.zero) + coeff
-        if d.is_zero(acc):
-            col.pop(idx, None)
-        else:
-            col[idx] = acc
+        col[idx] = col[idx] + coeff if idx in col else coeff
 
     def _apply_cols(self, cols, vec):
-        out = {}
-        for j, c in vec.items():
-            for k, m in cols[j].items():
-                if k in out:
-                    out[k] += m * c
-                else:
-                    out[k] = m * c
-        is_zero = self.domain.is_zero
-        return {k: v for k, v in out.items() if not is_zero(v)}
+        return self.domain.apply_cols(cols, vec)
 
     # -- element constructors ---------------------------------------------
 
@@ -437,15 +425,7 @@ class AlgebraContext:
 
     def _add_scaled(self, out, vec, coeff=None):
         """out += coeff * vec in place (coeff None means 1)."""
-        d = self.domain
-        for k, c in vec.items():
-            if coeff is not None:
-                c = coeff * c
-            acc = out[k] + c if k in out else c
-            if d.is_zero(acc):
-                out.pop(k, None)
-            else:
-                out[k] = acc
+        self.domain.add_scaled(out, vec, coeff)
 
     def multiply(self, x, y):
         """Product x * y in PBW normal form.
@@ -508,7 +488,7 @@ class AlgebraContext:
             else:
                 self._accumulate(col, (exps, wsi), q)
                 self._accumulate(col, (exps, w), qm1)
-            cols.append(col)
+            cols.append(d.nonzero(col))
         return cols
 
     # -- named operations ---------------------------------------------------
@@ -569,7 +549,7 @@ class AlgebraContext:
             vec = L_inv(i, vec)
         scale = d.inv(c[0]) ** self.n * self.q_inv ** (
             self.n * (self.n - 1) // 2)
-        return {k: x * scale for k, x in vec.items()}
+        return d.scale(vec, scale)
 
     def symmetric_jm(self, k):
         """e_k(L_1, ..., L_n) in PBW normal form, 1 <= k <= n; the first call
@@ -640,7 +620,7 @@ def _relation_operator_checks(ctx):
         return apply
 
     def scale(c, f):
-        return lambda v: {k: c * x for k, x in f(v).items()}
+        return lambda v: ctx.domain.scale(f(v), c)
 
     def combine(*cfs):
         def apply(v):

@@ -1,5 +1,5 @@
 """Exact linear algebra over the field domains (rationals, cyclotomic
-fields), built on one sparse reduced row echelon form.
+fields, the prime field), built on one sparse reduced row echelon form.
 
 A RowSpace takes and returns sparse vectors, dicts {column: entry}: explicit
 zero entries are ignored and an argument is never modified. It holds its
@@ -37,21 +37,11 @@ class RowSpace:
 
         One pass suffices because each stored row is zero at the other
         pivots, so clearing one pivot leaves the others untouched."""
-        is_zero = self.domain.is_zero
-        v = {j: x for j, x in vector.items() if not is_zero(x)}
+        add_scaled = self.domain.add_scaled
+        v = self.domain.nonzero(vector)
         for pc in [c for c in v if c in self.rows]:
-            self._subtract(v, v[pc], self.rows[pc])
+            add_scaled(v, self.rows[pc], -v[pc])
         return v
-
-    def _subtract(self, target, factor, row):
-        """target -= factor * row in place, dropping entries that cancel."""
-        is_zero = self.domain.is_zero
-        for j, x in row.items():
-            y = target[j] - factor * x if j in target else -factor * x
-            if is_zero(y):
-                del target[j]
-            else:
-                target[j] = y
 
     def _add(self, vector):
         v = self.reduce(vector)
@@ -59,12 +49,11 @@ class RowSpace:
             return False
         d = self.domain
         pc = min(v)
-        inv = d.inv(v[pc])
-        row = {j: x * inv for j, x in v.items()}
+        row = d.scale(v, d.inv(v[pc]))
         row[pc] = d.one
         for other in self.rows.values():
             if pc in other:
-                self._subtract(other, other[pc], row)
+                d.add_scaled(other, row, -other[pc])
         self.rows[pc] = row
         return True
 

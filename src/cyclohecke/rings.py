@@ -540,7 +540,8 @@ class ScalarDomain:
     """Tagged choice of exact coefficient ring with its ring operations.
 
     Elements carry their own arithmetic through operator overloading; the
-    domain supplies constants, coercions, inverses and rendering.
+    domain supplies constants, coercions, inverses and rendering, and owns
+    the sparse inner loops on vectors, dicts {index: nonzero entry}.
     """
 
     name = "abstract"
@@ -553,6 +554,39 @@ class ScalarDomain:
 
     def render(self, x):
         return str(x)
+
+    def nonzero(self, vec):
+        """A copy of vec without its zero entries."""
+        is_zero = self.is_zero
+        return {k: x for k, x in vec.items() if not is_zero(x)}
+
+    def scale(self, vec, c):
+        """c * vec for a nonzero scalar c."""
+        return {k: x * c for k, x in vec.items()}
+
+    def add_scaled(self, out, vec, coeff=None):
+        """out += coeff * vec in place (coeff None means 1), dropping
+        entries that cancel."""
+        is_zero = self.is_zero
+        for k, c in vec.items():
+            if coeff is not None:
+                c = coeff * c
+            acc = out[k] + c if k in out else c
+            if is_zero(acc):
+                out.pop(k, None)
+            else:
+                out[k] = acc
+
+    def apply_cols(self, cols, vec):
+        """The matrix with sparse columns cols applied to vec."""
+        out = {}
+        for j, c in vec.items():
+            for k, m in cols[j].items():
+                if k in out:
+                    out[k] += m * c
+                else:
+                    out[k] = m * c
+        return self.nonzero(out)
 
 
 class RationalDomain(ScalarDomain):
@@ -575,6 +609,58 @@ class RationalDomain(ScalarDomain):
 
     def is_zero(self, x):
         return x == 0
+
+
+PRIME = 2 ** 30 - 35  # the largest prime below 2^30: one machine digit
+
+
+class PrimeFieldDomain(ScalarDomain):
+    """The prime field F_p, p = PRIME as read at construction. Elements are
+    plain ints in [0, p). Every method accepts any int, so the ring
+    operators of the callers need no reduction: the vector methods
+    accumulate raw products and reduce once per output entry."""
+
+    def __init__(self):
+        self.p = PRIME
+        self.name = f"prime_{self.p}"
+        self.zero = 0
+        self.one = 1
+
+    def from_int(self, k):
+        return k % self.p
+
+    def from_fraction(self, f):
+        f = Fraction(f)
+        return f.numerator * self.inv(f.denominator) % self.p
+
+    def inv(self, x):
+        x %= self.p
+        if not x:
+            raise NotInvertibleError("zero has no inverse")
+        return pow(x, -1, self.p)
+
+    def is_zero(self, x):
+        return not x % self.p
+
+    def nonzero(self, vec):
+        p = self.p
+        return {k: y for k, x in vec.items() if (y := x % p)}
+
+    def scale(self, vec, c):
+        p = self.p
+        c %= p
+        return {k: x * c % p for k, x in vec.items()} if c else {}
+
+    def add_scaled(self, out, vec, coeff=None):
+        p = self.p
+        coeff = 1 if coeff is None else coeff % p
+        get = out.get
+        for k, c in vec.items():
+            acc = (get(k, 0) + c * coeff) % p
+            if acc:
+                out[k] = acc
+            else:
+                out.pop(k, None)
 
 
 class CyclotomicDomain(ScalarDomain):

@@ -2,8 +2,10 @@
 
 "Generic parameter" claims are certified at sampled random rational
 specializations (Schwartz-Zippel style), never proclaimed proved; the
-reports label them "generic (sampled)". Every suite is deterministic given
-its parameters and seed.
+reports label them "generic (sampled)". At rational parameters, the center
+and JM-center dimensions are certified over a prime field first, with the
+exact computation as the fallback (docs/reports.md). Every suite is
+deterministic given its parameters and seed.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .hecke import (
     AlgebraElement,
     all_permutations,
     perm_compose,
+    right_mult_simple,
 )
 from .ktheory import verify_main_theorem
 from .linalg import kernel_basis
 from .reports import VerificationReport
-from .rings import CyclotomicDomain, RationalDomain
+from .rings import CyclotomicDomain, PrimeFieldDomain, RationalDomain
 
 
 def sample_specialization(n, rng, r):
@@ -61,15 +64,16 @@ def sample_specialization(n, rng, r):
             return q, Qs
 
 
-def generic_contexts(n, r, seed, samples=3):
-    """Independently sampled rational specializations of (n, r)."""
+def generic_specializations(n, r, seed, samples=3):
+    """Independently sampled rational (q, [Q_1..Q_r]) for (n, r)."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        q, Qs = sample_specialization(n, rng, r)
-        domain = RationalDomain()
-        out.append(AlgebraContext(n, r, domain, q, Qs))
-    return out
+    return [sample_specialization(n, rng, r) for _ in range(samples)]
+
+
+def generic_contexts(n, r, seed, samples=3):
+    """Exact contexts at generic_specializations(n, r, seed, samples)."""
+    return [AlgebraContext(n, r, RationalDomain(), q, Qs)
+            for q, Qs in generic_specializations(n, r, seed, samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +106,37 @@ def suite_main_theorem(budget=400):
 # center and Jucys-Murphy center
 # ---------------------------------------------------------------------------
 
-def _center_and_jm_center(ctx, label):
-    """The center and the JM-center span of one context: the result entry
-    {"q": label, "dim_center", "dim_jm_center"}, the span, and the inclusion
-    witness, None when every generator of the span lies in the center."""
-    center, span = center_and_jm_span(ctx)
+def _prime_field_certificate(n, r, q, Qs):
+    """The center and the JM-center span of (n, r) at the rational
+    parameters (q, Qs) reduced mod the prime, when they certify the exact
+    dimensions: the span's generators lie in the center and its rank is
+    dim Z (see docs/reports.md). None when the prime divides a numerator
+    or a denominator of a parameter, or when the bounds miss. The context
+    certifies its own product at build; a failure raises EngineError."""
+    domain = PrimeFieldDomain()
+    values = [Fraction(x) for x in [q, *Qs]]
+    if any(not x.numerator % domain.p or not x.denominator % domain.p
+           for x in values):
+        return None
+    q_p, *Qs_p = [domain.from_fraction(x) for x in values]
+    center, span = center_and_jm_span(AlgebraContext(n, r, domain, q_p, Qs_p))
+    if span.in_center and span.rank == center.rank:
+        return center, span
+    return None
+
+
+def _center_and_jm_center(n, r, domain, q, Qs, label):
+    """The center and the JM-center span of (n, r) at (q, Qs) in domain:
+    the result entry {"q": label, "dim_center", "dim_jm_center"}, the span,
+    and the inclusion witness, None when every generator of the span lies
+    in the center. Rational parameters are tried over the prime field
+    first; the exact computation runs where that certificate is refused or
+    misses."""
+    found = None
+    if isinstance(domain, RationalDomain):
+        found = _prime_field_certificate(n, r, q, Qs)
+    center, span = found or center_and_jm_span(
+        AlgebraContext(n, r, domain, q, Qs))
     result = {"q": label, "dim_center": center.rank,
               "dim_jm_center": span.rank}
     witness = None
@@ -122,16 +152,19 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
     explicit is None, at sampled generic rational specializations."""
     start = time.perf_counter()
     if explicit is None:
-        contexts = generic_contexts(n, r, seed, samples)
+        domain = RationalDomain()
+        points = generic_specializations(n, r, seed, samples)
         label = "generic (sampled)"
     else:
-        contexts = [AlgebraContext(n, r, *explicit)]
+        domain, *point = explicit
+        points = [point]
         label = "explicit"
     results = []
     witnesses = []
-    for ctx in contexts:
-        result, span, witness = _center_and_jm_center(ctx, str(ctx.q_val))
-        result["Q"] = [str(Q) for Q in ctx.Q_vals]
+    for q, Qs in points:
+        result, span, witness = _center_and_jm_center(
+            n, r, domain, q, Qs, str(q))
+        result["Q"] = [str(Q) for Q in Qs]
         result["jm_span_capped"] = span.capped
         results.append(result)
         if witness:
@@ -182,8 +215,8 @@ def suite_hilb_fg06(n, q_specs, *, seed=0):
             label = f"zeta_{order}^{power}"
         else:
             raise ValueError(f"unknown q spec {spec!r}")
-        ctx = AlgebraContext(n, 1, domain, q_val, [domain.one])
-        result, _, inclusion = _center_and_jm_center(ctx, label)
+        result, _, inclusion = _center_and_jm_center(
+            n, 1, domain, q_val, [domain.one], label)
         dim_center, dim_jm = result["dim_center"], result["dim_jm_center"]
         results.append(result)
         if dim_center != dim_jm:
@@ -240,7 +273,6 @@ class SmashProduct:
         self.exp_index = {e: i for i, e in enumerate(self.exponents)}
         self.perms = all_permutations(n)
         self.basis = [(e, w) for e in self.exponents for w in self.perms]
-        self.index = {word: i for i, word in enumerate(self.basis)}
 
     def _reduce_monomial(self, exps):
         """Expand a monomial with exponents possibly >= r into the reduced
@@ -281,6 +313,13 @@ class SmashProduct:
             out[(e, perm)] = out.get((e, perm), Fraction(0)) + c
         return {k: c for k, c in out.items() if c}
 
+    def generator_words(self):
+        """The words of s_1..s_{n-1} and L_1, which generate the algebra."""
+        identity = tuple(range(self.n))
+        words = [((0,) * self.n, right_mult_simple(identity, i))
+                 for i in range(self.n - 1)]
+        return words + [((1,) + (0,) * (self.n - 1), identity)]
+
     def invariant_polynomial_dim(self):
         """Dimension of the symmetric-group invariants of P_Q: kernel of the
         stacked (swap - identity) actions on the monomial basis."""
@@ -295,11 +334,28 @@ class SmashProduct:
         return len(kernel_basis(rows, RationalDomain(), len(self.exponents)))
 
 
+def _smash_mismatch(smash, ctx):
+    """The first generator word g and basis word y on which the smash
+    product g y differs from the engine's generator matrix at q = 1, as a
+    witness, or None. Agreement on the generators makes the products agree
+    on every pair of words (see docs/reports.md)."""
+    keys = [("T", i) for i in range(ctx.n - 1)] + [("L", 1)]
+    for key, g in zip(keys, smash.generator_words()):
+        for y, col in zip(ctx.basis, ctx._matrices[key]):
+            if smash.multiply_words(g, y) != {
+                    ctx.basis[k]: c for k, c in col.items()}:
+                return {"reason": "engine at q = 1 differs from the smash "
+                                  "product",
+                        "left": str(g), "right": str(y)}
+    return None
+
+
 def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
     """At q = 1 the invariant subalgebra of the smash product has dimension
     binom(n+r-1, n), strictly below the multipartition count once n, r >= 2;
     the engine's JM-center rank at q = 1 must reproduce the same number, and
-    for n <= 2 the two algebra structures are compared word by word."""
+    left multiplication by each generator on every basis word must agree
+    between the smash product and the engine's generator matrices."""
     start = time.perf_counter()
     rng = random.Random(seed)
     if Q_vals is None:
@@ -335,25 +391,9 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
             "reason": "engine JM-center rank at q = 1 disagrees",
             "jm_rank": jm_rank, "invariant_dim": invariant_dim,
         })
-    compared = False
-    if n <= 2:
-        compared = True
-        for x in smash.basis:
-            for y in smash.basis:
-                expected_terms = smash.multiply_words(x, y)
-                got = ctx.multiply(
-                    ctx.basis_element(ctx.index[x]),
-                    ctx.basis_element(ctx.index[y]))
-                got_terms = {ctx.basis[k]: c for k, c in got.terms.items()}
-                if got_terms != expected_terms:
-                    witnesses.append({
-                        "reason": "engine at q = 1 differs from the smash "
-                                  "product",
-                        "left": str(x), "right": str(y),
-                    })
-                    break
-            if witnesses:
-                break
+    witness = _smash_mismatch(smash, ctx)
+    if witness:
+        witnesses.append(witness)
     return VerificationReport(
         check="q1_invariant_gap",
         params={
@@ -362,7 +402,7 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
             "binom": expected,
             "multipartitions": mp_count,
             "gap": invariant_dim < mp_count,
-            "structure_compared": compared,
+            "structure_compared": True,
         },
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,

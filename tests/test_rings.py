@@ -15,6 +15,7 @@ from cyclohecke.rings import (
     LaurentDomain,
     LaurentPoly,
     NotInvertibleError,
+    PrimeFieldDomain,
     RationalDomain,
     cyclotomic_polynomial,
     elementary_symmetric,
@@ -426,6 +427,51 @@ class TestLaurentDomain:
 
     def test_name(self):
         assert LaurentDomain(2).name == "laurent_2"
+
+
+def _random_vector(rng, size=8, density=5):
+    return {rng.randrange(size):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for _ in range(density)}
+
+
+class TestPrimeFieldDomain:
+    """The F_p vector methods against the rational ones reduced mod p."""
+
+    def reduce(self, dom, vec):
+        return dom.nonzero({k: dom.from_fraction(x) for k, x in vec.items()})
+
+    def test_vector_methods_reduce_the_rational_results(self):
+        fp, qq = PrimeFieldDomain(), RationalDomain()
+        rng = random.Random(3)
+        for _ in range(50):
+            cols = [_random_vector(rng) for _ in range(8)]
+            vec, out = _random_vector(rng), _random_vector(rng)
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            cols_p = [self.reduce(fp, col) for col in cols]
+            assert fp.apply_cols(cols_p, self.reduce(fp, vec)) == \
+                self.reduce(fp, qq.apply_cols(cols, vec))
+            assert fp.scale(self.reduce(fp, vec), fp.from_fraction(c)) == \
+                self.reduce(fp, qq.scale(vec, c))
+            got, want = self.reduce(fp, out), dict(out)
+            fp.add_scaled(got, self.reduce(fp, vec), -fp.from_fraction(c))
+            qq.add_scaled(want, vec, -c)
+            assert got == self.reduce(fp, want)
+
+    def test_cancellation_mod_p_drops_the_entry(self):
+        fp = PrimeFieldDomain()
+        out = {0: 1, 1: 2}
+        fp.add_scaled(out, {0: fp.p - 1, 1: 5})
+        assert out == {1: 7}
+        assert fp.nonzero({0: fp.p, 1: -1}) == {1: fp.p - 1}
+
+    def test_prime_dividing_a_denominator_is_refused(self):
+        fp = PrimeFieldDomain()
+        assert fp.from_fraction(Fraction(-1, 2)) * 2 % fp.p == fp.p - 1
+        with pytest.raises(NotInvertibleError):
+            fp.from_fraction(Fraction(1, fp.p))
+        with pytest.raises(NotInvertibleError):
+            fp.inv(3 * fp.p)
 
 
 @given(st.integers(min_value=1, max_value=30))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -99,32 +100,24 @@ class TestSmashProduct:
         assert SmashProduct(1, 3, [2, 5, 11]).invariant_polynomial_dim() == 3
 
     def test_multiplication_is_associative(self):
+        # on every triple of basis words at (2, 2): q1-gap compares only
+        # generator x word products and relies on this associativity
         smash = SmashProduct(2, 2, [2, 5])
-        rng = random.Random(1)
-        words = smash.basis
 
-        def mult_terms(terms, word):
+        def mult_terms(terms, word, left):
             out = {}
             for w, c in terms.items():
-                for w2, c2 in smash.multiply_words(w, word).items():
+                prod = (smash.multiply_words(word, w) if left
+                        else smash.multiply_words(w, word))
+                for w2, c2 in prod.items():
                     out[w2] = out.get(w2, Fraction(0)) + c * c2
             return {k: v for k, v in out.items() if v}
 
-        for _ in range(50):
-            x, y, z = (words[rng.randrange(len(words))] for _ in range(3))
-            xy = smash.multiply_words(x, y)
-            yz = smash.multiply_words(y, z)
-            left = {}
-            for w, c in xy.items():
-                for w2, c2 in smash.multiply_words(w, z).items():
-                    left[w2] = left.get(w2, Fraction(0)) + c * c2
-            left = {k: v for k, v in left.items() if v}
-            right = {}
-            for w, c in yz.items():
-                prod = smash.multiply_words(x, w)
-                for w2, c2 in prod.items():
-                    right[w2] = right.get(w2, Fraction(0)) + c * c2
-            right = {k: v for k, v in right.items() if v}
+        words = smash.basis
+        assert len(words) == 8
+        for x, y, z in itertools.product(words, repeat=3):
+            left = mult_terms(smash.multiply_words(x, y), z, left=False)
+            right = mult_terms(smash.multiply_words(y, z), x, left=True)
             assert left == right
 
     def test_gap_2_2(self):
@@ -134,6 +127,32 @@ class TestSmashProduct:
         assert rep.params["multipartitions"] == 5
         assert rep.params["gap"] is True
         assert rep.params["structure_compared"] is True
+
+    @pytest.mark.parametrize("n, r", [(1, 3), (3, 1), (3, 2), (4, 2)])
+    def test_structure_compared_at_every_n(self, n, r):
+        rep = suite_q1_gap(n, r)
+        assert rep.passed
+        assert rep.params["structure_compared"] is True
+
+    def test_one_entry_smash_fault_fails(self, monkeypatch):
+        # one coefficient of one product of a generator with a basis word:
+        # the invariant dimension and the JM rank do not see it
+        multiply_words = SmashProduct.multiply_words
+
+        def faulty(self, x, y):
+            out = multiply_words(self, x, y)
+            if y == self.basis[-1] and x == self.generator_words()[1]:
+                key = min(out)
+                out[key] += 1
+            return out
+
+        monkeypatch.setattr(SmashProduct, "multiply_words", faulty)
+        rep = suite_q1_gap(3, 2, [Fraction(2), Fraction(5)])
+        assert rep.status == "fail"
+        assert rep.witnesses == [{
+            "reason": "engine at q = 1 differs from the smash product",
+            "left": str(((0, 0, 0), (0, 2, 1))),
+            "right": str(((1, 1, 1), (2, 1, 0)))}]
 
     def test_gap_2_3(self):
         rep = suite_q1_gap(2, 3, [Fraction(2), Fraction(5), Fraction(11)])
