@@ -271,10 +271,11 @@ def cocenter_dim(ctx):
 def trace_gram_matrix(ctx, span, coords):
     """Gram matrix tau(z_i * b_j) between the JM-center basis and the
     cocenter complement words, as sparse rows {position in the complement:
-    entry}; SingularGramError when not invertible."""
+    entry}, each computed as tau(b_j * z_i) (z_i is central), the path of
+    one word; SingularGramError when not invertible."""
     is_zero = ctx.domain.is_zero
     gram = [{k: x for k, j in enumerate(coords.complement)
-             if not is_zero(x := (z * ctx.basis_element(j)).tau())}
+             if not is_zero(x := (ctx.basis_element(j) * z).tau())}
             for z in span.elements]
     if not gram or len(gram) != coords.dim:
         raise SingularGramError("center and cocenter coordinates differ")

@@ -3,14 +3,14 @@
 Elements live in the PBW basis {L_1^a_1 ... L_n^a_n T_w : 0 <= a_i <= r-1,
 w in S_n}, as sparse dicts {basis index: nonzero coefficient}, the one
 vector format of the package; index 0 is the identity word.
-Multiplication applies cached generator left-multiplication maps
-(T_1..T_{n-1}, L_1, and higher L_i via the defining conjugation
-L_{i+1} = q^{-1} T_i L_i T_i) to the right factor in two shared stages:
-T_w y once per distinct suffix of the left factor's reduced words, then
-the L-exponents by Horner's rule over the trie of exponent tuples. The
-central elements e_k(L_1..L_n) and e_n^{-1} act on vectors directly through
-the same cached matrices (apply_symmetric_jm, apply_symmetric_jm_inverse),
-with no product.
+A context stores the left-multiplication matrices of the generators
+T_1..T_{n-1} and T_0 = L_1 only; _apply_L applies the higher Jucys-Murphy
+elements from their definition. Multiplication applies these maps to the
+right factor in two shared stages: T_w y once per distinct suffix of the
+left factor's reduced words, then the L-exponents by Horner's rule over the
+trie of exponent tuples. The central elements e_k(L_1..L_n) and e_n^{-1} act
+on vectors directly through the same maps (apply_symmetric_jm,
+apply_symmetric_jm_inverse), with no product.
 
 The only nontrivial rewriting rule is the straightening identity
 
@@ -260,7 +260,8 @@ def pairing(a, b):
 
 class AlgebraContext:
     """A cyclotomic Hecke algebra with fixed (n, r), scalar domain and
-    parameter images, carrying cached generator multiplication matrices.
+    parameter images, carrying the left-multiplication matrices of the
+    generators T_1..T_{n-1} and L_1.
 
     Immutable once built; all operations afterwards are read-only.
     """
@@ -297,7 +298,6 @@ class AlgebraContext:
         self.cyclo_red = [e[r - j] if (r - j) % 2 else -e[r - j]
                           for j in range(r)]
 
-        self._jm_cache = {}
         self._sym_row = None
         self._sym_inverse = None
         self._straightening_cache = {}
@@ -311,12 +311,8 @@ class AlgebraContext:
     # -- construction -----------------------------------------------------
 
     def _build_matrices(self):
-        mats = {}
-        for i in range(self.n - 1):
-            mats[("T", i)] = self._build_T_matrix(i)
+        mats = {("T", i): self._build_T_matrix(i) for i in range(self.n - 1)}
         mats[("L", 1)] = self._build_L1_matrix()
-        for i in range(2, self.n + 1):
-            mats[("L", i)] = self._compose_L(mats, i)
         self._matrices = mats
 
     def _build_T_matrix(self, i):
@@ -371,18 +367,6 @@ class AlgebraContext:
             cols.append(d.nonzero(col))
         return cols
 
-    def _compose_L(self, mats, i):
-        """Matrix of L_i = q^{-1} T_{i-1} L_{i-1} T_{i-1} by composition."""
-        t_mat = mats[("T", i - 2)]
-        l_mat = mats[("L", i - 1)]
-        cols = []
-        for j in range(self.dim):
-            vec = dict(t_mat[j])
-            vec = self._apply_cols(l_mat, vec)
-            vec = self._apply_cols(t_mat, vec)
-            cols.append(self.domain.scale(vec, self.q_inv))
-        return cols
-
     def _accumulate(self, col, word, coeff):
         """col[word] += coeff with no zero check: each column is reduced
         once, by domain.nonzero, when it is complete."""
@@ -391,6 +375,16 @@ class AlgebraContext:
 
     def _apply_cols(self, cols, vec):
         return self.domain.apply_cols(cols, vec)
+
+    def _apply_L(self, i, vec):
+        """L_i v for a sparse vector v, from the stored L_1 by the definition
+        of the Jucys-Murphy elements, L_i = q^{-1} T_{i-1} L_{i-1} T_{i-1},
+        unrolled: T_{i-1} .. T_1, L_1, T_1 .. T_{i-1}, then one scaling."""
+        mats = self._matrices
+        ts = [mats[("T", j)] for j in range(i - 2, -1, -1)]
+        for cols in ts + [mats[("L", 1)]] + ts[::-1]:
+            vec = self._apply_cols(cols, vec)
+        return vec if i == 1 else self.domain.scale(vec, self.q_inv ** (i - 1))
 
     # -- element constructors ---------------------------------------------
 
@@ -460,18 +454,22 @@ class AlgebraContext:
                 if parent not in nodes:
                     nodes[parent] = {}
                     by_depth.setdefault(depth - 1, []).append(parent)
-                self._add_scaled(nodes[parent], self._apply_cols(
-                    mats[("L", k + 1)], nodes[exps]))
+                self._add_scaled(nodes[parent],
+                                 self._apply_L(k + 1, nodes[exps]))
         return AlgebraElement(self, nodes.get((0,) * self.n, {}))
 
-    def left_multiplication_matrix(self, x):
-        """Columns of left multiplication by x on the PBW basis."""
-        return [self.multiply(x, self.basis_element(j)).terms
-                for j in range(self.dim)]
-
     def right_multiplication_matrix(self, x):
-        return [self.multiply(self.basis_element(j), x).terms
-                for j in range(self.dim)]
+        """Columns of right multiplication by x: a product for each of the
+        first n! words T_w, then L^a T_w x = L_j (L^a' T_w x) from an earlier
+        column, a' being a with one power less at its first nonzero place j."""
+        m = len(all_permutations(self.n))
+        cols = [self.multiply(self.basis_element(k), x).terms
+                for k in range(m)]
+        for exps, w in self.basis[m:]:
+            j = next(i for i, a in enumerate(exps) if a)
+            prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            cols.append(self._apply_L(j + 1, cols[self.index[(prev, w)]]))
+        return cols
 
     def right_T_matrix(self, i):
         """Right multiplication by T_i (1-based), via the Hecke rule on the
@@ -497,21 +495,17 @@ class AlgebraContext:
         """The Jucys-Murphy element L_i in PBW normal form."""
         if not 1 <= i <= self.n:
             raise ValueError("L index out of range")
-        if i not in self._jm_cache:
-            self._jm_cache[i] = AlgebraElement(self, self._apply_cols(
-                self._matrices[("L", i)], {0: self.domain.one}))
-        return self._jm_cache[i]
+        return AlgebraElement(self, self._apply_L(i, {0: self.domain.one}))
 
     def apply_symmetric_jm(self, vec):
         """[e_1 v, ..., e_n v] for a sparse vector v, e_k = e_k(L_1..L_n), in
-        one sweep over the cached L_i matrices: E_k += L_i E_{k-1}, highest k
-        first, so every E_{k-1} read is still the one from before L_i."""
+        one sweep over L_1..L_n: E_k += L_i E_{k-1}, highest k first, so
+        every E_{k-1} read is still the one from before L_i."""
         row = [vec]
         for i in range(1, self.n + 1):
-            mat = self._matrices[("L", i)]
-            row.append(self._apply_cols(mat, row[-1]))
+            row.append(self._apply_L(i, row[-1]))
             for k in range(len(row) - 2, 0, -1):
-                self._add_scaled(row[k], self._apply_cols(mat, row[k - 1]))
+                self._add_scaled(row[k], self._apply_L(i, row[k - 1]))
         return row[1:]
 
     def apply_symmetric_jm_inverse(self, vec):
@@ -576,7 +570,8 @@ class AlgebraContext:
         Needs a field domain; over the rationals and cyclotomic fields it is
         the reference that symmetric_jm_inverse is tested against."""
         d = self.domain
-        rows = transpose(self.left_multiplication_matrix(x), self.dim)
+        rows = transpose([self.multiply(x, self.basis_element(j)).terms
+                          for j in range(self.dim)], self.dim)
         rhs = [d.one] + [d.zero] * (self.dim - 1)
         z = AlgebraElement(self, solve_linear(rows, rhs, d, self.dim))
         if not (self.multiply(x, z) == self.one()
@@ -591,17 +586,17 @@ class AlgebraContext:
 
 def _relation_operator_checks(ctx):
     """(name, lhs, rhs) with lhs/rhs functions on basis vectors (index-keyed
-    dicts): the Ariki-Koike presentation with T_0 = L_1, plus the
-    conjugation q L_{i+1} = T_i L_i T_i that defines each higher L matrix,
-    as operator identities on the whole PBW basis.
+    dicts): the Ariki-Koike presentation with T_0 = L_1, as operator
+    identities on the whole PBW basis.
 
     With T_0 = L_1 the presentation is the cyclotomic relation on L_1, the
     quadratic relation on each T_i, the braid relations, T_i T_j = T_j T_i
     for |i - j| >= 2, L_1 T_i = T_i L_1 for i >= 2, and
-    T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, which is L_1 L_2 = L_2 L_1 once
-    L_2 = q^-1 T_1 L_1 T_1. Commutation of every L_i with L_j, and of T_i
-    with L_j for j not in {i, i+1}, is a theorem in any representation of
-    it, so those pairs are not checked here."""
+    T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, which is L_1 L_2 = L_2 L_1 with L_2
+    applied from its definition (AlgebraContext._apply_L). Commutation of
+    every L_i with L_j, and of T_i with L_j for j not in {i, i+1}, is a
+    theorem in any representation of it, so those pairs are not checked
+    here."""
     n = ctx.n
 
     def T(i):  # 1-based
@@ -609,8 +604,7 @@ def _relation_operator_checks(ctx):
         return lambda v: ctx._apply_cols(mat, v)
 
     def L(i):
-        mat = ctx._matrices[("L", i)]
-        return lambda v: ctx._apply_cols(mat, v)
+        return lambda v: ctx._apply_L(i, v)
 
     def compose(*fs):
         def apply(v):
@@ -618,9 +612,6 @@ def _relation_operator_checks(ctx):
                 v = f(v)
             return v
         return apply
-
-    def scale(c, f):
-        return lambda v: ctx.domain.scale(f(v), c)
 
     def combine(*cfs):
         def apply(v):
@@ -653,10 +644,6 @@ def _relation_operator_checks(ctx):
         out.append((f"quadratic T{i}",
                     compose(T(i), T(i)),
                     combine((qm1, T(i)), (q, identity))))
-    for i in range(1, n):
-        out.append((f"conjugation q L{i + 1} = T{i} L{i} T{i}",
-                    scale(q, L(i + 1)),
-                    compose(T(i), L(i), T(i))))
 
     def cyclotomic(v):
         for Q in ctx.Q_vals:
@@ -671,11 +658,12 @@ def _relation_operator_checks(ctx):
 def check_relations(ctx):
     """Certify the engine product.
 
-    1. Every relation of the Ariki-Koike presentation (T_0 = L_1), and
-       the conjugation that defines each higher L matrix, holds as an
-       operator identity on every PBW basis vector (the families of
-       _relation_operator_checks), so the generator matrices define a
-       representation rho of the algebra on the coordinate space.
+    1. Every relation of the Ariki-Koike presentation (T_0 = L_1) holds as
+       an operator identity on every PBW basis vector (the families of
+       _relation_operator_checks), so the stored generator matrices define
+       a representation rho of the algebra on the coordinate space. The
+       higher L_i are applied from their definition, so they act as
+       rho(L_i) by construction and need no check of their own.
     2. Reconstruction: multiply(b, 1) = e_b for every PBW word b, through
        the product code path itself (T_w first, then L_n^a_n ... L_1^a_1).
        So h -> rho(h) 1 is onto and sends each word to its own coordinate.

@@ -149,8 +149,11 @@ def _center_and_jm_center(n, r, domain, q, Qs, label):
 def suite_center(n, r, explicit=None, *, seed=0, samples=3):
     """Center and JM-center dimensions with the inclusion certificate, at
     explicit parameters explicit = (domain, q, [Q_1..Q_r]) or, when
-    explicit is None, at sampled generic rational specializations."""
+    explicit is None, at sampled generic rational specializations. The
+    samples lie in the semisimple locus (sample_specialization), so there
+    both dimensions must also equal the number of r-multipartitions of n."""
     start = time.perf_counter()
+    expected = len(enumerate_multipartitions(n, r))
     if explicit is None:
         domain = RationalDomain()
         points = generic_specializations(n, r, seed, samples)
@@ -167,6 +170,12 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
         result["Q"] = [str(Q) for Q in Qs]
         result["jm_span_capped"] = span.capped
         results.append(result)
+        dims = (result["dim_center"], result["dim_jm_center"])
+        if explicit is None and dims != (expected, expected):
+            witnesses.append({
+                "reason": "generic dimensions differ from the number of "
+                          "multipartitions", "q": str(q), "expected": expected,
+                "dim_center": dims[0], "dim_jm_center": dims[1]})
         if witness:
             witnesses.append(witness)
     return VerificationReport(

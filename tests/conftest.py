@@ -24,6 +24,17 @@ def _random_element(ctx, rng, max_terms=3, coeff_range=5):
     return AlgebraElement(ctx, terms)
 
 
+def literal_L(ctx, i, vec):
+    """L_i vec by the definition L_i = q^-1 T_{i-1} L_{i-1} T_{i-1},
+    recursing down to the stored L_1 matrix: the tests' own statement of the
+    definition, independent of the context's."""
+    if i == 1:
+        return ctx._apply_cols(ctx._matrices[("L", 1)], vec)
+    t_mat = ctx._matrices[("T", i - 2)]
+    inner = literal_L(ctx, i - 1, ctx._apply_cols(t_mat, vec))
+    return ctx.domain.scale(ctx._apply_cols(t_mat, inner), ctx.q_inv)
+
+
 def add_T1_to_e1(monkeypatch):
     """Fault: the e_k sweep returns e_1 v + T_1 v in place of e_1 v, so the
     generator e_1 of the JM-center span is no longer central."""

@@ -37,7 +37,7 @@ from cyclohecke.suites import (
     suite_q1_gap,
 )
 from cyclohecke.hecke import AlgebraContext
-from conftest import _random_element
+from conftest import _random_element, literal_L
 
 
 def _announce(criterion, detail=""):
@@ -183,17 +183,23 @@ def _dropped_commutations_hold(ctx):
     """The commutations the certificate derives from the presentation
     instead of checking: L_i L_j = L_j L_i for every pair and
     T_i L_j = L_j T_i for j not in {i, i+1}, on every basis word."""
-    n, d, mats = ctx.n, ctx.domain, ctx._matrices
-    pairs = [(("L", i), ("L", j))
+    n, d = ctx.n, ctx.domain
+
+    def T(i):
+        return lambda v: ctx._apply_cols(ctx._matrices[("T", i - 1)], v)
+
+    def L(j):
+        return lambda v: literal_L(ctx, j, v)
+
+    pairs = [((f"L{i}", L(i)), (f"L{j}", L(j)))
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    pairs += [(("T", i - 1), ("L", j))
+    pairs += [((f"T{i}", T(i)), (f"L{j}", L(j)))
               for i in range(1, n) for j in range(1, n + 1)
               if j not in (i, i + 1)]
-    for a, b in pairs:
+    for (a, f), (b, g) in pairs:
         for k in range(ctx.dim):
-            ab = ctx._apply_cols(mats[a], ctx._apply_cols(mats[b], {k: d.one}))
-            ba = ctx._apply_cols(mats[b], ctx._apply_cols(mats[a], {k: d.one}))
-            ctx._add_scaled(ab, ba, -d.one)
+            ab = f(g({k: d.one}))
+            ctx._add_scaled(ab, g(f({k: d.one})), -d.one)
             assert not ab, (ctx.domain.name, a, b, ctx.basis[k])
 
 

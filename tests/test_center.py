@@ -445,6 +445,16 @@ class TestPerElementOracles:
                     (dual * sigma).terms
         assert _module_map_witness(ctx, mps, span, coords, gram) is None
 
+    def test_gram_matrix_matches_the_z_times_word_form(self, ctx):
+        # the old form, tau(z * b_j), as the reference for tau(b_j * z)
+        span = jm_center_span(ctx)
+        coords = commutator_coordinates(ctx)
+        d = ctx.domain
+        reference = [{k: x for k, j in enumerate(coords.complement)
+                      if not d.is_zero(x := (z * ctx.basis_element(j)).tau())}
+                     for z in span.elements]
+        assert trace_gram_matrix(ctx, span, coords) == reference
+
     def test_center_basis_certificate_agrees_on_every_block(self, ctx):
         zbasis = center_basis(ctx)
         eps, _, _ = central_idempotents(ctx)

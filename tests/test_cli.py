@@ -250,7 +250,8 @@ class TestInclusionCertificate:
 
     @pytest.mark.parametrize("argv, reasons", [pytest.param(*case, id=case[0])
                                                for case in [
-        # the non-central e_1 also enlarges the span past dim Z = p(3)
+        # the non-central e_1 also enlarges the span past dim Z = p(3),
+        # and at the generic center samples past the multipartition count
         ("hilb --n 3 --q-values 2",
          ["center and JM-center dimensions differ",
           "generic dimensions differ from p(n)",
@@ -258,7 +259,8 @@ class TestInclusionCertificate:
         ("center --n 2 --r 2 --q 3 --Q 2,5",
          ["a JM-center element is not in the center"]),
         ("center --n 3 --r 1 --q generic --Q generic",
-         ["a JM-center element is not in the center"] * 3),
+         ["generic dimensions differ from the number of multipartitions",
+          "a JM-center element is not in the center"] * 3),
     ]])
     def test_jm_element_outside_the_center_fails(self, monkeypatch, capsys,
                                                  argv, reasons):
@@ -269,6 +271,27 @@ class TestInclusionCertificate:
                    for line in capsys.readouterr().out.splitlines()]
         assert [r["status"] for r in reports] == ["fail"]
         assert [w["reason"] for w in reports[0]["witnesses"]] == reasons
+
+
+class TestGenericCenterCount:
+    def test_spurious_center_vector_fails_generic_center(self, monkeypatch,
+                                                          capsys):
+        # T_1 is not central, so the inclusion check still passes; only the
+        # multipartition count of the semisimple samples catches it
+        basis = center.center_basis
+        monkeypatch.setattr(center, "center_basis",
+                            lambda ctx: basis(ctx) + [ctx.T(1)])
+        argv = ("--samples 1 center --n 2 --r 4 --q generic "
+                "--Q generic,generic,generic,generic")
+        assert main(argv.split()) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "fail"
+        (witness,) = report["witnesses"]
+        assert witness["reason"] == ("generic dimensions differ from the "
+                                     "number of multipartitions")
+        assert (witness["expected"], witness["dim_center"],
+                witness["dim_jm_center"]) == (14, 15, 14)
 
 
 class TestCenterKernelFault:

@@ -26,7 +26,8 @@ class TestRegularTraceIdentity:
         mps, rows = specialized_elementary_characters(ctx)
         for k in range(1, n + 1):
             ek = ctx.symmetric_jm(k)
-            cols = ctx.left_multiplication_matrix(ek)
+            cols = [(ek * ctx.basis_element(j)).terms
+                    for j in range(ctx.dim)]
             trace = ctx.domain.zero
             for j in range(ctx.dim):
                 trace = trace + cols[j].get(j, ctx.domain.zero)
