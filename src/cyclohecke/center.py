@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import comb
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
@@ -31,9 +30,9 @@ class SingularGramError(Exception):
 
 class IdempotentSplitError(Exception):
     """The components read off the Jucys-Murphy spectra are not a family of
-    primitive central idempotents: a lift did not converge, a component is
-    zero or not primitive, or the family is not orthogonal, central and
-    complete."""
+    primitive central idempotents: the Jucys-Murphy center is not the
+    center, a component is zero or not primitive, or the family is not
+    idempotent, orthogonal, central and complete."""
 
 
 # ---------------------------------------------------------------------------
@@ -321,55 +320,64 @@ def character_dual(ctx, x, span=None, coords=None, gram=None):
 # ---------------------------------------------------------------------------
 
 def _spectrum_classes(ctx):
-    """The distinct specialized (e_1..e_n) rows over all multipartitions, in
-    order of first appearance: one row per Jucys-Murphy spectrum class."""
+    """The distinct specialized (e_1..e_n) rows over all multipartitions, as
+    tuples in order of first appearance: one per Jucys-Murphy spectrum
+    class."""
     _, rows = specialized_elementary_characters(ctx)
-    classes = []
-    for row in rows:
-        if row not in classes:
-            classes.append(row)
-    return classes
+    return list(dict.fromkeys(map(tuple, rows)))
 
 
-def _separating_element(ctx, classes):
-    """A central z = sum_k c_k e_k with small integer weights c_k = t^(k-1)
-    whose scalars lambda_C = sum_k c_k s_k differ across the classes; each
-    class pair rules out at most n - 1 values of t, so the search ends."""
-    d = ctx.domain
-    t = 0
-    while True:
-        weights = [t ** k for k in range(ctx.n)]
-        values = [sum((s * c for c, s in zip(weights, row)), d.zero)
-                  for row in classes]
-        if all(not d.is_zero(values[i] - values[j])
-               for i in range(len(values)) for j in range(i)):
+def root_multiplicity(d, poly, v):
+    """The multiplicity of v as a root of the nonzero poly (ascending
+    coefficients), by repeated synthetic division by x - v."""
+    m = 0
+    while len(poly) > 1:
+        quotient = [poly[-1]]
+        for c in reversed(poly[:-1]):
+            quotient.append(c + v * quotient[-1])
+        if not d.is_zero(quotient.pop()):
             break
-        t += 1
-    z = ctx.zero()
-    for k, c in enumerate(weights, start=1):
-        if c:
-            z = z + ctx.symmetric_jm(k) * c
-    return z, values
+        poly = quotient[::-1]
+        m += 1
+    return m
 
 
-def _lift_idempotent(ctx, e):
-    """Newton lift e <- 3e^2 - 2e^3 of an element idempotent modulo a
-    nilpotent error: the error e^2 - e goes to a multiple of its own square
-    each round, so it vanishes within dim.bit_length() + 1 rounds."""
-    for _ in range(ctx.dim.bit_length() + 1):
-        square = e * e
-        if square == e:
-            return e
-        e = square * 3 - square * e * 2
-    raise IdempotentSplitError("idempotent lift did not converge")
+def _poly_mul_mod(d, a, b, mu):
+    """a * b reduced modulo the monic mu; ascending coefficients."""
+    out = [d.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    deg = len(mu) - 1
+    while len(out) > deg:
+        c = out.pop()
+        for j in range(deg):
+            out[len(out) - deg + j] = out[len(out) - deg + j] - c * mu[j]
+    return out
 
 
-def _single_eigenvalues(ctx, eps, elements):
-    """The eigenvalue of each central element on the ideal eps * Z, or None
-    if one of them has more than one there."""
-    values = [unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, x))
-              for x in elements]
-    return None if any(v is None for v in values) else values
+def _eigenspace_projector(d, mu, values, s):
+    """p mod mu, where p(z) eps is the component of eps in the generalized
+    s-eigenspace of z on eps Z, mu the minimal polynomial of z there and
+    values the distinct eigenvalues z may have: p = 1 - (1 - g/g(s))^m for
+    mu = (x - s)^m g, so p = 0 mod g and p = 1 mod (x - s)^m. Refused
+    unless the multiplicities of the values add up to deg mu."""
+    mults = [root_multiplicity(d, mu, v) for v in values]
+    if sum(mults) != len(mu) - 1:
+        raise IdempotentSplitError("component not primitive")
+    g, g_s = [d.one], d.one
+    for v, m_v in zip(values, mults):
+        for _ in range(m_v if v != s else 0):
+            g = _poly_mul_mod(d, g, [-v, d.one], mu)
+            g_s = g_s * (s - v)
+    w = [-c * d.inv(g_s) for c in g]  # 1 - g / g(s)
+    w[0] = w[0] + d.one
+    power = [d.one]
+    for _ in range(mults[values.index(s)]):
+        power = _poly_mul_mod(d, power, w, mu)
+    p = [-c for c in power]
+    p[0] = p[0] + d.one
+    return p
 
 
 def central_idempotents(ctx):
@@ -378,46 +386,35 @@ def central_idempotents(ctx):
     span): spectra[i] holds the eigenvalues of e_1..e_n on idempotents[i] Z,
     and span is the JM-center span, stopped early against the center.
 
-    Multipartitions are grouped by the scalars of e_1..e_n on their cell
-    modules. A central z = sum_k c_k e_k separates the classes, and the
-    Lagrange element prod_{D != C} (z - lambda_D) / (lambda_C - lambda_D)
-    is, up to a nilpotent error, the sum of the block idempotents in class
-    C; the Newton lift removes the error. Each component eps must be
-    nonzero, and e_1..e_n must each have a single eigenvalue on eps Z. When
-    the span is the center, Z is generated by e_1..e_n and e_n^{-1}, so
-    eps Z is then K eps plus a nilpotent ideal: local, and eps primitive
-    over any extension of the coefficient field. Otherwise (rank JM <
-    dim Z) the center basis joins the certificate. The family must be
-    idempotent, orthogonal, central and sum to one; any failure raises
-    IdempotentSplitError. Primitive central idempotents are unique, so a
-    family passing these checks is the block decomposition whatever built
-    it.
-
-    Needs q != 1: at q = 1 a node's eigenvalue Q_c q^content forgets the
-    content, so the spectra cannot separate the blocks; a component is then
-    not primitive and the call raises. No command-line path specializes
-    to q = 1.
+    The span must be the center, so that e_1..e_n and e_n^{-1} generate Z.
+    For each distinct row s of scalars of e_1..e_n on the cell modules, eps
+    starts at 1 and, for k = 1..n, becomes its component in the generalized
+    s_k-eigenspace of e_k on eps Z. Then each e_k, and so e_n^{-1}, has a
+    single eigenvalue on eps Z: eps Z is local and eps primitive over any
+    extension of the coefficient field. The family must be idempotent,
+    orthogonal, central and sum to one; primitive central idempotents are
+    unique, so a family passing these checks is the block decomposition.
+    Any failure raises IdempotentSplitError, as at q = 1 (where the JM
+    center is smaller than the center), which no command reaches.
     """
-    d = ctx.domain
     center, span = center_and_jm_span(ctx)
-    certified = span.generators[:-1]  # e_1..e_n
     if not (span.in_center and span.rank == center.rank):
-        certified += [AlgebraElement(ctx, row) for row in center.rows.values()]
-    z, values = _separating_element(ctx, _spectrum_classes(ctx))
-    factors = [z - v for v in values]
+        raise IdempotentSplitError("the Jucys-Murphy center is not the center")
+    classes = _spectrum_classes(ctx)
+    columns = [list(dict.fromkeys(column)) for column in zip(*classes)]
     blocks = []
-    for i, value in enumerate(values):
-        e = ctx.one()
-        for j, other in enumerate(values):
-            if j != i:
-                e = e * factors[j] * d.inv(value - other)
-        e = _lift_idempotent(ctx, e)
-        if e.is_zero():
-            raise IdempotentSplitError("zero component")
-        eigenvalues = _single_eigenvalues(ctx, e, certified)
-        if eigenvalues is None:
-            raise IdempotentSplitError("component not primitive")
-        blocks.append((min(e.terms), e, tuple(eigenvalues[:ctx.n])))
+    for s in classes:
+        eps = ctx.one()
+        for e_k, values, s_k in zip(span.generators, columns, s):
+            mu = min_poly_on_center_ideal(ctx, eps, e_k)
+            p = _eigenspace_projector(ctx.domain, mu, values, s_k)
+            component = eps * p[-1]
+            for c in reversed(p[:-1]):
+                component = e_k * component + eps * c
+            eps = component
+            if eps.is_zero():
+                raise IdempotentSplitError("zero component")
+        blocks.append((min(eps.terms), eps, s))
     blocks.sort(key=lambda block: block[0])
     idempotents = [e for _, e, _ in blocks]
     _verify_idempotent_family(ctx, idempotents)
@@ -437,11 +434,6 @@ def _verify_idempotent_family(ctx, elements):
         total = total + e
     if not (total == ctx.one()):
         raise IdempotentSplitError("components do not sum to the identity")
-
-
-# ---------------------------------------------------------------------------
-# block spectra
-# ---------------------------------------------------------------------------
 
 def min_poly_on_center_ideal(ctx, eps, z):
     """Monic minimal polynomial (ascending K coefficients) of the central
@@ -464,18 +456,3 @@ def min_poly_on_center_ideal(ctx, eps, z):
         power = z * power
         k += 1
 
-
-def unique_eigenvalue(ctx, mu):
-    """The unique root v with mu = (x - v)^deg, or None if mu is not of that
-    shape; no root finding needed (v is read off the subleading
-    coefficient)."""
-    d = ctx.domain
-    k = len(mu) - 1
-    if k == 0:
-        return None
-    v = -mu[k - 1] * d.inv(d.from_int(k))
-    # verify (x - v)^k == mu exactly, by the binomial theorem
-    for i, c in enumerate(mu):
-        if not d.is_zero(d.from_int(comb(k, i)) * (-v) ** (k - i) - c):
-            return None
-    return v

@@ -1,11 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cyclohecke.center import (
     IdempotentSplitError,
-    _single_eigenvalues,
     center_and_jm_span,
     center_basis,
     central_characters,
@@ -16,9 +17,9 @@ from cyclohecke.center import (
     descriptor_characters,
     jm_center_span,
     min_poly_on_center_ideal,
+    root_multiplicity,
     specialized_elementary_characters,
     trace_gram_matrix,
-    unique_eigenvalue,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
@@ -248,18 +249,55 @@ class TestCocenter:
             assert lhs == rhs
 
 
+def unique_eigenvalue(ctx, mu):
+    """The unique root v with mu = (x - v)^deg, or None if mu is not of that
+    shape; v is read off the subleading coefficient and checked by the
+    binomial theorem."""
+    d = ctx.domain
+    k = len(mu) - 1
+    if k == 0:
+        return None
+    v = -mu[k - 1] * d.inv(d.from_int(k))
+    for i, c in enumerate(mu):
+        if not d.is_zero(d.from_int(comb(k, i)) * (-v) ** (k - i) - c):
+            return None
+    return v
+
+
+def _single_eigenvalues(ctx, eps, elements):
+    """The eigenvalue of each central element on the ideal eps * Z, or None
+    if one of them has more than one there."""
+    values = [unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, x))
+              for x in elements]
+    return None if any(v is None for v in values) else values
+
+
 def _generator_certificate(ctx, eps):
-    """The primitivity certificate of central_idempotents when the
-    JM-center span is the center: e_1..e_n have single eigenvalues."""
+    """The root-extraction certificate on e_1..e_n, an oracle independent of
+    the spectral projection: e_1..e_n have single eigenvalues on eps * Z."""
     gens = [ctx.symmetric_jm(k) for k in range(1, ctx.n + 1)]
     return _single_eigenvalues(ctx, eps, gens) is not None
 
 
 def _center_basis_certificate(ctx, zbasis, eps):
-    """The per-element certificate it replaced, kept as an oracle: every
-    center basis element has a single eigenvalue on eps * Z."""
-    return all(unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, z))
-               is not None for z in zbasis)
+    """The same certificate on every center basis element."""
+    return _single_eigenvalues(ctx, eps, zbasis) is not None
+
+
+def _assert_oracles_agree(ctx, eps, spectra):
+    """Both root-extraction certificates accept every returned idempotent
+    and refuse the identity and a sum of two blocks, and the returned
+    spectra are the eigenvalues they extract."""
+    zbasis = center_basis(ctx)
+    gens = [ctx.symmetric_jm(k) for k in range(1, ctx.n + 1)]
+    assert len(eps) >= 2
+    for e, spectrum in zip(eps, spectra):
+        assert _center_basis_certificate(ctx, zbasis, e)
+        assert _generator_certificate(ctx, e)
+        assert spectrum == tuple(_single_eigenvalues(ctx, e, gens))
+    for merged in (ctx.one(), eps[0] + eps[1]):
+        assert not _center_basis_certificate(ctx, zbasis, merged)
+        assert not _generator_certificate(ctx, merged)
 
 
 class TestIdempotents:
@@ -310,16 +348,35 @@ class TestIdempotents:
 
     def test_q_one_is_refused(self, rational_ctx):
         # at q = 1 the spectra cannot separate the two blocks of Q[S_2]:
-        # e_1 and e_2 are scalars there, so the generators accept the
-        # identity; rank JM < dim Z puts the center basis in the
-        # certificate, and T_1 has two eigenvalues
+        # e_1 and e_2 are scalars there, so the generator certificate
+        # accepts the identity; the generators are central but rank JM <
+        # dim Z, which is refused before any component is built
         ctx = rational_ctx(2, 1, Fraction(1), [1])
         center, span = center_and_jm_span(ctx)
         assert span.in_center and span.rank < center.rank
         assert _single_eigenvalues(
             ctx, ctx.one(), span.generators[:-1]) is not None
-        with pytest.raises(IdempotentSplitError, match="not primitive"):
+        with pytest.raises(IdempotentSplitError,
+                           match="the Jucys-Murphy center is not the center"):
             central_idempotents(ctx)
+
+    def test_smaller_jm_span_is_a_failed_report(self, monkeypatch):
+        from cyclohecke import center
+
+        true_span = center.center_and_jm_span
+
+        def smaller(ctx):
+            zspace, span = true_span(ctx)
+            return zspace, dataclasses.replace(
+                span, rank=span.rank - 1, elements=span.elements[:-1],
+                descriptors=span.descriptors[:-1])
+
+        monkeypatch.setattr(center, "center_and_jm_span", smaller)
+        rep = verify_blocks(3, 1, 2, (0,))
+        assert rep.status == "fail"
+        assert rep.witnesses == [{
+            "reason": "idempotent splitting failed",
+            "error": "the Jucys-Murphy center is not the center"}]
 
 
 def _root_of_unity_ctx(n, r, ell, charge):
@@ -332,18 +389,15 @@ class TestPrimitivityCertificate:
     def test_rejects_identity_of_two_blocks(self):
         ctx = _root_of_unity_ctx(3, 1, 2, (0,))
         assert not _generator_certificate(ctx, ctx.one())
-        eps, _, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx)
         assert len(eps) == 2
-        for e in eps:
-            assert _generator_certificate(ctx, e)
+        _assert_oracles_agree(ctx, eps, spectra)
 
     def test_rejects_sum_of_two_blocks(self):
         ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
-        eps, _, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx)
         assert len(eps) == 3
-        assert not _generator_certificate(ctx, eps[0] + eps[1])
-        for e in eps:
-            assert _generator_certificate(ctx, e)
+        _assert_oracles_agree(ctx, eps, spectra)
 
     def test_spectra_are_the_certified_eigenvalues(self):
         ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
@@ -373,6 +427,27 @@ class TestPrimitivityCertificate:
 
 
 class TestBlockSpectra:
+    def test_root_multiplicity_over_q(self, rational_ctx):
+        d = rational_ctx(2, 1, Fraction(2), [1]).domain
+        # (x - 1)^2 (x - 2) = x^3 - 4x^2 + 5x - 2
+        mu = [d.from_int(c) for c in (-2, 5, -4, 1)]
+        assert [root_multiplicity(d, mu, d.from_int(v))
+                for v in (1, 2, 3)] == [2, 1, 0]
+
+    def test_root_multiplicity_over_cyclotomic_field(self):
+        d = CyclotomicDomain(5)
+        a, b = d.zeta(1), d.one + d.zeta(2)
+        # (x - a)^3 (x - b), expanded by the oracle's own convolution
+        mu = [d.one]
+        for root in (a, a, a, b):
+            mu = [(mu[i - 1] if i else d.zero)
+                  - root * (mu[i] if i < len(mu) else d.zero)
+                  for i in range(len(mu) + 1)]
+        assert root_multiplicity(d, mu, a) == 3
+        assert root_multiplicity(d, mu, b) == 1
+        assert root_multiplicity(d, mu, d.zeta(2)) == 0
+        assert root_multiplicity(d, [d.zero] + mu, d.zero) == 1
+
     def test_unique_eigenvalue_extraction(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
         (eps,), _, _ = central_idempotents(ctx)
@@ -456,12 +531,5 @@ class TestPerElementOracles:
         assert trace_gram_matrix(ctx, span, coords) == reference
 
     def test_center_basis_certificate_agrees_on_every_block(self, ctx):
-        zbasis = center_basis(ctx)
-        eps, _, _ = central_idempotents(ctx)
-        assert len(eps) >= 2
-        for e in eps:
-            assert _center_basis_certificate(ctx, zbasis, e)
-            assert _generator_certificate(ctx, e)
-        for merged in (ctx.one(), eps[0] + eps[1]):
-            assert not _center_basis_certificate(ctx, zbasis, merged)
-            assert not _generator_certificate(ctx, merged)
+        eps, spectra, _ = central_idempotents(ctx)
+        _assert_oracles_agree(ctx, eps, spectra)

@@ -187,6 +187,7 @@ class TestBlocks:
         (5, (0, 1)), (5, (0, 2)),
         (7, (0, 1)), (7, (0, 2)),
         (8, (0, 1)), (8, (0, 2)),
+        (2, (0, 0)), (3, (1, 3)), (4, (2, -2)), (6, (0, 0)),
     ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
     def test_nontrivial_charge(self, ell, charge):
         rep = verify_blocks(2, 2, ell, charge)

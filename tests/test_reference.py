@@ -65,3 +65,8 @@ def test_traced_worker_prints_reference(name):
     stdout = "".join(result["stdout"] for result in record["invocations"])
     reference = (BENCH / "reference" / f"{name}.out").read_bytes()
     assert stdout.encode() == reference
+    if name == "blocks":
+        # the block idempotents, and the minimal polynomials they are built
+        # from, run through the functions the tracer wraps
+        assert record["layers"]["center.idempotents_s"] > 0
+        assert record["layers"]["center.min_poly_s"] > 0
