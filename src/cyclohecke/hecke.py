@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .rings import (LaurentDomain, LaurentPoly, NotInvertibleError,
                     elementary_symmetric)
@@ -661,33 +661,38 @@ def check_relations(ctx):
     1. Every relation of the Ariki-Koike presentation (T_0 = L_1) holds as
        an operator identity on every PBW basis vector (the families of
        _relation_operator_checks), so the stored generator matrices define
-       a representation rho of the algebra on the coordinate space. The
-       higher L_i are applied from their definition, so they act as
-       rho(L_i) by construction and need no check of their own.
+       a representation rho of the algebra on the coordinate space.
     2. Reconstruction: multiply(b, 1) = e_b for every PBW word b, through
        the product code path itself (T_w first, then L_n^a_n ... L_1^a_1).
        So h -> rho(h) 1 is onto and sends each word to its own coordinate.
        PBW words span the algebra (Ariki-Koike, Adv. Math. 106, 1994), so
        rho is the regular representation in PBW coordinates and the product
        is associative on every triple.
+    3. The definition q L_{i+1} = T_i L_i T_i of each higher L_i, as
+       applied by _apply_L, on the identity word (at r = 1 no PBW word has
+       an L factor, so reconstruction never applies them). _apply_L is a
+       product of generator operators, and in the regular representation
+       such an operator is fixed by its value on 1.
 
     The first failure stops the check with a witness."""
     start = time.perf_counter()
     d = ctx.domain
     witnesses = []
+
+    def check(name, lhs, rhs, j):
+        unit = {j: d.one}
+        diff = lhs(unit)
+        ctx._add_scaled(diff, {k: -x for k, x in rhs(unit).items()})
+        if diff:
+            witnesses.append({
+                "relation": name,
+                "word": ctx.basis_element(j).render(),
+                "residual": AlgebraElement(ctx, diff).render(),
+            })
+        return not diff
+
     for name, lhs, rhs in _relation_operator_checks(ctx):
-        for j in range(ctx.dim):
-            unit = {j: d.one}
-            diff = lhs(unit)
-            ctx._add_scaled(diff, {k: -x for k, x in rhs(unit).items()})
-            if diff:
-                witnesses.append({
-                    "relation": name,
-                    "word": ctx.basis_element(j).render(),
-                    "residual": AlgebraElement(ctx, diff).render(),
-                })
-                break
-        if witnesses:
+        if not all(check(name, lhs, rhs, j) for j in range(ctx.dim)):
             break
     reconstructed = 0
     if not witnesses:
@@ -703,6 +708,13 @@ def check_relations(ctx):
                 })
                 break
             reconstructed += 1
+    if not witnesses:
+        for i in range(1, ctx.n):
+            T = partial(ctx._apply_cols, ctx._matrices[("T", i - 1)])
+            if not check(f"conjugation q L{i + 1} = T{i} L{i} T{i}",
+                         lambda v: d.scale(ctx._apply_L(i + 1, v), ctx.q_val),
+                         lambda v: T(ctx._apply_L(i, T(v))), 0):
+                break
     return VerificationReport(
         check="check_relations",
         params={"n": ctx.n, "r": ctx.r, "domain": ctx.domain.name,

@@ -32,7 +32,7 @@ from .center import (
 from .hecke import AlgebraContext
 from .linalg import RowSpace
 from .reports import VerificationReport
-from .rings import CyclotomicDomain, LaurentPoly, elementary_symmetric
+from .rings import CyclotomicDomain, LaurentPoly, monomial_elementary_symmetric
 
 
 @dataclass
@@ -117,12 +117,11 @@ class RestrictionTable:
 
 def restriction_table(n, r):
     """The full fixed-point restriction table of (n, r), geometric side."""
-    one = LaurentPoly.const(1, 1 + r)
     rows = enumerate_multipartitions(n, r)
     entries = []
     for mp in rows:
         weights = fixed_point_character(mp, r).weights
-        row = elementary_symmetric(weights, one)
+        row = monomial_elementary_symmetric(weights, 1 + r)
         # e_n, the product of the weights, is a monomial (1 when n = 0)
         entries.append(row[1:] + [row[-1].inverse()])
     return RestrictionTable(n, r, rows, entries)
@@ -136,13 +135,12 @@ def verify_main_theorem(n, r, table=None):
     start = time.perf_counter()
     if table is None:
         table = restriction_table(n, r)
-    one = LaurentPoly.const(1, 1 + r)
     witnesses = []
     rows_checked = 0
     for mp, row in zip(table.rows, table.entries):
         rows_checked += 1
         alphas = jm_eigenvalues(mp, r)
-        sym = elementary_symmetric(alphas, one)
+        sym = monomial_elementary_symmetric(alphas, 1 + r)
         algebraic = sym[1:] + [sym[-1].inverse()]
         for label, geom, alg in zip(table.column_labels, row, algebraic):
             if geom != alg:

@@ -81,8 +81,10 @@ def _power(x, k, one):
 
 class LaurentPoly:
     """Sparse Laurent polynomial in ``nvars`` commuting variables with
-    rational coefficients, stored as ``int`` when integral and as
-    ``Fraction`` otherwise (the two compare and hash alike).
+    rational coefficients. The constructor stores an integral coefficient
+    as ``int`` and any other as ``Fraction``; sums and products of ints
+    stay ints, while those of Fractions stay Fractions even when integral
+    (the two compare and hash alike).
 
     Terms map exponent tuples (ints, possibly negative) to nonzero
     coefficients; the term map is the canonical form, so equality is map
@@ -101,9 +103,10 @@ class LaurentPoly:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError(f"exponent vector {exps} has wrong length")
-                coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
+                if type(coeff) is not int:
+                    coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
                 if coeff:
                     key = tuple(exps)
                     acc = clean.get(key, 0) + coeff
@@ -115,16 +118,27 @@ class LaurentPoly:
         self._hash = None
 
     @classmethod
+    def _from_terms(cls, nvars, terms):
+        """Wrap a term map that is already canonical (exponent tuples of
+        length nvars, no zero coefficient), without copying or checking
+        it."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
     @classmethod
     def const(cls, coeff, nvars):
-        return cls(nvars, {(0,) * nvars: Fraction(coeff)})
+        return cls(nvars, {(0,) * nvars: coeff})
 
     @classmethod
     def monomial(cls, coeff, exps):
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
+        return cls(len(exps), {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, slot, nvars, power=1):
@@ -155,16 +169,13 @@ class LaurentPoly:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
-        out = LaurentPoly(self.nvars)
-        out.terms = terms
-        return out
+        return LaurentPoly._from_terms(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._from_terms(
+            self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -188,18 +199,18 @@ class LaurentPoly:
                     terms[e] = acc
                 else:
                     terms.pop(e, None)
-        out = LaurentPoly(self.nvars)
-        out.terms = terms
-        return out
+        return LaurentPoly._from_terms(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse of a single-term (monomial) Laurent polynomial."""
+        """Inverse of a single-term (monomial) Laurent polynomial; a
+        coefficient of 1 or -1 is its own inverse and stays an int."""
         if len(self.terms) != 1:
             raise NotInvertibleError("only monomials are invertible")
         ((e, c),) = self.terms.items()
-        return LaurentPoly.monomial(Fraction(1) / c, tuple(-x for x in e))
+        inv = c if c in (1, -1) else 1 / Fraction(c)
+        return LaurentPoly.monomial(inv, tuple(-x for x in e))
 
     def __pow__(self, k):
         return _power(self, k, LaurentPoly.const(1, self.nvars))
@@ -278,9 +289,7 @@ class LaurentPoly:
             e = list(exps)
             e[i], e[j] = e[j], e[i]
             terms[tuple(e)] = coeff
-        out = LaurentPoly(self.nvars)
-        out.terms = terms
-        return out
+        return LaurentPoly._from_terms(self.nvars, terms)
 
     def is_symmetric(self):
         """True if invariant under all adjacent variable swaps."""
@@ -323,13 +332,37 @@ def elementary_symmetric(values, one):
     return row
 
 
+def monomial_elementary_symmetric(monomials, nvars):
+    """The row [e_0, e_1, ..., e_m] of m Laurent monomials in nvars
+    variables, each a single term with coefficient 1 (ValueError for
+    anything else), as LaurentPolys.
+
+    The sweep of elementary_symmetric on plain term maps: multiplying by a
+    monomial shifts every exponent key by its exponents, and e_j gains the
+    shifted e_{j-1}, highest j first. Every coefficient counts subsets, so
+    it is a positive int and terms only ever add."""
+    rows = [{(0,) * nvars: 1}]
+    for m in monomials:
+        if m.nvars != nvars or len(m.terms) != 1:
+            raise ValueError(f"{m!r} is not a monomial in {nvars} variables")
+        ((shift, c),) = m.terms.items()
+        if c != 1:
+            raise ValueError(f"{m!r} does not have coefficient 1")
+        rows.append({})
+        for j in range(len(rows) - 1, 0, -1):
+            target = rows[j]
+            for e, count in rows[j - 1].items():
+                key = tuple(map(operator.add, e, shift))
+                target[key] = target.get(key, 0) + count
+    return [LaurentPoly._from_terms(nvars, terms) for terms in rows]
+
+
 def elementary_symmetric_poly(k, n):
     """e_k(x_1..x_n) as a LaurentPoly in n variables."""
     if not 0 <= k <= n:
         raise ValueError("elementary symmetric degree out of range")
-    one = LaurentPoly.const(1, n)
     xs = [LaurentPoly.variable(i, n) for i in range(n)]
-    return elementary_symmetric(xs, one)[k]
+    return monomial_elementary_symmetric(xs, n)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,27 @@ class TestCertificate:
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])
 
+    def test_apply_L_without_q_inverse_fails_at_r1(self, monkeypatch):
+        # at r = 1 reconstruction never applies L_2..L_n; only the
+        # conjugation check on the identity word sees the fault
+        apply_L = AlgebraContext._apply_L
+
+        def unscaled(self, i, vec):
+            vec = apply_L(self, i, vec)
+            return self.domain.scale(vec, self.q_val ** (i - 1))
+
+        monkeypatch.setattr(AlgebraContext, "_apply_L", unscaled)
+        ctx = AlgebraContext(3, 1, RationalDomain(), Fraction(3),
+                             [Fraction(2)], self_check=False)
+        rep = check_relations(ctx)
+        assert rep.status == "fail"
+        assert rep.params["reconstructed"] == ctx.dim
+        (witness,) = rep.witnesses
+        assert witness["relation"] == "conjugation q L2 = T1 L1 T1"
+        assert witness["word"] == ctx.one().render()
+        with pytest.raises(EngineError, match="conjugation q L2 = T1 L1 T1"):
+            AlgebraContext(3, 1, RationalDomain(), Fraction(3), [Fraction(2)])
+
     @pytest.mark.parametrize("fault,n,failing", [
         (fault_T3_is_T2, 4, ["commute T1 T3"]),
         (fault_conjugated_L1, 2, ["commute L1 L2"]),

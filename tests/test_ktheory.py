@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from cyclohecke.combinatorics import enumerate_multipartitions, jm_eigenvalues
+from cyclohecke import ktheory
+from cyclohecke.combinatorics import (
+    enumerate_multipartitions,
+    jm_eigenvalues,
+    render_multipartition,
+)
 from cyclohecke.ktheory import (
     fixed_point_character,
     restriction_table,
@@ -157,6 +162,26 @@ class TestMainTheorem:
         assert rep.status == "fail"
         assert rep.witnesses
         assert rep.witnesses[0]["column"] == "e1"
+
+    def test_shifted_content_fails_with_witness(self, monkeypatch):
+        # the algebraic side alone sees the fault: the last node of every
+        # fixed point gets content + 1, i.e. one more factor q
+        def shifted(mp, r=None):
+            alphas = jm_eigenvalues(mp, r)
+            alphas[-1] = alphas[-1] * LaurentPoly.variable(0, 1 + r)
+            return alphas
+
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", shifted)
+        rep = verify_main_theorem(3, 2)
+        assert rep.status == "fail"
+        assert rep.params["rows"] == 10
+        # the shift moves e_1 and det^-1 at every row
+        assert Counter(w["column"] for w in rep.witnesses)["e1"] == 10
+        assert Counter(w["column"] for w in rep.witnesses)["det_inv"] == 10
+        first = rep.witnesses[0]
+        assert first["multipartition"] == render_multipartition(
+            enumerate_multipartitions(3, 2)[0])
+        assert first["geometric"] != first["algebraic"]
 
 
 class TestBlocks:

@@ -21,6 +21,7 @@ from cyclohecke.rings import (
     elementary_symmetric,
     elementary_symmetric_poly,
     euler_phi,
+    monomial_elementary_symmetric,
     q_poly,
     Q_poly,
     specialize,
@@ -103,6 +104,30 @@ class TestLaurentPoly:
         x0 = LaurentPoly.variable(0, 3)
         assert not x0.is_symmetric()
 
+    def test_integral_fraction_is_stored_as_int(self):
+        p = LaurentPoly.monomial(Fraction(4, 2), (1, 0))
+        assert p.terms == {(1, 0): 2}
+        assert type(p.terms[(1, 0)]) is int
+
+    def test_non_integral_fraction_stays_a_fraction(self):
+        p = LaurentPoly.monomial(Fraction(1, 2), (1, 0))
+        assert p.terms == {(1, 0): Fraction(1, 2)}
+        assert type(p.terms[(1, 0)]) is Fraction
+
+    def test_int_constants_keep_the_hash_contract(self):
+        two = LaurentPoly.const(Fraction(4, 2), 2)
+        assert type(two.terms[(0, 0)]) is int
+        assert two == LaurentPoly.const(2, 2) == 2
+        assert hash(two) == hash(2) == hash(Fraction(2))
+        assert two in {2} and Fraction(2) in {two}
+
+    def test_unit_coefficient_inverse_stays_int(self):
+        x = LaurentPoly.variable(0, 2)
+        inv = (-x).inverse()
+        assert inv == -LaurentPoly.variable(0, 2, power=-1)
+        assert type(inv.terms[(-1, 0)]) is int
+        assert (2 * x).inverse().terms == {(-1, 0): Fraction(1, 2)}
+
 
 def _random_values(kind, rng, m):
     """m random ring elements of one kind, with the ring's one."""
@@ -142,6 +167,64 @@ class TestElementarySymmetric:
     def test_poly_degree_out_of_range(self, k, n):
         with pytest.raises(ValueError, match="out of range"):
             elementary_symmetric_poly(k, n)
+
+
+def _monomial_lists():
+    """(nvars, monomials) for nvars 1..4 and 0..6 seeded monomials with
+    coefficient 1, drawn from a pool of three so that they repeat, with
+    exponents in -2..2."""
+    rng = random.Random(20)
+    for nvars in range(1, 5):
+        pool = [tuple(rng.randint(-2, 2) for _ in range(nvars))
+                for _ in range(3)]
+        for m in range(7):
+            yield nvars, [LaurentPoly.monomial(1, rng.choice(pool))
+                          for _ in range(m)]
+
+
+def _sweep_mismatches(kernel):
+    """The monomial lists on which kernel differs from the generic sweep."""
+    return [(nvars, monomials) for nvars, monomials in _monomial_lists()
+            if kernel(monomials, nvars) != elementary_symmetric(
+                monomials, LaurentPoly.const(1, nvars))]
+
+
+class TestMonomialElementarySymmetric:
+    def test_cases_cover_the_edges(self):
+        cases = list(_monomial_lists())
+        assert {nvars for nvars, _ in cases} == {1, 2, 3, 4}
+        assert any(not monomials for _, monomials in cases)
+        assert any(min(e) < 0 for _, monomials in cases
+                   for m in monomials for e in m.terms)
+        assert any(len({tuple(m.terms) for m in monomials}) < len(monomials)
+                   for _, monomials in cases)
+
+    def test_matches_the_generic_sweep(self):
+        assert _sweep_mismatches(monomial_elementary_symmetric) == []
+        for nvars, monomials in _monomial_lists():
+            for e in monomial_elementary_symmetric(monomials, nvars):
+                assert all(type(c) is int and c > 0
+                           for c in e.terms.values())
+
+    def test_dropped_monomial_fails_the_oracle(self):
+        def dropping(monomials, nvars):
+            row = monomial_elementary_symmetric(monomials[:-1], nvars)
+            return row + [LaurentPoly.zero(nvars)] * (len(monomials) > 0)
+
+        assert _sweep_mismatches(dropping)
+
+    @pytest.mark.parametrize("bad", [
+        LaurentPoly.monomial(2, (1, 0)),
+        LaurentPoly.monomial(-1, (1, 0)),
+        LaurentPoly.monomial(Fraction(1, 2), (0, 1)),
+        LaurentPoly.variable(0, 2) + LaurentPoly.variable(1, 2),
+        LaurentPoly.variable(0, 3),
+    ], ids=["coeff-2", "coeff-minus-1", "coeff-half", "two-terms",
+            "wrong-nvars"])
+    def test_refuses_anything_but_unit_monomials(self, bad):
+        ok = LaurentPoly.variable(1, 2)
+        with pytest.raises(ValueError):
+            monomial_elementary_symmetric([ok, bad], 2)
 
 
 class TestSpecialize:
