@@ -20,7 +20,14 @@ The only nontrivial rewriting rule is the straightening identity
 from whose closed form the T matrices are built. Every exponent a context
 uses is validated first against an independent one-step rewriter that only
 knows the two degree-1 exchange rules. Each context then certifies its
-product at build time with check_relations.
+product at build time with check_relations, first on the Ariki-Koike
+presentation with T_0 = L_1, L_1 L_2 = L_2 L_1 stated as T_0 T_1 T_0 T_1 =
+T_1 T_0 T_1 T_0. Each relation side runs on whole columns: it starts from
+the stored columns of its rightmost generator and applies one matrix per
+further factor to each column. Per column a commutation costs 2 matrix
+applications, T_0 T_1 T_0 T_1 6, a braid 4, a quadratic relation 1 (its
+right side is read off the stored column) and the cyclotomic relation r - 1.
+_apply_L is certified only by the reconstruction and conjugation steps.
 """
 
 from __future__ import annotations
@@ -584,84 +591,88 @@ class AlgebraContext:
 # relation checks
 # ---------------------------------------------------------------------------
 
-def _relation_operator_checks(ctx):
-    """(name, lhs, rhs) with lhs/rhs functions on basis vectors (index-keyed
-    dicts): the Ariki-Koike presentation with T_0 = L_1, as operator
-    identities on the whole PBW basis.
-
-    With T_0 = L_1 the presentation is the cyclotomic relation on L_1, the
-    quadratic relation on each T_i, the braid relations, T_i T_j = T_j T_i
-    for |i - j| >= 2, L_1 T_i = T_i L_1 for i >= 2, and
-    T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, which is L_1 L_2 = L_2 L_1 with L_2
-    applied from its definition (AlgebraContext._apply_L). Commutation of
-    every L_i with L_j, and of T_i with L_j for j not in {i, i+1}, is a
-    theorem in any representation of it, so those pairs are not checked
-    here."""
+def _presentation(ctx):
+    """(name, lhs, rhs) for each relation of the Ariki-Koike presentation
+    with T_0 = L_1, in the certificate's order; lhs and rhs yield the two
+    sides' columns, one PBW basis word at a time, at the cost per column
+    given in the module docstring. Commutation of every L_i with L_j, and
+    of T_i with L_j for j not in {i, i+1}, is a theorem in any
+    representation of the presentation, so those pairs are not checked."""
+    d = ctx.domain
     n = ctx.n
+    gens = [ctx._matrices[("L", 1)]] + [
+        ctx._matrices[("T", i)] for i in range(n - 1)]
 
-    def T(i):  # 1-based
-        mat = ctx._matrices[("T", i - 1)]
-        return lambda v: ctx._apply_cols(mat, v)
+    def side(*word):
+        rest = [gens[g] for g in reversed(word[:-1])]
+        for v in gens[word[-1]]:
+            for cols in rest:
+                v = d.apply_cols(cols, v)
+            yield v
 
-    def L(i):
-        return lambda v: ctx._apply_L(i, v)
+    def quadratic_rhs(i):
+        q = ctx.q_val
+        for k, col in enumerate(gens[i]):
+            v = {}
+            d.add_scaled(v, col, q - d.one)
+            d.add_scaled(v, {k: q})
+            yield v
 
-    def compose(*fs):
-        def apply(v):
-            for f in reversed(fs):
-                v = f(v)
-            return v
-        return apply
+    def cyclotomic():
+        L1 = gens[0]
+        for k, col in enumerate(L1):
+            v = dict(col)
+            d.add_scaled(v, {k: -ctx.Q_vals[0]})
+            for Q in ctx.Q_vals[1:]:
+                w = d.apply_cols(L1, v)
+                d.add_scaled(w, v, -Q)
+                v = w
+            yield v
 
-    def combine(*cfs):
-        def apply(v):
-            out = {}
-            for c, f in cfs:
-                ctx._add_scaled(out, f(v), c)
-            return out
-        return apply
-
-    identity = lambda v: dict(v)
-    q = ctx.q_val
-    one = ctx.domain.one
-    qm1 = q - one
-    out = []
     for i in range(1, n):
         for j in range(i + 2, n):
-            out.append((f"commute T{i} T{j}",
-                        compose(T(i), T(j)), compose(T(j), T(i))))
+            yield f"commute T{i} T{j}", side(i, j), side(j, i)
     if n >= 2:
-        out.append(("commute L1 L2",
-                    compose(L(1), L(2)), compose(L(2), L(1))))
+        yield "commute L1 L2", side(0, 1, 0, 1), side(1, 0, 1, 0)
     for i in range(2, n):
-        out.append((f"commute T{i} L1",
-                    compose(T(i), L(1)), compose(L(1), T(i))))
+        yield f"commute T{i} L1", side(i, 0), side(0, i)
     for i in range(1, n - 1):
-        out.append((f"braid T{i} T{i + 1}",
-                    compose(T(i), T(i + 1), T(i)),
-                    compose(T(i + 1), T(i), T(i + 1))))
+        yield (f"braid T{i} T{i + 1}",
+               side(i, i + 1, i), side(i + 1, i, i + 1))
     for i in range(1, n):
-        out.append((f"quadratic T{i}",
-                    compose(T(i), T(i)),
-                    combine((qm1, T(i)), (q, identity))))
+        yield f"quadratic T{i}", side(i, i), quadratic_rhs(i)
+    yield "cyclotomic prod (L1 - Qi)", cyclotomic(), itertools.repeat({})
 
-    def cyclotomic(v):
-        for Q in ctx.Q_vals:
-            v = combine((one, L(1)), (-Q, identity))(v)
-        return v
 
-    out.append(("cyclotomic prod (L1 - Qi)",
-                cyclotomic, lambda v: {}))
-    return out
+def _mismatch(ctx, name, j, lhs, rhs):
+    """The witness of relation name on basis word j when its two sides lhs
+    and rhs differ there, else None."""
+    diff = dict(lhs)
+    ctx.domain.add_scaled(diff, rhs, -ctx.domain.one)
+    if not diff:
+        return None
+    return {"relation": name, "word": ctx.basis_element(j).render(),
+            "residual": AlgebraElement(ctx, diff).render()}
+
+
+def _presentation_witness(ctx):
+    """The witness of the first relation of _presentation that fails, at its
+    first failing basis word, or None. Columns are compared as dicts; the
+    residual is computed only on a mismatch."""
+    for name, lhs, rhs in _presentation(ctx):
+        for j, (a, b) in enumerate(zip(lhs, rhs)):
+            if a != b and (witness := _mismatch(ctx, name, j, a, b)):
+                return witness
+    return None
 
 
 def check_relations(ctx):
     """Certify the engine product.
 
     1. Every relation of the Ariki-Koike presentation (T_0 = L_1) holds as
-       an operator identity on every PBW basis vector (the families of
-       _relation_operator_checks), so the stored generator matrices define
-       a representation rho of the algebra on the coordinate space.
+       an operator identity on the whole PBW basis, evaluated on whole
+       columns (_presentation), so the stored generator matrices define a
+       representation rho of the algebra on the coordinate space.
     2. Reconstruction: multiply(b, 1) = e_b for every PBW word b, through
        the product code path itself (T_w first, then L_n^a_n ... L_1^a_1).
        So h -> rho(h) 1 is onto and sends each word to its own coordinate.
@@ -672,55 +683,43 @@ def check_relations(ctx):
        applied by _apply_L, on the identity word (at r = 1 no PBW word has
        an L factor, so reconstruction never applies them). _apply_L is a
        product of generator operators, and in the regular representation
-       such an operator is fixed by its value on 1.
+       such an operator is fixed by its value on 1. Steps 2 and 3 are the
+       only ones that run _apply_L.
 
     The first failure stops the check with a witness."""
     start = time.perf_counter()
     d = ctx.domain
-    witnesses = []
-
-    def check(name, lhs, rhs, j):
-        unit = {j: d.one}
-        diff = lhs(unit)
-        ctx._add_scaled(diff, {k: -x for k, x in rhs(unit).items()})
-        if diff:
-            witnesses.append({
-                "relation": name,
-                "word": ctx.basis_element(j).render(),
-                "residual": AlgebraElement(ctx, diff).render(),
-            })
-        return not diff
-
-    for name, lhs, rhs in _relation_operator_checks(ctx):
-        if not all(check(name, lhs, rhs, j) for j in range(ctx.dim)):
-            break
+    witness = _presentation_witness(ctx)
     reconstructed = 0
-    if not witnesses:
+    if witness is None:
         one = ctx.one()
         for j in range(ctx.dim):
             word = ctx.basis_element(j)
             got = ctx.multiply(word, one)
             if got != word:
-                witnesses.append({
+                witness = {
                     "relation": "reconstruction",
                     "word": word.render(),
                     "residual": (got - word).render(),
-                })
+                }
                 break
             reconstructed += 1
-    if not witnesses:
+    if witness is None:
+        unit = {0: d.one}
         for i in range(1, ctx.n):
             T = partial(ctx._apply_cols, ctx._matrices[("T", i - 1)])
-            if not check(f"conjugation q L{i + 1} = T{i} L{i} T{i}",
-                         lambda v: d.scale(ctx._apply_L(i + 1, v), ctx.q_val),
-                         lambda v: T(ctx._apply_L(i, T(v))), 0):
+            witness = _mismatch(
+                ctx, f"conjugation q L{i + 1} = T{i} L{i} T{i}", 0,
+                d.scale(ctx._apply_L(i + 1, unit), ctx.q_val),
+                T(ctx._apply_L(i, T(unit))))
+            if witness:
                 break
     return VerificationReport(
         check="check_relations",
         params={"n": ctx.n, "r": ctx.r, "domain": ctx.domain.name,
                 "reconstructed": reconstructed},
-        status="pass" if not witnesses else "fail",
-        witnesses=witnesses,
+        status="pass" if witness is None else "fail",
+        witnesses=[] if witness is None else [witness],
         duration=time.perf_counter() - start,
     )
 

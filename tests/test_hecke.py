@@ -19,7 +19,8 @@ from cyclohecke.hecke import (
     validate_straightening,
 )
 from cyclohecke.center import center_basis
-from cyclohecke.rings import (CyclotomicDomain, LaurentPoly, RationalDomain,
+from cyclohecke.rings import (CyclotomicDomain, LaurentPoly,
+                              PrimeFieldDomain, RationalDomain,
                               elementary_symmetric)
 from conftest import _random_element, literal_L
 
@@ -137,19 +138,89 @@ def fault_scaled_L(ctx):
     scale_matrices(ctx, "L", ctx.domain.from_int(2))
 
 
-def failing_families(ctx):
-    """Names of every relation family with a failing basis word (the
-    certificate itself stops at the first)."""
+def unit_vector_relations(ctx):
+    """(name, lhs, rhs) with lhs/rhs functions on basis vectors (index-keyed
+    dicts): the Ariki-Koike presentation with T_0 = L_1, one unit vector at
+    a time, with T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0 stated as L_1 L_2 =
+    L_2 L_1 through ctx._apply_L: the oracle that the certificate's column
+    form (hecke._presentation_witness) is compared against."""
+    n = ctx.n
+
+    def T(i):  # 1-based
+        mat = ctx._matrices[("T", i - 1)]
+        return lambda v: ctx._apply_cols(mat, v)
+
+    def L(i):
+        return lambda v: ctx._apply_L(i, v)
+
+    def compose(*fs):
+        def apply(v):
+            for f in reversed(fs):
+                v = f(v)
+            return v
+        return apply
+
+    def combine(*cfs):
+        def apply(v):
+            out = {}
+            for c, f in cfs:
+                ctx._add_scaled(out, f(v), c)
+            return out
+        return apply
+
+    identity = lambda v: dict(v)
+    q = ctx.q_val
+    one = ctx.domain.one
+    qm1 = q - one
+    out = []
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            out.append((f"commute T{i} T{j}",
+                        compose(T(i), T(j)), compose(T(j), T(i))))
+    if n >= 2:
+        out.append(("commute L1 L2",
+                    compose(L(1), L(2)), compose(L(2), L(1))))
+    for i in range(2, n):
+        out.append((f"commute T{i} L1",
+                    compose(T(i), L(1)), compose(L(1), T(i))))
+    for i in range(1, n - 1):
+        out.append((f"braid T{i} T{i + 1}",
+                    compose(T(i), T(i + 1), T(i)),
+                    compose(T(i + 1), T(i), T(i + 1))))
+    for i in range(1, n):
+        out.append((f"quadratic T{i}",
+                    compose(T(i), T(i)),
+                    combine((qm1, T(i)), (q, identity))))
+
+    def cyclotomic(v):
+        for Q in ctx.Q_vals:
+            v = combine((one, L(1)), (-Q, identity))(v)
+        return v
+
+    out.append(("cyclotomic prod (L1 - Qi)",
+                cyclotomic, lambda v: {}))
+    return out
+
+
+def oracle_failures(ctx):
+    """(name, basis index, residual lhs - rhs) at the first failing basis
+    word of every failing family of unit_vector_relations, in family order
+    (the certificate itself stops at the first)."""
     d = ctx.domain
-    failing = []
-    for name, lhs, rhs in hecke._relation_operator_checks(ctx):
+    failures = []
+    for name, lhs, rhs in unit_vector_relations(ctx):
         for j in range(ctx.dim):
             diff = lhs({j: d.one})
             ctx._add_scaled(diff, rhs({j: d.one}), -d.one)
             if diff:
-                failing.append(name)
+                failures.append((name, j, diff))
                 break
-    return failing
+    return failures
+
+
+def failing_families(ctx):
+    """Names of every relation family with a failing basis word."""
+    return [name for name, _, _ in oracle_failures(ctx)]
 
 
 def l_before_t_multiply(monkeypatch):
@@ -783,3 +854,109 @@ class TestCertificate:
         assert rep.passed
         assert rep.params == {"n": 3, "r": 2, "domain": "rational",
                               "reconstructed": ctx.dim}
+
+
+def _differential_context(kind, n, r, q=3):
+    """A fresh context without its build gate: over F_p, Q, Q(zeta_3) or
+    the Laurent ring."""
+    if kind == "symbolic":
+        return symbolic_context(n, r, self_check=False)
+    if kind == "cyclotomic":
+        d = CyclotomicDomain(3)
+        return AlgebraContext(n, r, d, d.zeta(1),
+                              [d.one, d.zeta(1)][:r], self_check=False)
+    d = PrimeFieldDomain() if kind == "prime" else RationalDomain()
+    return AlgebraContext(n, r, d, d.from_int(q),
+                          [d.from_int(Q) for Q in (2, 5, 7, 11)[:r]],
+                          self_check=False)
+
+
+def fault_last_column(key):
+    """One entry added at basis index 0 of the last column of the stored
+    matrix key."""
+    def fault(ctx):
+        d = ctx.domain
+        cols = ctx._matrices[key]
+        col = dict(cols[-1])
+        d.add_scaled(col, {0: d.one})
+        ctx._matrices[key] = cols[:-1] + [col]
+    return fault
+
+
+def _differential_cases():
+    contexts = [("prime", 4, 1, 3), ("prime", 2, 4, 3), ("prime", 3, 2, 3),
+                ("rational", 3, 2, 3), ("rational", 4, 1, 2),
+                ("rational", 4, 1, -1), ("rational", 4, 1, 1),
+                ("cyclotomic", 3, 1, None), ("cyclotomic", 2, 2, None),
+                ("symbolic", 2, 2, None), ("symbolic", 3, 1, None)]
+    for kind, n, r, q in contexts:
+        faults = [
+            ("none", lambda ctx: None),
+            ("conjugated_L1", fault_conjugated_L1),
+            ("scaled_L", fault_scaled_L),
+            ("conjugate_generators",
+             lambda ctx: conjugate_generators(ctx, 1, 2)),
+            ("last_column_L1", fault_last_column(("L", 1))),
+        ]
+        faults += [(f"last_column_T{i + 1}", fault_last_column(("T", i)))
+                   for i in range(n - 1)]
+        if n >= 2:
+            faults.append(("scaled_T", fault_scaled_T))
+        if n >= 3:
+            faults.append(("T2_other_root", fault_T2_other_root))
+        if n >= 4:
+            faults += [("T3_is_T2", fault_T3_is_T2),
+                       ("T3_is_T1", fault_T3_is_T1)]
+        label = f"{kind}-{n}-{r}" + (f"-q{q}" if kind == "rational" else "")
+        for name, fault in faults:
+            yield pytest.param(kind, n, r, q, fault, id=f"{label}-{name}")
+
+
+class TestColumnGate:
+    """The relation phase on whole columns against the unit-vector
+    oracle, and its cost in matrix applications."""
+
+    @pytest.mark.parametrize("kind,n,r,q,fault", _differential_cases())
+    def test_agrees_with_unit_vector_oracle(self, kind, n, r, q, fault):
+        ctx = _differential_context(kind, n, r, q)
+        fault(ctx)
+        expected = oracle_failures(ctx)
+        rep = check_relations(ctx)
+        witness = hecke._presentation_witness(ctx)
+        if not expected:
+            assert witness is None
+            assert rep.passed or rep.witnesses[0]["relation"].startswith(
+                ("reconstruction", "conjugation"))
+            return
+        name, j, diff = expected[0]
+        if name == "commute L1 L2":
+            # T_0 T_1 T_0 T_1 - T_1 T_0 T_1 T_0 = q (L_1 L_2 - L_2 L_1)
+            diff = ctx.domain.scale(diff, ctx.q_val)
+        assert rep.status == "fail"
+        assert rep.params["reconstructed"] == 0
+        assert rep.witnesses == [witness] == [{
+            "relation": name,
+            "word": ctx.basis_element(j).render(),
+            "residual": AlgebraElement(ctx, diff).render()}]
+
+    @pytest.mark.parametrize("n,r,per_column", [
+        # 2 (T1 T3) + 6 (T0 T1 T0 T1) + 2 * 2 (T2 L1, T3 L1) + 2 * 4 (braids)
+        # + 3 * 1 (quadratics) + 0 (cyclotomic at r = 1)
+        (4, 1, 23),
+        # 6 (T0 T1 T0 T1) + 1 (quadratic) + 3 (cyclotomic at r = 4)
+        (2, 4, 10),
+    ])
+    def test_relation_phase_cost(self, monkeypatch, n, r, per_column):
+        """One apply_cols per column for each factor of a side beyond its
+        rightmost: no unit vectors and no expanded products."""
+        ctx = _differential_context("prime", n, r)
+        calls = []
+        apply_cols = ctx.domain.apply_cols
+
+        def counting(cols, vec):
+            calls.append(len(vec))
+            return apply_cols(cols, vec)
+
+        monkeypatch.setattr(ctx.domain, "apply_cols", counting)
+        assert hecke._presentation_witness(ctx) is None
+        assert len(calls) == ctx.dim * per_column

@@ -1,0 +1,158 @@
+"""The reach ladder: whole CLI commands at the sizes the project aims to
+verify routinely, each timed once in a fresh process.
+
+    python3 tools/ladder.py --label NAME [--root DIR]
+
+Each rung runs ``python -m cyclohecke ...`` with the package imported from
+``DIR/src`` (default: this checkout) and a timeout of 600 s. A rung that
+times out is killed and recorded with ``timed_out``, not failed. The
+child's own CPU seconds (user + system) and peak resident memory come from
+``os.wait4``; the ``ru_maxrss`` of RUSAGE_CHILDREN would be a maximum over
+every child so far. A child's peak is at least the ladder's own small
+resident size at the fork that starts it. The result is written to
+``BENCH_<label>.json`` at the root of this checkout, with the Python
+version, the CPU count, the commit and a hash of ``src/`` of the measured
+tree. Each rung also records ``probe_s``, the mean of the median CPU
+seconds of the ``bench/calibration.py`` probe just before and just after
+it: the host's speed drifts by up to 1.8x, so rungs of two files compare
+best as ``cpu_s / probe_s``.
+
+The four workloads of ``bench/run.py`` remain the gate of a change; the
+ladder records how far the verifier reaches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600.0
+PROBES = 11  # calibration probes of about 1 ms each, before and after a rung
+
+RUNGS = {
+    "hilb-n7": ["hilb", "--n", "7", "--q-values", "2"],
+    "hilb-n8": ["hilb", "--n", "8", "--q-values", "2"],
+    "center-n4-r3": ["--samples", "3", "center", "--n", "4", "--r", "3",
+                     "--q", "generic", "--Q", "generic,generic,generic"],
+    "blocks-n5-r1-ell3": ["blocks", "--n", "5", "--r", "1", "--ell", "3",
+                          "--charge", "0"],
+    "blocks-n4-r2-ell2": ["blocks", "--n", "4", "--r", "2", "--ell", "2",
+                          "--charge", "0,1"],
+    "blocks-n4-r2-ell3": ["blocks", "--n", "4", "--r", "2", "--ell", "3",
+                          "--charge", "0,1"],
+    "pairing-n3-r3": ["--samples", "3", "pairing", "--n", "3", "--r", "3"],
+    "pairing-n4-r2": ["--samples", "1", "pairing", "--n", "4", "--r", "2"],
+    "q1-gap-n5-r2": ["q1-gap", "--n", "5", "--r", "2", "--Q", "2,5"],
+    "verify-main-1e6": ["verify-main", "--budget", "1000000"],
+}
+
+
+def run_child(cmd, env, timeout):
+    """Run cmd once; its exit code (None when killed at the timeout), wall
+    seconds, and CPU seconds and peak RSS in MB of that child alone."""
+    with tempfile.TemporaryFile() as sink:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=sink,
+                                stderr=subprocess.STDOUT)
+        reaped = threading.Event()
+        expired = threading.Event()
+
+        def kill():
+            if not reaped.is_set():
+                expired.set()
+                os.kill(proc.pid, signal.SIGKILL)
+
+        timer = threading.Timer(timeout, kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            reaped.set()
+            timer.cancel()
+        wall = time.perf_counter() - start
+    # reaped here, so Popen must not wait for the child again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "exit_code": None if expired.is_set() else proc.returncode,
+        "timed_out": expired.is_set(),
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+    }
+
+
+def src_hash(root):
+    """SHA-256 over the relative paths and bytes of every file in src/."""
+    digest = hashlib.sha256()
+    src = root / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file()
+                       and "__pycache__" not in p.parts):
+        digest.update(str(path.relative_to(src)).encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def git(root, *args):
+    proc = subprocess.run(["git", "-C", str(root), *args],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def load_calibration():
+    spec = importlib.util.spec_from_file_location(
+        "calibration", HERE / "bench" / "calibration.py")
+    calibration = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibration)
+    return calibration
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="checkout whose src/ is measured")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    env = dict(os.environ)
+    env.pop("CYCLOHECKE_CACHE", None)
+    env["PYTHONPATH"] = str(root / "src")
+    env["PYTHONHASHSEED"] = "0"
+    result = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "commit": git(root, "rev-parse", "HEAD"),
+        "src_modified": bool(git(root, "status", "--porcelain", "src")),
+        "src_sha256": src_hash(root),
+        "timeout_s": TIMEOUT_S,
+        "rungs": [],
+    }
+    calibration = load_calibration()
+    for name in RUNGS:
+        cmd = [sys.executable, "-m", "cyclohecke", *RUNGS[name]]
+        before = calibration.calibrate(PROBES)
+        record = {"name": name, "argv": RUNGS[name],
+                  **run_child(cmd, env, TIMEOUT_S)}
+        record["probe_s"] = round(
+            (before + calibration.calibrate(PROBES)) / 2, 6)
+        result["rungs"].append(record)
+        print(json.dumps(record), flush=True)
+    out = HERE / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()
