@@ -42,9 +42,9 @@ class IdempotentSplitError(Exception):
 def commutator_operators(ctx):
     """For each generator g of T_1..T_{n-1}, L_1, the sparse columns of
     ad_g: b -> g b - b g. Left multiplication is the cached generator
-    matrix, right multiplication by T_i is right_T_matrix, and only b L_1
-    takes products. The common kernel of the ad_g is the center; the span
-    of all their columns is [H, H]."""
+    matrix, right multiplication by T_i is right_T_matrix, and b L_1 is
+    right_multiplication_matrix, built by generator applications. The common
+    kernel of the ad_g is the center; the span of their columns is [H, H]."""
     lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
     lefts.append(ctx._matrices[("L", 1)])
     rights = [ctx.right_T_matrix(i) for i in range(1, ctx.n)]
@@ -74,12 +74,6 @@ def center_basis(ctx):
         return [ctx.basis_element(i) for i in range(ctx.dim)]
     return [AlgebraElement(ctx, v)
             for v in kernel_basis(rows, ctx.domain, ctx.dim)]
-
-
-def is_central(ctx, x):
-    """Whether x commutes with the generators T_1..T_{n-1}, L_1, hence with
-    the whole algebra."""
-    return all(x * g == g * x for g in ctx.generators())
 
 
 # ---------------------------------------------------------------------------
@@ -380,79 +374,103 @@ def _eigenspace_projector(d, mu, values, s):
     return p
 
 
+def multiplication_matrices(ctx, span):
+    """The matrices M_1..M_n of multiplication by e_1..e_n on the span
+    basis z_1..z_m, as sparse columns: column j of M_k holds the coordinates
+    of e_k z_j, from one apply_symmetric_jm sweep on z_j. The images are
+    reduced against one RowSpace of the z_j, each with a 1 in its own extra
+    column dim + j, so an image in the span leaves minus its coordinates on
+    the extra columns; a residual on a PBW word is refused."""
+    d, dim = ctx.domain, ctx.dim
+    basis = RowSpace(d, dim + span.rank)
+    for j, z in enumerate(span.elements):
+        basis.add({**z.terms, dim + j: d.one})
+    mats = [[] for _ in range(ctx.n)]
+    for z in span.elements:
+        for cols, image in zip(mats, ctx.apply_symmetric_jm(z.terms)):
+            residual = basis.reduce(image)
+            if residual and min(residual) < dim:
+                raise IdempotentSplitError("the span is not closed")
+            cols.append({c - dim: -x for c, x in residual.items()})
+    return mats
+
+
+def min_poly_on_center_ideal(d, cols, vec, m):
+    """Monic minimal polynomial (ascending coefficients) of the m x m
+    matrix with sparse columns cols on the vector vec: for M_k on the
+    coordinates of eps, that of e_k on the ideal eps Z, which eps generates.
+
+    The power M^k vec enters one RowSpace with a 1 in the extra column
+    m + k, which records the combination of powers each row stands for. The
+    first power that depends on the earlier ones leaves a residual on the
+    extra columns only: the relation with coefficient 1 at M^k."""
+    span = RowSpace(d, 2 * m + 1)
+    power = vec
+    k = 0
+    while True:
+        residual = span.reduce({**power, m + k: d.one})
+        if min(residual) >= m:
+            return [residual.get(m + j, d.zero) for j in range(k + 1)]
+        span.add(residual)
+        power = d.apply_cols(cols, power)
+        k += 1
+
+
+def _poly_apply(d, cols, p, vec):
+    """p(M) vec by Horner's rule, M the matrix with sparse columns cols."""
+    out = {}
+    d.add_scaled(out, vec, p[-1])
+    for c in reversed(p[:-1]):
+        out = d.apply_cols(cols, out)
+        d.add_scaled(out, vec, c)
+    return out
+
+
 def central_idempotents(ctx):
     """The complete set of primitive central idempotents of a specialized
     algebra, read off the Jucys-Murphy spectra, as (idempotents, spectra,
-    span): spectra[i] holds the eigenvalues of e_1..e_n on idempotents[i] Z,
-    and span is the JM-center span, stopped early against the center.
+    image_dims): spectra[i] holds the eigenvalues of e_1..e_n on
+    idempotents[i] Z, and image_dims[i] is the dimension of that ideal.
 
-    The span must be the center, so that e_1..e_n and e_n^{-1} generate Z.
-    For each distinct row s of scalars of e_1..e_n on the cell modules, eps
-    starts at 1 and, for k = 1..n, becomes its component in the generalized
-    s_k-eigenspace of e_k on eps Z. Then each e_k, and so e_n^{-1}, has a
-    single eigenvalue on eps Z: eps Z is local and eps primitive over any
-    extension of the coefficient field. The family must be idempotent,
-    orthogonal, central and sum to one; primitive central idempotents are
-    unique, so a family passing these checks is the block decomposition.
-    Any failure raises IdempotentSplitError, as at q = 1 (where the JM
-    center is smaller than the center), which no command reaches.
+    The span must be the center, so that e_1..e_n and e_n^{-1} generate Z;
+    the rest works in its coordinates, where the first span element is 1.
+    For each distinct row s of scalars of e_1..e_n on the cell modules, P,
+    multiplication by eps, starts at the identity and, for k = 1..n,
+    becomes p(M_k) P: eps = P 1 becomes its component in the generalized
+    s_k-eigenspace of e_k on eps Z. Then e_1..e_n, and so e_n^{-1}, have
+    single eigenvalues on eps Z: eps is primitive over any extension of the
+    field. The family must be idempotent, orthogonal and sum to one; it
+    lies in Z, so it is central, and primitive central idempotents are
+    unique. Any failure raises IdempotentSplitError, as at q = 1.
     """
     center, span = center_and_jm_span(ctx)
     if not (span.in_center and span.rank == center.rank):
         raise IdempotentSplitError("the Jucys-Murphy center is not the center")
+    d, m = ctx.domain, span.rank
+    mats = multiplication_matrices(ctx, span)
+    basis = [z.terms for z in span.elements]
     classes = _spectrum_classes(ctx)
     columns = [list(dict.fromkeys(column)) for column in zip(*classes)]
     blocks = []
     for s in classes:
-        eps = ctx.one()
-        for e_k, values, s_k in zip(span.generators, columns, s):
-            mu = min_poly_on_center_ideal(ctx, eps, e_k)
-            p = _eigenspace_projector(ctx.domain, mu, values, s_k)
-            component = eps * p[-1]
-            for c in reversed(p[:-1]):
-                component = e_k * component + eps * c
-            eps = component
-            if eps.is_zero():
+        P = [{j: d.one} for j in range(m)]
+        for M, values, s_k in zip(mats, columns, s):
+            mu = min_poly_on_center_ideal(d, M, P[0], m)
+            p = _eigenspace_projector(d, mu, values, s_k)
+            P = [_poly_apply(d, M, p, col) for col in P]
+            if not P[0]:
                 raise IdempotentSplitError("zero component")
-        blocks.append((min(eps.terms), eps, s))
+        eps = d.apply_cols(basis, P[0])  # sum_j (P 1)_j z_j
+        blocks.append((min(eps), AlgebraElement(ctx, eps), s, P))
     blocks.sort(key=lambda block: block[0])
-    idempotents = [e for _, e, _ in blocks]
-    _verify_idempotent_family(ctx, idempotents)
-    return idempotents, [spectrum for _, _, spectrum in blocks], span
-
-
-def _verify_idempotent_family(ctx, elements):
-    total = ctx.zero()
-    for i, e in enumerate(elements):
-        if not (e * e == e):
+    total = {}
+    for i, (_, _, _, P) in enumerate(blocks):
+        if d.apply_cols(P, P[0]) != P[0]:
             raise IdempotentSplitError("non-idempotent component")
-        for j in range(i + 1, len(elements)):
-            if not (e * elements[j]).is_zero():
-                raise IdempotentSplitError("components are not orthogonal")
-        if not is_central(ctx, e):
-            raise IdempotentSplitError("component is not central")
-        total = total + e
-    if not (total == ctx.one()):
+        if any(d.apply_cols(P, later[3][0]) for later in blocks[i + 1:]):
+            raise IdempotentSplitError("components are not orthogonal")
+        d.add_scaled(total, P[0])
+    if total != {0: d.one}:
         raise IdempotentSplitError("components do not sum to the identity")
-
-def min_poly_on_center_ideal(ctx, eps, z):
-    """Monic minimal polynomial (ascending K coefficients) of the central
-    element z acting on the ideal eps * Z.
-
-    The power z^k eps enters one RowSpace with a 1 in the extra column
-    dim + k, which records the combination of powers each row stands for.
-    The first power that depends on the earlier ones reduces to a residual
-    supported only on the extra columns: the relation among the powers with
-    coefficient 1 at z^k, which is the minimal polynomial."""
-    d = ctx.domain
-    span = RowSpace(d, 2 * ctx.dim + 1)
-    power = eps
-    k = 0
-    while True:
-        residual = span.reduce({**power.terms, ctx.dim + k: d.one})
-        if min(residual) >= ctx.dim:
-            return [residual.get(ctx.dim + j, d.zero) for j in range(k + 1)]
-        span.add(residual)
-        power = z * power
-        k += 1
-
+    _, idempotents, spectra, products = zip(*blocks)
+    return list(idempotents), list(spectra), [rank(P, d) for P in products]

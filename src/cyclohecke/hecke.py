@@ -6,11 +6,11 @@ vector format of the package; index 0 is the identity word.
 A context stores the left-multiplication matrices of the generators
 T_1..T_{n-1} and T_0 = L_1 only; _apply_L applies the higher Jucys-Murphy
 elements from their definition. Multiplication applies these maps to the
-right factor in two shared stages: T_w y once per distinct suffix of the
-left factor's reduced words, then the L-exponents by Horner's rule over the
-trie of exponent tuples. The central elements e_k(L_1..L_n) and e_n^{-1} act
-on vectors directly through the same maps (apply_symmetric_jm,
-apply_symmetric_jm_inverse), with no product.
+right factor word by word: for each word of the left factor, T_w by its
+reduced word, then its L-exponents. Every product the package makes has a
+one-word left factor, except in invert. The central elements
+e_k(L_1..L_n) and e_n^{-1} act on vectors directly through the same maps
+(apply_symmetric_jm, apply_symmetric_jm_inverse), with no product.
 
 The only nontrivial rewriting rule is the straightening identity
 
@@ -429,49 +429,36 @@ class AlgebraContext:
         self.domain.add_scaled(out, vec, coeff)
 
     def multiply(self, x, y):
-        """Product x * y in PBW normal form.
-
-        A left word L_1^a_1 ... L_n^a_n T_w acts on y right to left. The
-        T_w y are computed once per distinct suffix of the reduced words and
-        summed, with their coefficients, into one vector per exponent tuple.
-        Those vectors are then folded up the trie of exponent tuples (the
-        parent of a tuple drops one power of its last nonzero exponent),
-        deepest first: Horner's rule with L_n innermost, one L_k
-        application per trie node. Every word still sees its own factor
-        order, so no commutation of the L_i is assumed."""
+        """Product x * y in PBW normal form, word by word: each left word
+        L_1^a_1 ... L_n^a_n T_w acts on y right to left, T_w by its reduced
+        word, then L_n^a_n, ..., L_1^a_1, and the results are summed with
+        their coefficients. Every word sees its own factor order, so no
+        commutation of the L_i is assumed."""
         mats = self._matrices
-        suffixes = {(): y.terms}
-        nodes = {}
+        out = {}
         for k, cx in x.terms.items():
             exps, w = self.basis[k]
-            word = reduced_word(w)
-            for j in range(len(word) - 1, -1, -1):
-                if word[j:] not in suffixes:
-                    suffixes[word[j:]] = self._apply_cols(
-                        mats[("T", word[j])], suffixes[word[j + 1:]])
-            self._add_scaled(nodes.setdefault(exps, {}), suffixes[word], cx)
-
-        by_depth = {}
-        for exps in nodes:
-            by_depth.setdefault(sum(exps), []).append(exps)
-        for depth in range(max(by_depth, default=0), 0, -1):
-            for exps in by_depth.get(depth, ()):
-                k = max(i for i, a in enumerate(exps) if a)
-                parent = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-                if parent not in nodes:
-                    nodes[parent] = {}
-                    by_depth.setdefault(depth - 1, []).append(parent)
-                self._add_scaled(nodes[parent],
-                                 self._apply_L(k + 1, nodes[exps]))
-        return AlgebraElement(self, nodes.get((0,) * self.n, {}))
+            vec = y.terms
+            for i in reversed(reduced_word(w)):
+                vec = self._apply_cols(mats[("T", i)], vec)
+            for i in range(self.n, 0, -1):
+                for _ in range(exps[i - 1]):
+                    vec = self._apply_L(i, vec)
+            self._add_scaled(out, vec, cx)
+        return AlgebraElement(self, out)
 
     def right_multiplication_matrix(self, x):
-        """Columns of right multiplication by x: a product for each of the
-        first n! words T_w, then L^a T_w x = L_j (L^a' T_w x) from an earlier
-        column, a' being a with one power less at its first nonzero place j."""
+        """Columns of right multiplication by x, each a generator applied to
+        an earlier column: T_w x = T_i (T_{s_i w} x), i the first letter of
+        the reduced word of w (s_i w is an earlier basis word, and T_w is the
+        same for every reduced word), then L^a T_w x = L_j (L^a' T_w x), a'
+        being a with one power less at its first nonzero place j."""
         m = len(all_permutations(self.n))
-        cols = [self.multiply(self.basis_element(k), x).terms
-                for k in range(m)]
+        cols = [x.terms]
+        for exps, w in self.basis[1:m]:
+            i = reduced_word(w)[0]
+            prev = cols[self.index[(exps, left_mult_simple(i, w))]]
+            cols.append(self._apply_cols(self._matrices[("T", i)], prev))
         for exps, w in self.basis[m:]:
             j = next(i for i, a in enumerate(exps) if a)
             prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]

@@ -26,7 +26,7 @@ from .center import (
     center_and_jm_span,
     character_dual,
     commutator_coordinates,
-    is_central,
+    commutator_operators,
     jm_center_span,
     specialized_elementary_characters,
     trace_gram_matrix,
@@ -482,9 +482,10 @@ def suite_pairing(n, r, *, seed=0, samples=1):
         span = jm_center_span(ctx)
         # tau(ab c) = tau(b ca) = tau(b ac) for central a, by associativity
         # (certified at build) and trace symmetry; every span element is a
-        # product of the generators, so it is central when they are
+        # product of the generators, so it is central when ad_g kills them
+        ops = commutator_operators(ctx)
         for g in span.generators:
-            if not is_central(ctx, g):
+            if any(ctx._apply_cols(op, g.terms) for op in ops):
                 witnesses.append({
                     "reason": "JM-center element is not central",
                     "a": g.render(),

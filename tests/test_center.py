@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from conftest import add_T1_to_e1
 from cyclohecke.center import (
     IdempotentSplitError,
     center_and_jm_span,
@@ -16,10 +17,12 @@ from cyclohecke.center import (
     commutator_coordinates,
     descriptor_characters,
     jm_center_span,
-    min_poly_on_center_ideal,
+    multiplication_matrices,
     root_multiplicity,
     specialized_elementary_characters,
     trace_gram_matrix,
+    _eigenspace_projector,
+    _spectrum_classes,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
@@ -264,10 +267,53 @@ def unique_eigenvalue(ctx, mu):
     return v
 
 
+def product_min_poly(ctx, eps, z):
+    """Monic minimal polynomial (ascending coefficients) of the central
+    element z on the ideal eps * Z, by products in the algebra: the oracle
+    for the coordinate form. The power z^k eps enters one RowSpace with a 1
+    in the extra column dim + k; the first power that depends on the
+    earlier ones leaves a residual on the extra columns only, the relation
+    with coefficient 1 at z^k."""
+    d = ctx.domain
+    span = RowSpace(d, 2 * ctx.dim + 1)
+    power = eps
+    k = 0
+    while True:
+        residual = span.reduce({**power.terms, ctx.dim + k: d.one})
+        if min(residual) >= ctx.dim:
+            return [residual.get(ctx.dim + j, d.zero) for j in range(k + 1)]
+        span.add(residual)
+        power = z * power
+        k += 1
+
+
+def product_idempotents(ctx):
+    """The block idempotents and their spectra built by products in the
+    algebra, in the order of central_idempotents: for each spectrum row s,
+    eps starts at 1 and becomes p(e_k) eps for k = 1..n, p the eigenspace
+    projector of the product minimal polynomial of e_k on eps * Z."""
+    _, span = center_and_jm_span(ctx)
+    classes = _spectrum_classes(ctx)
+    columns = [list(dict.fromkeys(column)) for column in zip(*classes)]
+    blocks = []
+    for s in classes:
+        eps = ctx.one()
+        for e_k, values, s_k in zip(span.generators, columns, s):
+            mu = product_min_poly(ctx, eps, e_k)
+            p = _eigenspace_projector(ctx.domain, mu, values, s_k)
+            component = eps * p[-1]
+            for c in reversed(p[:-1]):
+                component = e_k * component + eps * c
+            eps = component
+        blocks.append((min(eps.terms), eps, s))
+    blocks.sort(key=lambda block: block[0])
+    return [e for _, e, _ in blocks], [s for _, _, s in blocks]
+
+
 def _single_eigenvalues(ctx, eps, elements):
     """The eigenvalue of each central element on the ideal eps * Z, or None
     if one of them has more than one there."""
-    values = [unique_eigenvalue(ctx, min_poly_on_center_ideal(ctx, eps, x))
+    values = [unique_eigenvalue(ctx, product_min_poly(ctx, eps, x))
               for x in elements]
     return None if any(v is None for v in values) else values
 
@@ -404,7 +450,7 @@ class TestPrimitivityCertificate:
         eps, spectra, _ = central_idempotents(ctx)
         for e, spectrum in zip(eps, spectra):
             assert spectrum == tuple(
-                unique_eigenvalue(ctx, min_poly_on_center_ideal(
+                unique_eigenvalue(ctx, product_min_poly(
                     ctx, e, ctx.symmetric_jm(k)))
                 for k in range(1, ctx.n + 1))
 
@@ -451,7 +497,7 @@ class TestBlockSpectra:
     def test_unique_eigenvalue_extraction(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
         (eps,), _, _ = central_idempotents(ctx)
-        mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(1))
+        mu = product_min_poly(ctx, eps, ctx.symmetric_jm(1))
         value = unique_eigenvalue(ctx, mu)
         # e_1 = L_1 + L_2 = Q_1 + q Q_1 = 0 at q = -1, Q_1 = 1
         assert value == Fraction(0)
@@ -470,7 +516,7 @@ class TestBlockSpectra:
         # first block of (2,2) at q = -1, Q = (1, 1)
         ctx = _root_of_unity_ctx(2, 2, 2, (0, 0))
         eps = central_idempotents(ctx)[0][0]
-        mu = min_poly_on_center_ideal(ctx, eps, ctx.symmetric_jm(2))
+        mu = product_min_poly(ctx, eps, ctx.symmetric_jm(2))
         assert len(mu) == 4
         assert unique_eigenvalue(ctx, mu) == ctx.domain.from_int(-1)
 
@@ -533,3 +579,160 @@ class TestPerElementOracles:
     def test_center_basis_certificate_agrees_on_every_block(self, ctx):
         eps, spectra, _ = central_idempotents(ctx)
         _assert_oracles_agree(ctx, eps, spectra)
+
+
+_CHARGES = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 0)]}
+_GRID = [(n, r, ell, charge) for n in (1, 2, 3) for r in (1, 2)
+         for ell in (2, 3, 4, 5) for charge in _CHARGES[r]]
+# the spectrum classes come in another order than the sorted blocks
+_REORDERED = [(4, 1, 4, (0,)), (3, 2, 3, (0, 1)), (3, 2, 3, (1, 0))]
+
+
+def _case_id(case):
+    n, r, ell, charge = case
+    return f"({n},{r})-ell{ell}-charge{''.join(map(str, charge))}"
+
+
+class TestCoordinatesAgainstProducts:
+    """central_idempotents works in the coordinates of Z; the construction
+    by products in the algebra is the oracle for its idempotents, spectra
+    and image dimensions."""
+
+    @pytest.mark.parametrize(
+        "case", _GRID + [c for c in _REORDERED if c not in _GRID],
+        ids=_case_id)
+    def test_same_blocks_as_the_product_construction(self, case):
+        ctx = _root_of_unity_ctx(*case)
+        eps, spectra, image_dims = central_idempotents(ctx)
+        ref_eps, ref_spectra = product_idempotents(ctx)
+        assert [e.terms for e in eps] == [e.terms for e in ref_eps]
+        assert spectra == ref_spectra
+        # eps Z is spanned by the z eps, read off the right multiplication
+        # matrix of eps
+        _, span = center_and_jm_span(ctx)
+        ranks = []
+        for e in eps:
+            right = ctx.right_multiplication_matrix(e)
+            ranks.append(rank([ctx._apply_cols(right, z.terms)
+                               for z in span.elements], ctx.domain))
+        assert image_dims == ranks
+        if case in _REORDERED:
+            assert spectra != _spectrum_classes(ctx)
+
+    @pytest.mark.parametrize("case", [(3, 1, 2, (0,)), (2, 2, 5, (0, 1)),
+                                      (3, 2, 3, (1, 0))], ids=_case_id)
+    def test_multiplication_matrices_are_the_products(self, case):
+        ctx = _root_of_unity_ctx(*case)
+        _, span = center_and_jm_span(ctx)
+        mats = multiplication_matrices(ctx, span)
+        for k, cols in enumerate(mats, start=1):
+            e_k = ctx.symmetric_jm(k)
+            for z, col in zip(span.elements, cols):
+                image = ctx.zero()
+                for j, c in col.items():
+                    image = image + span.elements[j] * c
+                assert image == e_k * z
+
+
+class TestCoordinateFaults:
+    """Each check of central_idempotents fails on its own fault, and the
+    failure is a failed block_decomposition report."""
+
+    @staticmethod
+    def _refused(case, error):
+        with pytest.raises(IdempotentSplitError, match=error):
+            central_idempotents(_root_of_unity_ctx(*case))
+        rep = verify_blocks(*case)
+        assert rep.status == "fail"
+        assert rep.witnesses == [{"reason": "idempotent splitting failed",
+                                  "error": error}]
+
+    def test_bumped_multiplication_entry_is_not_primitive(self, monkeypatch):
+        from cyclohecke import center
+
+        true_matrices = center.multiplication_matrices
+
+        def bumped(ctx, span):
+            mats = true_matrices(ctx, span)
+            col = mats[0][1]
+            col[0] = col.get(0, ctx.domain.zero) + ctx.domain.one
+            return mats
+
+        monkeypatch.setattr(center, "multiplication_matrices", bumped)
+        self._refused((3, 1, 2, (0,)), "component not primitive")
+
+    def test_bumped_projector_is_not_idempotent(self, monkeypatch):
+        from cyclohecke import center
+
+        true_projector = center._eigenspace_projector
+
+        def bumped(d, mu, values, s):
+            p = true_projector(d, mu, values, s)
+            p[0] = p[0] + d.one
+            return p
+
+        monkeypatch.setattr(center, "_eigenspace_projector", bumped)
+        self._refused((3, 1, 2, (0,)),
+                      "non-idempotent component")
+
+    def test_repeated_class_is_not_orthogonal(self, monkeypatch):
+        from cyclohecke import center
+
+        true_classes = center._spectrum_classes
+
+        def repeated(ctx):
+            classes = true_classes(ctx)
+            return classes + classes[:1]
+
+        monkeypatch.setattr(center, "_spectrum_classes", repeated)
+        self._refused((3, 1, 2, (0,)),
+                      "components are not orthogonal")
+
+    def test_missing_class_does_not_sum_to_one(self, monkeypatch):
+        # (2,2) at ell = 2, charge (0, 1) is one block; with more blocks a
+        # missing class also drops a value the root count needs
+        from cyclohecke import center
+
+        monkeypatch.setattr(center, "_spectrum_classes", lambda ctx: [])
+        self._refused((2, 2, 2, (0, 1)),
+                      "components do not sum to the identity")
+
+    def test_sweep_fault_after_the_span_is_not_closed(self, monkeypatch):
+        # the span is built and certified first; only the sweeps of the
+        # multiplication matrices see e_1 + T_1 in place of e_1
+        from cyclohecke import center
+
+        true_span = center.center_and_jm_span
+        sweep = AlgebraContext.apply_symmetric_jm
+
+        def then_faulted(ctx):
+            monkeypatch.setattr(AlgebraContext, "apply_symmetric_jm", sweep)
+            result = true_span(ctx)
+            add_T1_to_e1(monkeypatch)
+            return result
+
+        monkeypatch.setattr(center, "center_and_jm_span", then_faulted)
+        self._refused((3, 1, 2, (0,)), "the span is not closed")
+
+    @pytest.mark.parametrize("case", [(3, 1, 2, (0,)), (2, 2, 5, (0, 1))],
+                             ids=_case_id)
+    def test_no_algebra_product(self, monkeypatch, case):
+        from cyclohecke import ktheory
+
+        def refuse(self, x, y):
+            raise AssertionError("algebra product")
+
+        ctx = _root_of_unity_ctx(*case)
+        monkeypatch.setattr(AlgebraContext, "multiply", refuse)
+        eps, _, image_dims = central_idempotents(ctx)
+        assert len(eps) == len(image_dims) >= 2
+        monkeypatch.undo()
+        # verify_blocks builds its own context, whose self-test multiplies
+        split = ktheory.central_idempotents
+
+        def without_products(ctx):
+            monkeypatch.setattr(AlgebraContext, "multiply", refuse)
+            return split(ctx)
+
+        monkeypatch.setattr(ktheory, "central_idempotents", without_products)
+        assert verify_blocks(*case).passed

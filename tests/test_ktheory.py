@@ -286,10 +286,10 @@ class TestBlockMatchingFaults:
         split = ktheory.central_idempotents
 
         def perturbed(ctx):
-            idempotents, spectra, span = split(ctx)
+            idempotents, spectra, image_dims = split(ctx)
             first = spectra[0]
             spectra[0] = (first[0] + ctx.domain.one,) + first[1:]
-            return idempotents, spectra, span
+            return idempotents, spectra, image_dims
 
         monkeypatch.setattr(ktheory, "central_idempotents", perturbed)
         rep = verify_blocks(3, 1, 2, (0,))

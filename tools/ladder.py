@@ -52,6 +52,8 @@ RUNGS = {
                           "--charge", "0,1"],
     "blocks-n4-r2-ell3": ["blocks", "--n", "4", "--r", "2", "--ell", "3",
                           "--charge", "0,1"],
+    "blocks-n4-r3-ell3": ["blocks", "--n", "4", "--r", "3", "--ell", "3",
+                          "--charge", "0,1,2"],
     "pairing-n3-r3": ["--samples", "3", "pairing", "--n", "3", "--r", "3"],
     "pairing-n4-r2": ["--samples", "1", "pairing", "--n", "4", "--r", "2"],
     "q1-gap-n5-r2": ["q1-gap", "--n", "5", "--r", "2", "--Q", "2,5"],
