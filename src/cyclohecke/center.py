@@ -261,15 +261,41 @@ def cocenter_dim(ctx):
     return commutator_coordinates(ctx).dim
 
 
-def trace_gram_matrix(ctx, span, coords):
-    """Gram matrix tau(z_i * b_j) between the JM-center basis and the
+def cocenter_matrices(ctx, coords):
+    """C_1..C_n and C_inv, the matrices of e_1..e_n and e_n^{-1} on
+    H / [H, H] in the coordinates of the complement words b_j, as sparse
+    columns: column j of C_g is the residual of g b_j against [H, H],
+    indexed by position in the complement, where it lies."""
+    position = {w: k for k, w in enumerate(coords.complement)}
+    mats = [[] for _ in range(ctx.n + 1)]
+    for word in coords.complement:
+        b = {word: ctx.domain.one}
+        images = ctx.apply_symmetric_jm(b)
+        images.append(ctx.apply_symmetric_jm_inverse(b))
+        for cols, image in zip(mats, images):
+            cols.append({position[w]: x
+                         for w, x in coords.span.reduce(image).items()})
+    return mats
+
+
+def trace_gram_matrix(ctx, span, coords, mats):
+    """Gram matrix tau(z_i b_j) between the JM-center basis and the
     cocenter complement words, as sparse rows {position in the complement:
-    entry}, each computed as tau(b_j * z_i) (z_i is central), the path of
-    one word; SingularGramError when not invertible."""
-    is_zero = ctx.domain.is_zero
-    gram = [{k: x for k, j in enumerate(coords.complement)
-             if not is_zero(x := (ctx.basis_element(j) * z).tau())}
-            for z in span.elements]
+    entry}, replayed on the C_g of mats: the row of 1 is tau(b_j), 1 at
+    word 0 only, and that of z g is that of z times C_g, as tau(z g b_j) =
+    sum_l C_g[l][j] tau(z b_l) for z central when tau vanishes on [H, H].
+    SingularGramError if word 0 is not in the complement, or if singular."""
+    if coords.complement[:1] != [0]:  # the complement is ascending
+        raise SingularGramError("the trace does not vanish on [H, H]")
+    d = ctx.domain
+    row_mats = [transpose(cols, coords.dim) for cols in mats]
+    gram = []
+    for desc in span.descriptors:
+        row = {0: d.one}
+        for rows, power in zip(row_mats, desc):
+            for _ in range(power):
+                row = d.apply_cols(rows, row)
+        gram.append(row)
     if not gram or len(gram) != coords.dim:
         raise SingularGramError("center and cocenter coordinates differ")
     if rank(gram, ctx.domain) != len(gram):
@@ -277,23 +303,17 @@ def trace_gram_matrix(ctx, span, coords):
     return gram
 
 
-def character_dual(ctx, x, span=None, coords=None, gram=None):
+def character_dual(ctx, x, span, coords, gram):
     """The unique cocenter class with tau(z * result) = sum over
     multipartitions of char(z) * x, for all z in the JM-center basis; this is
     the adjoint of the character map under the trace pairing.
 
     Raises SingularGramError at non-generic parameters.
     """
-    if span is None:
-        span = jm_center_span(ctx)
-    if coords is None:
-        coords = commutator_coordinates(ctx)
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     if span.rank != len(mps) or coords.dim != len(mps):
         raise SingularGramError(
             "center/cocenter dimensions do not match the fixed points")
-    if gram is None:
-        gram = trace_gram_matrix(ctx, span, coords)
     char_matrix = descriptor_characters(ctx, span.descriptors)
     d = ctx.domain
     rhs = []

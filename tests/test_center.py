@@ -7,13 +7,16 @@ import pytest
 
 from conftest import add_T1_to_e1
 from cyclohecke.center import (
+    CocenterCoordinates,
     IdempotentSplitError,
+    SingularGramError,
     center_and_jm_span,
     center_basis,
     central_characters,
     central_idempotents,
     character_dual,
     cocenter_dim,
+    cocenter_matrices,
     commutator_coordinates,
     descriptor_characters,
     jm_center_span,
@@ -28,7 +31,7 @@ from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
 from cyclohecke.ktheory import verify_blocks
 from cyclohecke.suites import _module_map_witness
-from cyclohecke.linalg import RowSpace, rank
+from cyclohecke.linalg import RowSpace, rank, transpose
 from cyclohecke.rings import (
     CyclotomicDomain,
     LaurentPoly,
@@ -206,6 +209,37 @@ class TestMinimalPolynomialShadow:
             assert prod.is_zero()
 
 
+def _pairing_data(ctx):
+    """The span, the cocenter coordinates and the replayed Gram matrix."""
+    span = jm_center_span(ctx)
+    coords = commutator_coordinates(ctx)
+    gram = trace_gram_matrix(ctx, span, coords, cocenter_matrices(ctx, coords))
+    return span, coords, gram
+
+
+def product_gram_matrix(ctx, span, coords):
+    """tau(b_j * z_i) by products in the algebra, as sparse rows {position
+    in the complement: entry}: the oracle for the replayed Gram matrix."""
+    d = ctx.domain
+    return [{k: x for k, j in enumerate(coords.complement)
+             if not d.is_zero(x := (ctx.basis_element(j) * z).tau())}
+            for z in span.elements]
+
+
+def z_times_word_gram_matrix(ctx, span, coords):
+    """The same matrix in the form tau(z_i * b_j)."""
+    d = ctx.domain
+    return [{k: x for k, j in enumerate(coords.complement)
+             if not d.is_zero(x := (z * ctx.basis_element(j)).tau())}
+            for z in span.elements]
+
+
+def _assert_gram_is_the_products(ctx):
+    span, coords, gram = _pairing_data(ctx)
+    assert gram == product_gram_matrix(ctx, span, coords)
+    assert gram == z_times_word_gram_matrix(ctx, span, coords)
+
+
 class TestCocenter:
     @pytest.mark.parametrize("n,r,expected", [(2, 1, 2), (3, 1, 3), (2, 2, 5)])
     def test_dimension(self, sampled_ctxs, n, r, expected):
@@ -214,19 +248,20 @@ class TestCocenter:
 
     def test_zero_maps_to_zero(self, sampled_ctxs):
         ctx = sampled_ctxs(2, 1)[0]
-        out = character_dual(ctx, [ctx.domain.zero, ctx.domain.zero])
+        span, coords, gram = _pairing_data(ctx)
+        out = character_dual(ctx, [ctx.domain.zero, ctx.domain.zero],
+                             span, coords, gram)
         assert out == {}
 
     def test_defining_identity(self, sampled_ctxs):
         # tau(z * dual(x)) = sum_lam char(z)_lam x_lam for all spanned z
         ctx = sampled_ctxs(2, 2)[0]
-        span = jm_center_span(ctx)
-        coords = commutator_coordinates(ctx)
+        span, coords, gram = _pairing_data(ctx)
         rng = random.Random(2)
         chars = descriptor_characters(ctx, span.descriptors)
         for _ in range(10):
             x = [ctx.domain.from_int(rng.randint(-4, 4)) for _ in range(5)]
-            dual = character_dual(ctx, x, span=span, coords=coords)
+            dual = character_dual(ctx, x, span, coords, gram)
             element = AlgebraElement(ctx, dual)
             for i, z in enumerate(span.elements):
                 lhs = (z * element).tau()
@@ -237,8 +272,7 @@ class TestCocenter:
 
     def test_module_property_spot_checks(self, sampled_ctxs):
         ctx = sampled_ctxs(2, 1)[0]
-        span = jm_center_span(ctx)
-        coords = commutator_coordinates(ctx)
+        span, coords, gram = _pairing_data(ctx)
         chars = descriptor_characters(ctx, span.descriptors)
         rng = random.Random(3)
         for _ in range(100):
@@ -246,10 +280,53 @@ class TestCocenter:
             a_idx = rng.randrange(len(span.elements))
             a = span.elements[a_idx]
             ax = [chars[lam][a_idx] * x[lam] for lam in range(2)]
-            lhs = character_dual(ctx, ax, span=span, coords=coords)
+            lhs = character_dual(ctx, ax, span, coords, gram)
             rhs = coords.span.reduce((a * AlgebraElement(
-                ctx, character_dual(ctx, x, span=span, coords=coords))).terms)
+                ctx, character_dual(ctx, x, span, coords, gram))).terms)
             assert lhs == rhs
+
+
+class TestGramReplay:
+    """trace_gram_matrix replays the descriptors on the cocenter matrices;
+    the products in the algebra are its oracle."""
+
+    @pytest.mark.parametrize("n,r", [(4, 1), (2, 3)])
+    def test_equals_the_products_at_sampled_parameters(self, sampled_ctxs,
+                                                       n, r):
+        _assert_gram_is_the_products(sampled_ctxs(n, r)[0])
+
+    def test_transposed_matrices_are_caught_only_by_the_oracle(
+            self, monkeypatch, sampled_ctxs):
+        # transposed C_k have the same joint spectrum: the Gram matrix they
+        # replay is another invertible matrix, and the dual built on it
+        # passes the module check, so only the product oracle sees them
+        from cyclohecke import suites
+
+        def transposed(ctx, coords):
+            return [transpose(cols, coords.dim)
+                    for cols in cocenter_matrices(ctx, coords)]
+
+        ctx = sampled_ctxs(3, 2)[0]
+        span = jm_center_span(ctx)
+        coords = commutator_coordinates(ctx)
+        gram = trace_gram_matrix(ctx, span, coords, transposed(ctx, coords))
+        assert gram != product_gram_matrix(ctx, span, coords)
+        monkeypatch.setattr(suites, "cocenter_matrices", transposed)
+        assert suites.suite_pairing(3, 2, samples=1).passed
+
+    def test_complement_without_word_0_is_refused(self, sampled_ctxs):
+        # an [H, H] with a pivot at word 0: tau does not vanish on it
+        ctx = sampled_ctxs(2, 2)[0]
+        span = jm_center_span(ctx)
+        coords = commutator_coordinates(ctx)
+        space = RowSpace(ctx.domain, ctx.dim)
+        for row in coords.span.rows.values():
+            space.add(row)
+        space.add({0: ctx.domain.one})
+        traced = CocenterCoordinates(space, space.non_pivot_columns())
+        mats = cocenter_matrices(ctx, traced)
+        with pytest.raises(SingularGramError, match="does not vanish"):
+            trace_gram_matrix(ctx, span, traced, mats)
 
 
 def unique_eigenvalue(ctx, mu):
@@ -554,7 +631,8 @@ class TestPerElementOracles:
         mps = enumerate_multipartitions(ctx.n, ctx.r)
         span = jm_center_span(ctx)
         coords = commutator_coordinates(ctx)
-        gram = trace_gram_matrix(ctx, span, coords)
+        mats = cocenter_matrices(ctx, coords)
+        gram = trace_gram_matrix(ctx, span, coords, mats)
         chars = descriptor_characters(ctx, span.descriptors)
         d = ctx.domain
         for lam in range(len(mps)):
@@ -564,17 +642,11 @@ class TestPerElementOracles:
             for a, sigma in zip(span.elements, chars[lam]):
                 assert coords.span.reduce((a * dual).terms) == \
                     (dual * sigma).terms
-        assert _module_map_witness(ctx, mps, span, coords, gram) is None
+        assert _module_map_witness(ctx, mps, span, coords, gram, mats) is None
 
     def test_gram_matrix_matches_the_z_times_word_form(self, ctx):
-        # the old form, tau(z * b_j), as the reference for tau(b_j * z)
-        span = jm_center_span(ctx)
-        coords = commutator_coordinates(ctx)
-        d = ctx.domain
-        reference = [{k: x for k, j in enumerate(coords.complement)
-                      if not d.is_zero(x := (z * ctx.basis_element(j)).tau())}
-                     for z in span.elements]
-        assert trace_gram_matrix(ctx, span, coords) == reference
+        # and the tau(b_j * z) form
+        _assert_gram_is_the_products(ctx)
 
     def test_center_basis_certificate_agrees_on_every_block(self, ctx):
         eps, spectra, _ = central_idempotents(ctx)

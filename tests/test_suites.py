@@ -241,6 +241,47 @@ class TestPairingCertificateFaults:
         assert [w["reason"] for w in rep.witnesses] == [
             "character dual is not a module map"]
 
+    @pytest.mark.parametrize("slot, entry", [(0, (1, 0)), (-1, (2, 3))],
+                             ids=["C_1", "C_inv"])
+    def test_bumped_cocenter_matrix_fails_module_property(self, monkeypatch,
+                                                          slot, entry):
+        # +1 in one entry of C_1 or of C_inv; the C_inv entry meets no row
+        # of the replayed Gram matrix, so only the check on e_n^-1 sees it
+        true_matrices = center.cocenter_matrices
+        contexts = []
+
+        def bumped(ctx, coords):
+            contexts.append(ctx)
+            mats = true_matrices(ctx, coords)
+            j, l = entry
+            mats[slot][j][l] = mats[slot][j].get(l, 0) + 1
+            return mats
+
+        monkeypatch.setattr(suites, "cocenter_matrices", bumped)
+        rep = suite_pairing(3, 2, samples=1)
+        ctx, = contexts
+        generators = (ctx.symmetric_jm(1), ctx.symmetric_jm_inverse())
+        assert rep.witnesses == [{
+            "reason": "character dual is not a module map",
+            "multipartition": "[[3],[]]",
+            "a": generators[slot].render()}]
+
+    def test_no_algebra_product(self, monkeypatch):
+        # the contexts' own build-time self-test multiplies; everything
+        # after it runs on operator applications and coordinates
+        contexts = suites.generic_contexts
+
+        def refuse(self, x, y):
+            raise AssertionError("algebra product")
+
+        def then_refused(*args):
+            built = contexts(*args)
+            monkeypatch.setattr(AlgebraContext, "multiply", refuse)
+            return built
+
+        monkeypatch.setattr(suites, "generic_contexts", then_refused)
+        assert suite_pairing(3, 2, samples=1).passed
+
 
 class TestCommutatorOperatorFault:
     def test_center_and_cocenter_fail_on_a_corrupted_right_T(self,

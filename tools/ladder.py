@@ -56,6 +56,7 @@ RUNGS = {
                           "--charge", "0,1,2"],
     "pairing-n3-r3": ["--samples", "3", "pairing", "--n", "3", "--r", "3"],
     "pairing-n4-r2": ["--samples", "1", "pairing", "--n", "4", "--r", "2"],
+    "pairing-n4-r3": ["--samples", "1", "pairing", "--n", "4", "--r", "3"],
     "q1-gap-n5-r2": ["q1-gap", "--n", "5", "--r", "2", "--Q", "2,5"],
     "verify-main-1e6": ["verify-main", "--budget", "1000000"],
 }
