@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
-from .linalg import RowSpace, kernel_basis, rank, solve_linear, transpose
+from .linalg import RowSpace, kernel_basis, rank, solve_many, transpose
 from .rings import (
     LaurentPoly,
     NotInvertibleError,
@@ -195,7 +195,9 @@ def central_characters(f, n, r):
 def specialized_elementary_characters(ctx):
     """For each multipartition, the specialized scalars of e_1..e_n on its
     cell module: elementary symmetric functions of the specialized JM
-    eigenvalues. Returns (multipartitions, rows of n domain values)."""
+    eigenvalues, in canonical form. Returns (multipartitions, rows of n
+    domain values). Only the parameters n, r, domain, q_val and Q_vals of
+    ctx are read, so any object carrying them will do."""
     d = ctx.domain
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     rows = []
@@ -204,7 +206,8 @@ def specialized_elementary_characters(ctx):
             specialize(m, ctx.q_val, ctx.Q_vals, d)
             for m in jm_eigenvalues(mp, ctx.r)
         ]
-        rows.append(elementary_symmetric(alphas, d.one)[1:])
+        rows.append([d.canonical(x)
+                     for x in elementary_symmetric(alphas, d.one)[1:]])
     return mps, rows
 
 
@@ -310,23 +313,30 @@ def character_dual(ctx, x, span, coords, gram):
 
     Raises SingularGramError at non-generic parameters.
     """
+    return character_duals(ctx, [x], span, coords, gram)[0]
+
+
+def character_duals(ctx, xs, span, coords, gram):
+    """character_dual of each vector in xs, from one character table and one
+    elimination of the Gram matrix with a right-hand side per vector."""
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     if span.rank != len(mps) or coords.dim != len(mps):
         raise SingularGramError(
             "center/cocenter dimensions do not match the fixed points")
     char_matrix = descriptor_characters(ctx, span.descriptors)
     d = ctx.domain
-    rhs = []
-    for i in range(len(span.elements)):
-        acc = d.zero
-        for lam in range(len(mps)):
-            acc = acc + char_matrix[lam][i] * x[lam]
-        rhs.append(acc)
+    rhss = []
+    for x in xs:  # rhs_i = sum over lam of char_lam(z_i) x_lam
+        rhs = [d.zero] * len(span.elements)
+        for chars, c in zip(char_matrix, x):
+            if not d.is_zero(c):
+                rhs = [acc + v * c for acc, v in zip(rhs, chars)]
+        rhss.append(rhs)
     try:
-        sol = solve_linear(gram, rhs, d, coords.dim)
+        sols = solve_many(gram, rhss, d, coords.dim)
     except NotInvertibleError as exc:
         raise SingularGramError(str(exc)) from exc
-    return {coords.complement[k]: c for k, c in sol.items()}
+    return [{coords.complement[k]: c for k, c in sol.items()} for sol in sols]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .combinatorics import (
     block_partition,
@@ -31,7 +32,12 @@ from .center import (
 )
 from .hecke import AlgebraContext
 from .reports import VerificationReport
-from .rings import CyclotomicDomain, LaurentPoly, monomial_elementary_symmetric
+from .rings import (
+    CyclotomicDomain,
+    LaurentPoly,
+    monomial_elementary_symmetric,
+    prime_field_reduction,
+)
 
 
 @dataclass
@@ -159,47 +165,12 @@ def verify_main_theorem(n, r, table=None):
     )
 
 
-def verify_blocks(n, r, modulus, charge, *, seed=0):
-    """Block decomposition at a root of unity against the residue-vector
-    classes: counts must agree, blocks must match classes through the
-    spectra of the Jucys-Murphy center, and per block the dimension of the
-    Jucys-Murphy center image must equal the class size."""
-    start = time.perf_counter()
-    charge = tuple(charge)
-    classes = block_partition(n, r, modulus, charge)
-    domain = CyclotomicDomain(modulus)
-    q_val = domain.zeta(1)
-    Q_vals = [domain.zeta(s) for s in charge]
-    ctx = AlgebraContext(n, r, domain, q_val, Q_vals)
-    params = {
-        "n": n, "r": r, "ell": modulus, "charge": list(charge),
-        "classes": len(classes),
-    }
-    try:
-        idempotents, spectra, image_dims = central_idempotents(ctx)
-    except IdempotentSplitError as exc:
-        # no decomposition to compare with the classes: not verified
-        return VerificationReport(
-            check="block_decomposition", params=params, status="fail",
-            witnesses=[{"reason": "idempotent splitting failed",
-                        "error": str(exc)}],
-            seed=seed, duration=time.perf_counter() - start)
-    witnesses = []
-    blocks_found = len(idempotents)
-    params["blocks"] = blocks_found
-    if blocks_found != len(classes):
-        witnesses.append({
-            "reason": "block count mismatch",
-            "residue_classes": [str(k) for k in classes],
-            "blocks": blocks_found,
-        })
-        return VerificationReport(
-            check="block_decomposition", params=params, status="fail",
-            witnesses=witnesses, seed=seed, duration=time.perf_counter() - start)
-
-    mps, char_rows = specialized_elementary_characters(ctx)
+def _class_spectra(classes, mps, char_rows):
+    """The residue class of each exact spectrum row, and the witnesses of
+    the two class checks: one row per class, distinct rows for distinct
+    classes."""
     mp_index = {mp: i for i, mp in enumerate(mps)}
-    class_spectra = {}
+    class_spectra, witnesses = {}, []
     for residue, members in classes.items():
         found = {tuple(char_rows[mp_index[mp]]) for mp in members}
         if len(found) != 1:
@@ -214,41 +185,118 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
             "reason": "distinct residue classes share a spectrum",
             "classes": len(classes), "spectra": len(class_spectra),
         })
+    return class_spectra, witnesses
 
-    block_info = {}  # residue -> image dimension of its block
-    for image_dim, spectrum in zip(image_dims, spectra):
-        residue = class_spectra.get(spectrum)
-        if residue is None or residue in block_info:
-            witnesses.append({
-                "reason": "block does not match a residue class",
-                "spectrum": [ctx.domain.render(v) for v in spectrum],
-            })
-            continue
-        block_info[residue] = image_dim
 
-    if not witnesses:
-        per_block = []
-        for residue, image_dim in block_info.items():
-            class_size = len(classes[residue])
-            per_block.append({
-                "residue": str(residue),
-                "jm_image_dim": image_dim,
-                "class_size": class_size,
-            })
-            if image_dim != class_size:
+def _prime_field_blocks(n, r, modulus, q_val, Q_vals, rows):
+    """The blocks of central_idempotents over the prime field of
+    rings.prime_field_reduction, as (spectrum, image dimension) pairs in
+    block order, each spectrum mapped back to its exact row among rows, the
+    distinct exact spectrum rows. None when there is no prime, when two
+    rows meet mod p, when the split fails over F_p or when an F_p spectrum
+    is not the image of a row (see docs/reports.md). The parameters are
+    roots of unity, units with denominator 1, so reduction never refuses
+    them. The context certifies its own product at build; a failure raises
+    EngineError."""
+    reduction = prime_field_reduction(modulus)
+    if reduction is None:
+        return None
+    domain, image = reduction
+    exact = {tuple(map(image, row)): row for row in rows}
+    if len(exact) != len(rows):
+        return None
+    ctx = AlgebraContext(n, r, domain, image(q_val), list(map(image, Q_vals)))
+    try:
+        _, spectra, image_dims = central_idempotents(ctx)
+    except IdempotentSplitError:
+        return None
+    if not all(s in exact for s in spectra):
+        return None
+    return [(exact[s], dim) for s, dim in zip(spectra, image_dims)]
+
+
+def verify_blocks(n, r, modulus, charge, *, seed=0):
+    """Block decomposition at a root of unity against the residue-vector
+    classes: counts must agree, blocks must match classes through the
+    spectra of the Jucys-Murphy center, and per block the dimension of the
+    Jucys-Murphy center image must equal the class size.
+
+    The spectrum rows and the class checks are exact. The blocks are split
+    over a prime field first, and a pass there is the result; any other
+    outcome reruns the split over the cyclotomic field, so every failed
+    report comes from exact arithmetic."""
+    start = time.perf_counter()
+    charge = tuple(charge)
+    classes = block_partition(n, r, modulus, charge)
+    domain = CyclotomicDomain(modulus)
+    q_val = domain.zeta(1)
+    Q_vals = [domain.zeta(s) for s in charge]
+    params = {
+        "n": n, "r": r, "ell": modulus, "charge": list(charge),
+        "classes": len(classes),
+    }
+
+    def report(params, witnesses):
+        return VerificationReport(
+            check="block_decomposition", params=params,
+            status="pass" if not witnesses else "fail",
+            witnesses=witnesses, seed=seed,
+            duration=time.perf_counter() - start)
+
+    # the exact rows read only the parameters: no context over the field
+    mps, char_rows = specialized_elementary_characters(SimpleNamespace(
+        n=n, r=r, domain=domain, q_val=q_val, Q_vals=Q_vals))
+    class_spectra, class_witnesses = _class_spectra(classes, mps, char_rows)
+
+    def judge(blocks):
+        """The report of the blocks, (spectrum, image dimension) pairs."""
+        out = dict(params, blocks=len(blocks))
+        if len(blocks) != len(classes):
+            return report(out, [{
+                "reason": "block count mismatch",
+                "residue_classes": [str(k) for k in classes],
+                "blocks": len(blocks),
+            }])
+        witnesses = list(class_witnesses)
+        block_info = {}  # residue -> image dimension of its block
+        for spectrum, image_dim in blocks:
+            residue = class_spectra.get(spectrum)
+            if residue is None or residue in block_info:
                 witnesses.append({
-                    "reason": "jm-center image dimension != class size",
+                    "reason": "block does not match a residue class",
+                    "spectrum": [domain.render(v) for v in spectrum],
+                })
+                continue
+            block_info[residue] = image_dim
+        if not witnesses:
+            per_block = []
+            for residue, image_dim in block_info.items():
+                class_size = len(classes[residue])
+                per_block.append({
                     "residue": str(residue),
                     "jm_image_dim": image_dim,
                     "class_size": class_size,
                 })
-        params["per_block"] = per_block
+                if image_dim != class_size:
+                    witnesses.append({
+                        "reason": "jm-center image dimension != class size",
+                        "residue": str(residue),
+                        "jm_image_dim": image_dim,
+                        "class_size": class_size,
+                    })
+            out["per_block"] = per_block
+        return report(out, witnesses)
 
-    return VerificationReport(
-        check="block_decomposition",
-        params=params,
-        status="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        seed=seed,
-        duration=time.perf_counter() - start,
-    )
+    if not class_witnesses:
+        blocks = _prime_field_blocks(n, r, modulus, q_val, Q_vals,
+                                     list(class_spectra))
+        if blocks is not None and (found := judge(blocks)).passed:
+            return found
+    ctx = AlgebraContext(n, r, domain, q_val, Q_vals)
+    try:
+        _, spectra, image_dims = central_idempotents(ctx)
+    except IdempotentSplitError as exc:
+        # no decomposition to compare with the classes: not verified
+        return report(params, [{"reason": "idempotent splitting failed",
+                                "error": str(exc)}])
+    return judge(list(zip(spectra, image_dims)))

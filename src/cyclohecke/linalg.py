@@ -108,8 +108,17 @@ def solve_linear(rows, rhs, domain, ncols):
     """One exact solution x of rows @ x = rhs (one rhs entry per row) with
     free variables 0, or NotInvertibleError when the system is inconsistent
     (works over any field domain)."""
+    return solve_many(rows, [rhs], domain, ncols)[0]
+
+
+def solve_many(rows, rhss, domain, ncols):
+    """solve_linear for each right-hand side in rhss, from one elimination
+    of rows augmented by all of them (right-hand side t in column
+    ncols + t); NotInvertibleError when any system is inconsistent."""
     space = _row_space(
-        ({**row, ncols: b} for row, b in zip(rows, rhs)), domain, ncols + 1)
-    if ncols in space.rows:
+        ({**row, **{ncols + t: rhs[i] for t, rhs in enumerate(rhss)}}
+         for i, row in enumerate(rows)), domain, ncols + len(rhss))
+    if any(pc >= ncols for pc in space.rows):
         raise NotInvertibleError("inconsistent linear system")
-    return {pc: row[ncols] for pc, row in space.rows.items() if ncols in row}
+    return [{pc: row[ncols + t] for pc, row in space.rows.items()
+             if ncols + t in row} for t in range(len(rhss))]

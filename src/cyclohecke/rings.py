@@ -138,6 +138,9 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff, exps):
+        if type(coeff) is int and coeff:  # one nonzero int term: canonical
+            exps = tuple(exps)
+            return cls._from_terms(len(exps), {exps: coeff})
         return cls(len(exps), {tuple(exps): coeff})
 
     @classmethod
@@ -588,6 +591,11 @@ class ScalarDomain:
     def render(self, x):
         return str(x)
 
+    def canonical(self, x):
+        """The canonical form of x, so that equal elements compare equal:
+        x itself, except over the prime field."""
+        return x
+
     def nonzero(self, vec):
         """A copy of vec without its zero entries."""
         is_zero = self.is_zero
@@ -648,13 +656,13 @@ PRIME = 2 ** 30 - 35  # the largest prime below 2^30: one machine digit
 
 
 class PrimeFieldDomain(ScalarDomain):
-    """The prime field F_p, p = PRIME as read at construction. Elements are
-    plain ints in [0, p). Every method accepts any int, so the ring
-    operators of the callers need no reduction: the vector methods
+    """The prime field F_p, p = PRIME as read at construction unless given.
+    Elements are plain ints in [0, p). Every method accepts any int, so the
+    ring operators of the callers need no reduction: the vector methods
     accumulate raw products and reduce once per output entry."""
 
-    def __init__(self):
-        self.p = PRIME
+    def __init__(self, p=None):
+        self.p = PRIME if p is None else p
         self.name = f"prime_{self.p}"
         self.zero = 0
         self.one = 1
@@ -675,6 +683,9 @@ class PrimeFieldDomain(ScalarDomain):
     def is_zero(self, x):
         return not x % self.p
 
+    def canonical(self, x):
+        return x % self.p
+
     def nonzero(self, vec):
         p = self.p
         return {k: y for k, x in vec.items() if (y := x % p)}
@@ -694,6 +705,77 @@ class PrimeFieldDomain(ScalarDomain):
                 out[k] = acc
             else:
                 out.pop(k, None)
+
+
+_WITNESSES = (2, 3, 5, 7)  # Miller-Rabin bases, exact below 3,215,031,751
+
+
+def _is_prime(n):
+    """Miller-Rabin with the bases 2, 3, 5 and 7: exact for n below
+    3,215,031,751, the least strong pseudoprime to all four."""
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime_and_root(bound, order):
+    """(p, omega): the largest prime p <= bound with p = 1 mod order, and
+    omega = g^((p - 1) / order) mod p for the first g = 1, 2, ... that makes
+    omega a primitive order-th root of unity. None when there is no such
+    prime."""
+    if bound >= 3_215_031_751:
+        raise ValueError("the primality test is exact only below 3.2e9")
+    p = bound - (bound - 1) % order
+    while p > 1 and not _is_prime(p):
+        p -= order
+    if p < 2:
+        return None
+    for g in range(1, p):
+        omega = pow(g, (p - 1) // order, p)
+        if all(pow(omega, k, p) != 1 for k in range(1, order)):
+            return p, omega
+
+
+def prime_field_reduction(order):
+    """(domain, image): F_p for the largest prime p <= PRIME with p = 1 mod
+    order, and the ring map image onto it from the elements of the
+    cyclotomic field of that order (or rationals) whose denominator is
+    prime to p, sending zeta_order to a primitive order-th root omega mod p.
+    It is well defined because omega is a root of the cyclotomic polynomial
+    mod p, and image raises NotInvertibleError when p divides the
+    denominator. Order 1 is the rationals, with p = PRIME; None when no
+    prime qualifies."""
+    found = _prime_and_root(PRIME, order)
+    if found is None:
+        return None
+    p, omega = found
+    domain = PrimeFieldDomain(p)
+    powers = [pow(omega, i, p) for i in range(euler_phi(order))]
+
+    def image(x):
+        if isinstance(x, CyclotomicNumber):
+            return (sum(map(operator.mul, x.num, powers))
+                    * domain.inv(x.den) % p)
+        return domain.from_fraction(x)
+
+    return domain, image
 
 
 class CyclotomicDomain(ScalarDomain):

@@ -2,9 +2,10 @@
 
 "Generic parameter" claims are certified at sampled random rational
 specializations (Schwartz-Zippel style), never proclaimed proved; the
-reports label them "generic (sampled)". At rational parameters, the center
-and JM-center dimensions are certified over a prime field first, with the
-exact computation as the fallback (docs/reports.md). Every suite is
+reports label them "generic (sampled)". The center and JM-center
+dimensions are certified over a prime field first, at rational parameters
+and at roots of unity alike, with the exact computation as the fallback
+(docs/reports.md). Every suite is
 deterministic given its parameters and seed.
 """
 
@@ -24,7 +25,7 @@ from .combinatorics import (
 from .center import (
     SingularGramError,
     center_and_jm_span,
-    character_dual,
+    character_duals,
     cocenter_matrices,
     commutator_coordinates,
     jm_center_span,
@@ -41,7 +42,13 @@ from .hecke import (
 from .ktheory import verify_main_theorem
 from .linalg import kernel_basis
 from .reports import VerificationReport
-from .rings import CyclotomicDomain, PrimeFieldDomain, RationalDomain
+from .rings import (
+    CyclotomicDomain,
+    CyclotomicNumber,
+    NotInvertibleError,
+    RationalDomain,
+    prime_field_reduction,
+)
 
 
 def sample_specialization(n, rng, r):
@@ -107,18 +114,25 @@ def suite_main_theorem(budget=400):
 # ---------------------------------------------------------------------------
 
 def _prime_field_certificate(n, r, q, Qs):
-    """The center and the JM-center span of (n, r) at the rational
-    parameters (q, Qs) reduced mod the prime, when they certify the exact
+    """The center and the JM-center span of (n, r) at the exact parameters
+    (q, Qs), rationals or elements of one cyclotomic field, reduced to the
+    prime field of rings.prime_field_reduction, when they certify the exact
     dimensions: the span's generators lie in the center and its rank is
-    dim Z (see docs/reports.md). None when the prime divides a numerator
-    or a denominator of a parameter, or when the bounds miss. The context
-    certifies its own product at build; a failure raises EngineError."""
-    domain = PrimeFieldDomain()
-    values = [Fraction(x) for x in [q, *Qs]]
-    if any(not x.numerator % domain.p or not x.denominator % domain.p
-           for x in values):
+    dim Z (see docs/reports.md). None when there is no prime, when it
+    divides a denominator, when a parameter maps to 0, or when the bounds
+    miss. The context certifies its own product at build; a failure raises
+    EngineError."""
+    order = q.order if isinstance(q, CyclotomicNumber) else 1
+    reduction = prime_field_reduction(order)
+    if reduction is None:
         return None
-    q_p, *Qs_p = [domain.from_fraction(x) for x in values]
+    domain, image = reduction
+    try:
+        q_p, *Qs_p = map(image, [q, *Qs])
+    except NotInvertibleError:
+        return None
+    if not all([q_p, *Qs_p]):
+        return None
     center, span = center_and_jm_span(AlgebraContext(n, r, domain, q_p, Qs_p))
     if span.in_center and span.rank == center.rank:
         return center, span
@@ -129,12 +143,9 @@ def _center_and_jm_center(n, r, domain, q, Qs, label):
     """The center and the JM-center span of (n, r) at (q, Qs) in domain:
     the result entry {"q": label, "dim_center", "dim_jm_center"}, the span,
     and the inclusion witness, None when every generator of the span lies
-    in the center. Rational parameters are tried over the prime field
-    first; the exact computation runs where that certificate is refused or
-    misses."""
-    found = None
-    if isinstance(domain, RationalDomain):
-        found = _prime_field_certificate(n, r, q, Qs)
+    in the center. The parameters are tried over a prime field first; the
+    exact computation runs where that certificate is refused or misses."""
+    found = _prime_field_certificate(n, r, q, Qs)
     center, span = found or center_and_jm_span(
         AlgebraContext(n, r, domain, q, Qs))
     result = {"q": label, "dim_center": center.rank,
@@ -436,10 +447,11 @@ def _module_map_witness(ctx, mps, span, coords, gram, mats):
     d = ctx.domain
     _, rows = specialized_elementary_characters(ctx)
     position = {w: k for k, w in enumerate(coords.complement)}
-    for lam, (mp, values) in enumerate(zip(mps, rows)):
-        unit = [d.one if k == lam else d.zero for k in range(len(mps))]
-        dual = {position[w]: c for w, c in character_dual(
-            ctx, unit, span, coords, gram).items()}
+    units = [[d.one if k == lam else d.zero for k in range(len(mps))]
+             for lam in range(len(mps))]
+    duals = character_duals(ctx, units, span, coords, gram)
+    for mp, values, dual in zip(mps, rows, duals):
+        dual = {position[w]: c for w, c in dual.items()}
         sigmas = values + [d.inv(values[-1])]
         for g, cols, sigma in zip(span.generators, mats, sigmas):
             if d.apply_cols(cols, dual) != d.nonzero(d.scale(dual, sigma)):

@@ -44,6 +44,7 @@ PROBES = 11  # calibration probes of about 1 ms each, before and after a rung
 RUNGS = {
     "hilb-n7": ["hilb", "--n", "7", "--q-values", "2"],
     "hilb-n8": ["hilb", "--n", "8", "--q-values", "2"],
+    "hilb-n5-zeta": ["hilb", "--n", "5", "--q-values", "zeta_3,zeta_4,zeta_5"],
     "center-n4-r3": ["--samples", "3", "center", "--n", "4", "--r", "3",
                      "--q", "generic", "--Q", "generic,generic,generic"],
     "blocks-n5-r1-ell3": ["blocks", "--n", "5", "--r", "1", "--ell", "3",
@@ -54,6 +55,8 @@ RUNGS = {
                           "--charge", "0,1"],
     "blocks-n4-r3-ell3": ["blocks", "--n", "4", "--r", "3", "--ell", "3",
                           "--charge", "0,1,2"],
+    "blocks-n5-r2-ell3": ["blocks", "--n", "5", "--r", "2", "--ell", "3",
+                          "--charge", "0,1"],
     "pairing-n3-r3": ["--samples", "3", "pairing", "--n", "3", "--r", "3"],
     "pairing-n4-r2": ["--samples", "1", "pairing", "--n", "4", "--r", "2"],
     "pairing-n4-r3": ["--samples", "1", "pairing", "--n", "4", "--r", "3"],
