@@ -42,13 +42,12 @@ class IdempotentSplitError(Exception):
 def commutator_operators(ctx):
     """For each generator g of T_1..T_{n-1}, L_1, the sparse columns of
     ad_g: b -> g b - b g. Left multiplication is the cached generator
-    matrix, right multiplication by T_i is right_T_matrix, and b L_1 is
-    right_multiplication_matrix, built by generator applications. The common
-    kernel of the ad_g is the center; the span of their columns is [H, H]."""
+    matrix and right multiplication is right_multiplication_matrix(g), the
+    column recurrence the build certifies. The common kernel of the ad_g is
+    the center; the span of their columns is [H, H]."""
     lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
     lefts.append(ctx._matrices[("L", 1)])
-    rights = [ctx.right_T_matrix(i) for i in range(1, ctx.n)]
-    rights.append(ctx.right_multiplication_matrix(ctx.jm_element(1)))
+    rights = [ctx.right_multiplication_matrix(g) for g in ctx.generators()]
     minus_one = -ctx.domain.one
     ops = []
     for left, right in zip(lefts, rights):

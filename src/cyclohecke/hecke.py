@@ -5,12 +5,12 @@ w in S_n}, as sparse dicts {basis index: nonzero coefficient}, the one
 vector format of the package; index 0 is the identity word.
 A context stores the left-multiplication matrices of the generators
 T_1..T_{n-1} and T_0 = L_1 only; _apply_L applies the higher Jucys-Murphy
-elements from their definition. Multiplication applies these maps to the
-right factor word by word: for each word of the left factor, T_w by its
-reduced word, then its L-exponents. Every product the package makes has a
-one-word left factor, except in invert. The central elements
-e_k(L_1..L_n) and e_n^{-1} act on vectors directly through the same maps
-(apply_symmetric_jm, apply_symmetric_jm_inverse), with no product.
+elements from their definition. right_multiplication_matrix is the one
+place where a PBW word becomes generator applications, and check_relations
+certifies it. No command multiplies two elements; the central elements
+e_k(L_1..L_n) and e_n^{-1} act on vectors through the generator maps
+(apply_symmetric_jm, apply_symmetric_jm_inverse). multiply, the literal
+per-word product, serves the library and the tests, which alone check it.
 
 The only nontrivial rewriting rule is the straightening identity
 
@@ -20,9 +20,10 @@ The only nontrivial rewriting rule is the straightening identity
 from whose closed form the T matrices are built. Every exponent a context
 uses is validated first against an independent one-step rewriter that only
 knows the two degree-1 exchange rules. Each context then certifies its
-product at build time with check_relations, first on the Ariki-Koike
-presentation with T_0 = L_1, L_1 L_2 = L_2 L_1 stated as T_0 T_1 T_0 T_1 =
-T_1 T_0 T_1 T_0. Each relation side runs on whole columns: it starts from
+generator matrices and the column recurrence at build time with
+check_relations, first on the Ariki-Koike presentation with T_0 = L_1,
+L_1 L_2 = L_2 L_1 stated as T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, then by
+reconstruction. Each relation side runs on whole columns: it starts from
 the stored columns of its rightmost generator and applies one matrix per
 further factor to each column. Per column a commutation costs 2 matrix
 applications, T_0 T_1 T_0 T_1 6, a braid 4, a quadratic relation 1 (its
@@ -452,7 +453,8 @@ class AlgebraContext:
         an earlier column: T_w x = T_i (T_{s_i w} x), i the first letter of
         the reduced word of w (s_i w is an earlier basis word, and T_w is the
         same for every reduced word), then L^a T_w x = L_j (L^a' T_w x), a'
-        being a with one power less at its first nonzero place j."""
+        being a with one power less at its first nonzero place j. Column b
+        is b x, certified for every x by check_relations."""
         m = len(all_permutations(self.n))
         cols = [x.terms]
         for exps, w in self.basis[1:m]:
@@ -463,24 +465,6 @@ class AlgebraContext:
             j = next(i for i, a in enumerate(exps) if a)
             prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
             cols.append(self._apply_L(j + 1, cols[self.index[(prev, w)]]))
-        return cols
-
-    def right_T_matrix(self, i):
-        """Right multiplication by T_i (1-based), via the Hecke rule on the
-        permutation part only."""
-        d = self.domain
-        q = self.q_val
-        qm1 = q - d.one
-        cols = []
-        for exps, w in self.basis:
-            col = {}
-            wsi = right_mult_simple(w, i - 1)
-            if perm_length(wsi) > perm_length(w):
-                col[self.index[(exps, wsi)]] = d.one
-            else:
-                self._accumulate(col, (exps, wsi), q)
-                self._accumulate(col, (exps, w), qm1)
-            cols.append(d.nonzero(col))
         return cols
 
     # -- named operations ---------------------------------------------------
@@ -559,13 +543,13 @@ class AlgebraContext:
         return self._sym_inverse
 
     def invert(self, x):
-        """x^{-1} by solving x * z = 1 over the regular representation.
+        """x^{-1} by solving z * x = 1 on the columns of right multiplication
+        by x, then checking x * z = z * x = 1 with multiply.
 
         Needs a field domain; over the rationals and cyclotomic fields it is
         the reference that symmetric_jm_inverse is tested against."""
         d = self.domain
-        rows = transpose([self.multiply(x, self.basis_element(j)).terms
-                          for j in range(self.dim)], self.dim)
+        rows = transpose(self.right_multiplication_matrix(x), self.dim)
         rhs = [d.one] + [d.zero] * (self.dim - 1)
         z = AlgebraElement(self, solve_linear(rows, rhs, d, self.dim))
         if not (self.multiply(x, z) == self.one()
@@ -660,12 +644,12 @@ def check_relations(ctx):
        an operator identity on the whole PBW basis, evaluated on whole
        columns (_presentation), so the stored generator matrices define a
        representation rho of the algebra on the coordinate space.
-    2. Reconstruction: multiply(b, 1) = e_b for every PBW word b, through
-       the product code path itself (T_w first, then L_n^a_n ... L_1^a_1).
-       So h -> rho(h) 1 is onto and sends each word to its own coordinate.
+    2. Reconstruction: column b of right_multiplication_matrix(1) is e_b
+       for every PBW word b. The recurrence makes that column rho(b) 1, so
+       h -> rho(h) 1 is onto and sends each word to its own coordinate.
        PBW words span the algebra (Ariki-Koike, Adv. Math. 106, 1994), so
-       rho is the regular representation in PBW coordinates and the product
-       is associative on every triple.
+       rho is the regular representation in PBW coordinates, and the
+       recurrence on any x gives rho(b) x = b x. multiply is not run.
     3. The definition q L_{i+1} = T_i L_i T_i of each higher L_i, as
        applied by _apply_L, on the identity word (at r = 1 no PBW word has
        an L factor, so reconstruction never applies them). _apply_L is a
@@ -679,16 +663,10 @@ def check_relations(ctx):
     witness = _presentation_witness(ctx)
     reconstructed = 0
     if witness is None:
-        one = ctx.one()
-        for j in range(ctx.dim):
-            word = ctx.basis_element(j)
-            got = ctx.multiply(word, one)
-            if got != word:
-                witness = {
-                    "relation": "reconstruction",
-                    "word": word.render(),
-                    "residual": (got - word).render(),
-                }
+        for j, col in enumerate(ctx.right_multiplication_matrix(ctx.one())):
+            unit = {j: d.one}
+            if col != unit and (
+                    witness := _mismatch(ctx, "reconstruction", j, col, unit)):
                 break
             reconstructed += 1
     if witness is None:

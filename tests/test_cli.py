@@ -119,6 +119,37 @@ class TestCommands:
         assert code == 0
 
 
+class TestNoAlgebraProduct:
+    """No command multiplies two algebra elements, not even in the build
+    gate: with AlgebraContext.multiply refusing from before the first
+    context is built, each command exits 0 with the stdout of an
+    unpatched run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hilb", "--n", "3", "--q-values", "2,-1,zeta_3"],
+        ["center", "--n", "2", "--r", "2", "--q", "3", "--Q", "2,5"],
+        ["--samples", "1", "center", "--n", "2", "--r", "2",
+         "--q", "generic", "--Q", "generic,generic"],
+        ["blocks", "--n", "3", "--r", "2", "--ell", "3", "--charge", "0,1"],
+        ["--samples", "1", "pairing", "--n", "2", "--r", "2"],
+        ["q1-gap", "--n", "2", "--r", "2", "--Q", "2,5"],
+        ["dims", "--n", "2", "--r", "2"],
+        ["--format", "csv", "table", "--n", "2", "--r", "2"],
+        ["verify-main", "--n", "3", "--r", "2"],
+    ], ids=["hilb", "center", "center-generic", "blocks", "pairing",
+            "q1-gap", "dims", "table", "verify-main"])
+    def test_command_does_not_multiply(self, monkeypatch, capsys, argv):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(self, x, y):
+            raise AssertionError("algebra product")
+
+        monkeypatch.setattr(hecke.AlgebraContext, "multiply", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestReach:
     """Sizes at and past PBW dimension 48, reached through the JM-span
     early stop and, at roots of unity, integer cyclotomic arithmetic:

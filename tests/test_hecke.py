@@ -10,10 +10,12 @@ from cyclohecke.hecke import (
     EngineError,
     all_permutations,
     check_relations,
+    left_mult_simple,
     one_step_T_push,
     pairing,
     perm_length,
     reduced_word,
+    right_mult_simple,
     straightening_closed_form,
     symbolic_context,
     validate_straightening,
@@ -25,12 +27,11 @@ from cyclohecke.rings import (CyclotomicDomain, LaurentPoly,
 from conftest import _random_element, literal_L
 
 
-def literal_product(ctx, x, y, l_first=False):
+def literal_product(ctx, x, y):
     """x * y word by word, the reference for ctx.multiply: for each left
     term c L_1^a_1 ... L_n^a_n T_w apply reduced_word(w) right to left, then
     L_n^a_n, ..., L_1^a_1, each L_k by literal_L, and sum c times the
-    results. l_first applies the L factors before T_w instead, a
-    deliberately wrong product."""
+    results."""
     d = ctx.domain
     out = {}
 
@@ -46,7 +47,7 @@ def literal_product(ctx, x, y, l_first=False):
         L_stage = [L(k) for k in range(ctx.n, 0, -1)
                    for _ in range(exps[k - 1])]
         vec = y.terms
-        for step in L_stage + T_stage if l_first else T_stage + L_stage:
+        for step in T_stage + L_stage:
             vec = step(vec)
         for k, c in vec.items():
             out[k] = out.get(k, d.zero) + cx * c
@@ -223,12 +224,41 @@ def failing_families(ctx):
     return [name for name, _, _ in oracle_failures(ctx)]
 
 
-def l_before_t_multiply(monkeypatch):
-    """Make every product apply each word's L factors before its T_w."""
-    def wrong(self, x, y):
-        return AlgebraElement(self, literal_product(self, x, y, l_first=True))
+def l_before_t_recurrence(monkeypatch):
+    """Make right_multiplication_matrix apply each word's L factors before
+    its T_w: the column of L^a T_w x is T_i applied to the column of
+    L^a T_{s_i w} x, down to the column of L^a x."""
+    def wrong(self, x):
+        cols = [x.terms]
+        for exps, w in self.basis[1:]:
+            if w == self._identity_perm:
+                j = next(i for i, a in enumerate(exps) if a)
+                prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                cols.append(self._apply_L(j + 1, cols[self.index[(prev, w)]]))
+            else:
+                i = reduced_word(w)[0]
+                prev = cols[self.index[(exps, left_mult_simple(i, w))]]
+                cols.append(self._apply_cols(self._matrices[("T", i)], prev))
+        return cols
 
-    monkeypatch.setattr(AlgebraContext, "multiply", wrong)
+    monkeypatch.setattr(AlgebraContext, "right_multiplication_matrix", wrong)
+
+
+def right_T_oracle(ctx, i):
+    """Columns of right multiplication by T_i (1-based) from the Hecke rule
+    on the permutation alone: L^a T_w T_i is L^a T_{w s_i} when w s_i is
+    longer than w, else q L^a T_{w s_i} + (q-1) L^a T_w."""
+    d = ctx.domain
+    q = ctx.q_val
+    cols = []
+    for exps, w in ctx.basis:
+        wsi = right_mult_simple(w, i - 1)
+        if perm_length(wsi) > perm_length(w):
+            col = {ctx.index[(exps, wsi)]: d.one}
+        else:
+            col = {ctx.index[(exps, wsi)]: q, ctx.index[(exps, w)]: q - d.one}
+        cols.append(d.nonzero(col))
+    return cols
 
 
 def corrupt_closed_form(monkeypatch):
@@ -423,6 +453,22 @@ class TestProductOracle:
             assert product_vector(ctx, x, y) == literal_product(ctx, x, y)
 
 
+class TestRightMultiplication:
+    """The column recurrence of right_multiplication_matrix against the
+    Hecke rule on permutations, with r >= 2 so the L-part columns are
+    built too."""
+
+    @pytest.mark.parametrize("kind,n,r", [
+        ("rational", 3, 2), ("cyclotomic", 3, 2), ("prime", 4, 3),
+        ("symbolic", 3, 2)])
+    def test_right_T_matches_hecke_rule(self, kind, n, r):
+        ctx = _differential_context(kind, n, r)
+        assert check_relations(ctx).passed
+        for i in range(1, n):
+            assert ctx.right_multiplication_matrix(ctx.T(i)) == \
+                right_T_oracle(ctx, i), (kind, i)
+
+
 class TestProductWork:
     @pytest.mark.parametrize("n,r", [(2, 3), (3, 2)])
     def test_full_support_applications(self, n, r):
@@ -565,6 +611,17 @@ class TestInvert:
         ctx = rational_ctx(2, 1, Fraction(2), [1])
         with pytest.raises(NotInvertibleError):
             ctx.invert(ctx.zero())
+
+    def test_two_sided_check_catches_a_wrong_product(self, rational_ctx,
+                                                     monkeypatch):
+        # the solve reads only right_multiplication_matrix; a faulty
+        # multiply must still fail the x z = z x = 1 check
+        from cyclohecke.rings import NotInvertibleError
+        ctx = rational_ctx(2, 1, Fraction(3), [1])
+        monkeypatch.setattr(AlgebraContext, "multiply",
+                            lambda self, x, y: self.zero())
+        with pytest.raises(NotInvertibleError):
+            ctx.invert(ctx.T(1))
 
 
 class TestSymmetricJMInverse:
@@ -735,16 +792,17 @@ class TestCertificate:
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])
 
-    def test_l_before_t_product_fails_reconstruction(self, monkeypatch):
+    def test_l_before_t_recurrence_fails_reconstruction(self, monkeypatch):
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                              [Fraction(2), Fraction(5)], self_check=False)
-        l_before_t_multiply(monkeypatch)
+        l_before_t_recurrence(monkeypatch)
         rep = check_relations(ctx)
         assert rep.status == "fail"
         witness = rep.witnesses[0]
         assert witness["relation"] == "reconstruction"
         # the first word with both an L and a T factor: T_1 L_2 != L_2 T_1
         assert witness["word"] == "(1) * L2*T[2,1]"
+        assert rep.params["reconstructed"] == 3
         with pytest.raises(EngineError, match="reconstruction"):
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -38,3 +39,37 @@ def test_failing_child_keeps_its_exit_code():
     record = ladder.run_child([sys.executable, "-c", "raise SystemExit(1)"],
                               None, 60)
     assert record == {**record, "exit_code": 1, "timed_out": False}
+
+
+def test_rung_reports_the_median_of_its_runs(monkeypatch):
+    outputs = iter([(3.0, 30.0), (1.0, 50.0), (2.0, 40.0)])
+
+    def fake_child(cmd, env, timeout):
+        cpu, rss = next(outputs)
+        return {"exit_code": 0, "timed_out": False, "wall_s": cpu + 0.5,
+                "cpu_s": cpu, "peak_rss_mb": rss, "stdout_sha256": "h"}
+
+    monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "REPEATS", 3)
+    record = ladder.run_rung(["cmd"], None, 60)
+    assert [run["cpu_s"] for run in record["runs"]] == [3.0, 1.0, 2.0]
+    assert [run["peak_rss_mb"] for run in record["runs"]] == [30.0, 50.0,
+                                                              40.0]
+    assert (record["cpu_s"], record["wall_s"], record["peak_rss_mb"]) == \
+        (2.0, 2.5, 40.0)
+    assert record["stdout_sha256"] == "h"
+
+
+def test_rung_stops_after_a_timeout(monkeypatch):
+    monkeypatch.setattr(ladder, "REPEATS", 3)
+    code = "import time; time.sleep(30)"
+    record = ladder.run_rung([sys.executable, "-c", code], None, 0.3)
+    assert len(record["runs"]) == 1
+    assert record["timed_out"] and record["exit_code"] is None
+
+
+def test_stdout_hash_of_each_run(monkeypatch):
+    monkeypatch.setattr(ladder, "REPEATS", 2)
+    record = ladder.run_rung([sys.executable, "-c", "print('x')"], None, 60)
+    assert len(record["runs"]) == 2
+    assert record["stdout_sha256"] == hashlib.sha256(b"x\n").hexdigest()

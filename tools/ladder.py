@@ -1,21 +1,27 @@
 """The reach ladder: whole CLI commands at the sizes the project aims to
-verify routinely, each timed once in a fresh process.
+verify routinely, each timed REPEATS times in fresh processes.
 
     python3 tools/ladder.py --label NAME [--root DIR]
 
 Each rung runs ``python -m cyclohecke ...`` with the package imported from
-``DIR/src`` (default: this checkout) and a timeout of 600 s. A rung that
-times out is killed and recorded with ``timed_out``, not failed. The
+``DIR/src`` (default: this checkout) and a timeout of 600 s per run. A run
+that times out is killed and recorded with ``timed_out``, not failed, and
+its rung is not repeated; nor is a rung whose run exits nonzero. The
 child's own CPU seconds (user + system) and peak resident memory come from
 ``os.wait4``; the ``ru_maxrss`` of RUSAGE_CHILDREN would be a maximum over
 every child so far. A child's peak is at least the ladder's own small
-resident size at the fork that starts it. The result is written to
-``BENCH_<label>.json`` at the root of this checkout, with the Python
-version, the CPU count, the commit and a hash of ``src/`` of the measured
-tree. Each rung also records ``probe_s``, the mean of the median CPU
-seconds of the ``bench/calibration.py`` probe just before and just after
-it: the host's speed drifts by up to 1.8x, so rungs of two files compare
-best as ``cpu_s / probe_s``.
+resident size at the fork that starts it. A rung keeps every run under
+``runs`` and reports the median of its runs as ``cpu_s``, ``wall_s`` and
+``peak_rss_mb``: single runs of unchanged code differ by far more than the
+changes the ladder is meant to show. ``stdout_sha256`` hashes the child's
+stdout, so two ladder files show whether a change kept every rung's output
+byte-identical; it is null when the runs of a rung disagree. The result is
+written to ``BENCH_<label>.json`` at the root of this checkout, with the
+Python version, the CPU count, the commit and a hash of ``src/`` of the
+measured tree. Each rung also records ``probe_s``, the mean of the median
+CPU seconds of the ``bench/calibration.py`` probe just before and just
+after its runs: the host's speed drifts by up to 1.8x, so rungs of two
+files compare best as ``cpu_s / probe_s``.
 
 The four workloads of ``bench/run.py`` remain the gate of a change; the
 ladder records how far the verifier reaches.
@@ -30,6 +36,7 @@ import json
 import os
 import platform
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +46,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0
+REPEATS = 3  # runs per rung; the record reports their median
 PROBES = 11  # calibration probes of about 1 ms each, before and after a rung
 
 RUNGS = {
@@ -67,11 +75,11 @@ RUNGS = {
 
 def run_child(cmd, env, timeout):
     """Run cmd once; its exit code (None when killed at the timeout), wall
-    seconds, and CPU seconds and peak RSS in MB of that child alone."""
+    seconds, CPU seconds and peak RSS in MB of that child alone, and the
+    SHA-256 of its stdout (its stderr goes to the ladder's)."""
     with tempfile.TemporaryFile() as sink:
         start = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=sink,
-                                stderr=subprocess.STDOUT)
+        proc = subprocess.Popen(cmd, env=env, stdout=sink)
         reaped = threading.Event()
         expired = threading.Event()
 
@@ -88,6 +96,8 @@ def run_child(cmd, env, timeout):
             reaped.set()
             timer.cancel()
         wall = time.perf_counter() - start
+        sink.seek(0)
+        stdout_sha256 = hashlib.sha256(sink.read()).hexdigest()
     # reaped here, so Popen must not wait for the child again
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {
@@ -96,6 +106,28 @@ def run_child(cmd, env, timeout):
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "stdout_sha256": stdout_sha256,
+    }
+
+
+def run_rung(cmd, env, timeout):
+    """Run cmd up to REPEATS times, stopping after a run that times out or
+    exits nonzero; every run under "runs", the median of their wall and
+    CPU seconds and peak RSS, the last run's exit code, and the stdout
+    hash the runs share (None when they differ)."""
+    runs = []
+    for _ in range(REPEATS):
+        runs.append(run_child(cmd, env, timeout))
+        if runs[-1]["exit_code"] != 0:
+            break
+    hashes = {run["stdout_sha256"] for run in runs}
+    return {
+        "exit_code": runs[-1]["exit_code"],
+        "timed_out": runs[-1]["timed_out"],
+        **{key: round(statistics.median(run[key] for run in runs), 3)
+           for key in ("wall_s", "cpu_s", "peak_rss_mb")},
+        "stdout_sha256": hashes.pop() if len(hashes) == 1 else None,
+        "runs": runs,
     }
 
 
@@ -143,6 +175,7 @@ def main(argv=None):
         "src_modified": bool(git(root, "status", "--porcelain", "src")),
         "src_sha256": src_hash(root),
         "timeout_s": TIMEOUT_S,
+        "repeats": REPEATS,
         "rungs": [],
     }
     calibration = load_calibration()
@@ -150,7 +183,7 @@ def main(argv=None):
         cmd = [sys.executable, "-m", "cyclohecke", *RUNGS[name]]
         before = calibration.calibrate(PROBES)
         record = {"name": name, "argv": RUNGS[name],
-                  **run_child(cmd, env, TIMEOUT_S)}
+                  **run_rung(cmd, env, TIMEOUT_S)}
         record["probe_s"] = round(
             (before + calibration.calibrate(PROBES)) / 2, 6)
         result["rungs"].append(record)
