@@ -19,7 +19,6 @@ from .rings import (
     LaurentPoly,
     NotInvertibleError,
     elementary_symmetric,
-    specialize,
 )
 
 
@@ -179,7 +178,7 @@ def central_characters(f, n, r):
         raise ValueError("expression is not symmetric")
     out = []
     for mp in enumerate_multipartitions(n, r):
-        values = jm_eigenvalues(mp, r)
+        values = [LaurentPoly.monomial(1, v) for v in jm_eigenvalues(mp, r)]
         total = LaurentPoly.zero(1 + r)
         for exps, coeff in f.terms.items():
             term = LaurentPoly.const(coeff, 1 + r)
@@ -197,14 +196,14 @@ def specialized_elementary_characters(ctx):
     eigenvalues, in canonical form. Returns (multipartitions, rows of n
     domain values). Only the parameters n, r, domain, q_val and Q_vals of
     ctx are read, so any object carrying them will do."""
-    d = ctx.domain
+    d, q = ctx.domain, ctx.q_val
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     rows = []
     for mp in mps:
-        alphas = [
-            specialize(m, ctx.q_val, ctx.Q_vals, d)
-            for m in jm_eigenvalues(mp, ctx.r)
-        ]
+        # q^a Q_c from its exponent vector (a, 0.., 1 in slot c, ..0)
+        alphas = [(q ** w[0] if w[0] >= 0 else d.inv(q) ** -w[0])
+                  * ctx.Q_vals[w.index(1, 1) - 1]
+                  for w in jm_eigenvalues(mp, ctx.r)]
         rows.append([d.canonical(x)
                      for x in elementary_symmetric(alphas, d.one)[1:]])
     return mps, rows

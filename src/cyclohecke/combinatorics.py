@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .rings import LaurentPoly
-
 
 @cache
 def partitions_of(n):
@@ -100,8 +98,9 @@ def content(node):
 
 
 def jm_eigenvalues(mp, r=None):
-    """Multiset of Jucys-Murphy eigenvalue monomials q^(b-a) * Q_c, one per
-    node, as Laurent polynomials in (q, Q_1..Q_r).
+    """Multiset of Jucys-Murphy eigenvalues q^(b-a) * Q_c, one per node, as
+    exponent vectors over (q, Q_1..Q_r): b - a in slot 0, 1 in slot c and 0
+    elsewhere.
 
     Tableau-independent by construction: iterates nodes directly rather than
     standard tableaux.
@@ -110,14 +109,8 @@ def jm_eigenvalues(mp, r=None):
         r = len(mp)
     if len(mp) != r:
         raise ValueError("component count mismatch")
-    out = []
-    for node in nodes(mp):
-        a, b, c = node
-        exps = [0] * (1 + r)
-        exps[0] = b - a
-        exps[c] = 1
-        out.append(LaurentPoly.monomial(1, exps))
-    return out
+    Q = [(0,) * (c - 1) + (1,) + (0,) * (r - c) for c in range(1, r + 1)]
+    return [(b - a,) + Q[c - 1] for a, b, c in nodes(mp)]
 
 
 def _addable_positions(filled, shape):

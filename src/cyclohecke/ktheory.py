@@ -8,6 +8,9 @@ main identity are produced by deliberately independent code paths:
   ring it cuts out and read off torus weights from monomial exponents;
 * algebraic: evaluate symmetric functions on the Jucys-Murphy eigenvalue
   multiset coming from node contents.
+
+Both give each weight q^a Q_k as its exponent vector over (q, Q_1..Q_r), and
+the elementary symmetric functions of the weights are compared as term maps.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -43,19 +47,22 @@ from .rings import (
 @dataclass
 class FixedPointCharacter:
     """Torus character of the tautological bundle at one fixed point: a
-    multiset of n weight monomials, each q-power times a single Q variable."""
+    multiset of n weights q^a Q_k, each the exponent vector over (q, Q_1..Q_r)
+    with a in slot 0, 1 in slot k and 0 elsewhere."""
 
     multipartition: tuple
     weights: list
 
     def validate(self):
+        r = len(self.multipartition)
         n = sum(sum(p) for p in self.multipartition)
         if len(self.weights) != n:
             raise ValueError("weight count must equal n")
         for w in self.weights:
-            ((exps, _),) = w.terms.items()
-            q_degrees = [e for e in exps[1:] if e]
-            if q_degrees != [1]:
+            if len(w) != 1 + r:
+                raise ValueError("weight must have 1 + r exponents")
+            Q_exps = w[1:]
+            if Q_exps.count(0) != r - 1 or 1 not in Q_exps:
                 raise ValueError("weight must involve exactly one Q variable")
         return self
 
@@ -71,14 +78,12 @@ def fixed_point_character(mp, r=None):
         r = len(mp)
     weights = []
     for k, part in enumerate(mp, start=1):
+        Q_k = (0,) * (k - 1) + (1,) + (0,) * (r - k)
         for row_idx, row_len in enumerate(part):
             for col_idx in range(row_len):
                 # monomial exponents of x^u y^v under the staircase
                 u, v = row_idx, col_idx
-                exps = [0] * (1 + r)
-                exps[0] = v - u
-                exps[k] = 1
-                weights.append(LaurentPoly.monomial(1, exps))
+                weights.append((v - u,) + Q_k)
     return FixedPointCharacter(mp, weights).validate()
 
 
@@ -120,15 +125,23 @@ class RestrictionTable:
         }, sort_keys=True, separators=(",", ":"))
 
 
+def _restriction_terms(weights, nvars):
+    """Term maps of e_1..e_n and det_inv of n weight exponent vectors: e_n,
+    the product of the weights, is one term x^e (1 when n = 0), and det_inv
+    is x^-e."""
+    row = monomial_elementary_symmetric(weights, nvars)
+    ((top, _),) = row[-1].items()
+    return row[1:] + [{tuple(map(operator.neg, top)): 1}]
+
+
 def restriction_table(n, r):
     """The full fixed-point restriction table of (n, r), geometric side."""
     rows = enumerate_multipartitions(n, r)
     entries = []
     for mp in rows:
         weights = fixed_point_character(mp, r).weights
-        row = monomial_elementary_symmetric(weights, 1 + r)
-        # e_n, the product of the weights, is a monomial (1 when n = 0)
-        entries.append(row[1:] + [row[-1].inverse()])
+        entries.append([LaurentPoly._from_terms(1 + r, terms)
+                        for terms in _restriction_terms(weights, 1 + r)])
     return RestrictionTable(n, r, rows, entries)
 
 
@@ -140,25 +153,24 @@ def verify_main_theorem(n, r, table=None):
     start = time.perf_counter()
     if table is None:
         table = restriction_table(n, r)
+    labels = table.column_labels
     witnesses = []
     rows_checked = 0
     for mp, row in zip(table.rows, table.entries):
         rows_checked += 1
-        alphas = jm_eigenvalues(mp, r)
-        sym = monomial_elementary_symmetric(alphas, 1 + r)
-        algebraic = sym[1:] + [sym[-1].inverse()]
-        for label, geom, alg in zip(table.column_labels, row, algebraic):
-            if geom != alg:
+        algebraic = _restriction_terms(jm_eigenvalues(mp, r), 1 + r)
+        for label, geom, alg in zip(labels, row, algebraic):
+            if geom.terms != alg:
                 witnesses.append({
                     "multipartition": render_multipartition(mp),
                     "column": label,
                     "geometric": geom.render(),
-                    "algebraic": alg.render(),
+                    "algebraic": LaurentPoly._from_terms(1 + r, alg).render(),
                 })
     return VerificationReport(
         check="main_theorem_identity",
         params={"n": n, "r": r, "rows": rows_checked,
-                "columns": len(table.column_labels)},
+                "columns": len(labels)},
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         duration=time.perf_counter() - start,

@@ -138,9 +138,6 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff, exps):
-        if type(coeff) is int and coeff:  # one nonzero int term: canonical
-            exps = tuple(exps)
-            return cls._from_terms(len(exps), {exps: coeff})
         return cls(len(exps), {tuple(exps): coeff})
 
     @classmethod
@@ -335,37 +332,34 @@ def elementary_symmetric(values, one):
     return row
 
 
-def monomial_elementary_symmetric(monomials, nvars):
-    """The row [e_0, e_1, ..., e_m] of m Laurent monomials in nvars
-    variables, each a single term with coefficient 1 (ValueError for
-    anything else), as LaurentPolys.
+def monomial_elementary_symmetric(exponents, nvars):
+    """The row [e_0, e_1, ..., e_m] of the m unit monomials x^e given by
+    their exponent tuples e, each of length nvars (ValueError for any
+    other length), as term maps {exponent tuple: count}.
 
     The sweep of elementary_symmetric on plain term maps: multiplying by a
     monomial shifts every exponent key by its exponents, and e_j gains the
     shifted e_{j-1}, highest j first. Every coefficient counts subsets, so
     it is a positive int and terms only ever add."""
     rows = [{(0,) * nvars: 1}]
-    for m in monomials:
-        if m.nvars != nvars or len(m.terms) != 1:
-            raise ValueError(f"{m!r} is not a monomial in {nvars} variables")
-        ((shift, c),) = m.terms.items()
-        if c != 1:
-            raise ValueError(f"{m!r} does not have coefficient 1")
+    for shift in exponents:
+        if len(shift) != nvars:
+            raise ValueError(f"exponent vector {shift} has wrong length")
         rows.append({})
         for j in range(len(rows) - 1, 0, -1):
             target = rows[j]
             for e, count in rows[j - 1].items():
                 key = tuple(map(operator.add, e, shift))
                 target[key] = target.get(key, 0) + count
-    return [LaurentPoly._from_terms(nvars, terms) for terms in rows]
+    return rows
 
 
 def elementary_symmetric_poly(k, n):
     """e_k(x_1..x_n) as a LaurentPoly in n variables."""
     if not 0 <= k <= n:
         raise ValueError("elementary symmetric degree out of range")
-    xs = [LaurentPoly.variable(i, n) for i in range(n)]
-    return monomial_elementary_symmetric(xs, n)[k]
+    xs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return LaurentPoly._from_terms(n, monomial_elementary_symmetric(xs, n)[k])
 
 
 # ---------------------------------------------------------------------------

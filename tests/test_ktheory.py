@@ -13,6 +13,7 @@ from cyclohecke.combinatorics import (
     render_multipartition,
 )
 from cyclohecke.ktheory import (
+    FixedPointCharacter,
     fixed_point_character,
     restriction_table,
     verify_blocks,
@@ -31,20 +32,37 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
 
 
 class TestFixedPointCharacter:
+    # weights are exponent vectors over (q, Q_1..Q_r)
     def test_single_box(self):
         fpc = fixed_point_character(((1,),))
-        assert fpc.weights == [Q_poly(1, 1)]
+        assert fpc.weights == [(0, 1)]
 
     def test_row_of_two(self):
         # boxes (1,1), (1,2): weights Q_1 and q Q_1
         fpc = fixed_point_character(((2,),))
-        assert Counter(fpc.weights) == Counter(
-            [Q_poly(1, 1), q_poly(1) * Q_poly(1, 1)])
+        assert Counter(fpc.weights) == Counter([(0, 1), (1, 1)])
 
     def test_column_plus_box(self):
+        # Q_1, q^-1 Q_1 and Q_2
         fpc = fixed_point_character(((1, 1), (1,)))
-        q, Q1, Q2 = q_poly(2), Q_poly(1, 2), Q_poly(2, 2)
-        assert Counter(fpc.weights) == Counter([Q1, q ** -1 * Q1, Q2])
+        assert Counter(fpc.weights) == Counter(
+            [(0, 1, 0), (-1, 1, 0), (0, 0, 1)])
+
+    @pytest.mark.parametrize("weights", [
+        [(0, 1, 1)],
+        [(0, 2, 0)],
+        [(0, -1, 0)],
+        [(0, 1, -1)],
+        [(0, 1)],
+        [(0, 1, 0, 2)],
+        [(0, 1, 0), (0, 0, 1)],
+    ], ids=["two-Q-slots", "Q-exponent-2", "negative-Q", "one-and-negative",
+            "too-short", "too-long", "wrong-count"])
+    def test_validate_refuses_a_bad_weight(self, weights):
+        # the fixed point of ((1,), ()) has the one weight (0, 1, 0)
+        FixedPointCharacter(((1,), ()), [(0, 1, 0)]).validate()
+        with pytest.raises(ValueError):
+            FixedPointCharacter(((1,), ()), weights).validate()
 
     def test_weights_match_jm_eigenvalues(self):
         # this equality is the engine of the main identity; the two sides
@@ -168,7 +186,7 @@ class TestMainTheorem:
         # fixed point gets content + 1, i.e. one more factor q
         def shifted(mp, r=None):
             alphas = jm_eigenvalues(mp, r)
-            alphas[-1] = alphas[-1] * LaurentPoly.variable(0, 1 + r)
+            alphas[-1] = (alphas[-1][0] + 1,) + alphas[-1][1:]
             return alphas
 
         monkeypatch.setattr(ktheory, "jm_eigenvalues", shifted)

@@ -51,7 +51,7 @@ def test_rung_reports_the_median_of_its_runs(monkeypatch):
 
     monkeypatch.setattr(ladder, "run_child", fake_child)
     monkeypatch.setattr(ladder, "REPEATS", 3)
-    record = ladder.run_rung(["cmd"], None, 60)
+    (record,) = ladder.run_rung(["cmd"], [None], 60)
     assert [run["cpu_s"] for run in record["runs"]] == [3.0, 1.0, 2.0]
     assert [run["peak_rss_mb"] for run in record["runs"]] == [30.0, 50.0,
                                                               40.0]
@@ -63,13 +63,52 @@ def test_rung_reports_the_median_of_its_runs(monkeypatch):
 def test_rung_stops_after_a_timeout(monkeypatch):
     monkeypatch.setattr(ladder, "REPEATS", 3)
     code = "import time; time.sleep(30)"
-    record = ladder.run_rung([sys.executable, "-c", code], None, 0.3)
+    (record,) = ladder.run_rung([sys.executable, "-c", code], [None], 0.3)
     assert len(record["runs"]) == 1
     assert record["timed_out"] and record["exit_code"] is None
 
 
 def test_stdout_hash_of_each_run(monkeypatch):
     monkeypatch.setattr(ladder, "REPEATS", 2)
-    record = ladder.run_rung([sys.executable, "-c", "print('x')"], None, 60)
+    (record,) = ladder.run_rung([sys.executable, "-c", "print('x')"], [None],
+                                60)
     assert len(record["runs"]) == 2
     assert record["stdout_sha256"] == hashlib.sha256(b"x\n").hexdigest()
+
+
+def _fake_children(monkeypatch, failing=()):
+    """Record the env of each run_child call in order; the runs numbered in
+    failing (per env, from 1) exit 1."""
+    order = []
+
+    def fake_child(cmd, env, timeout):
+        order.append(env)
+        failed = (env, order.count(env)) in failing
+        return {"exit_code": int(failed), "timed_out": False, "wall_s": 1.0,
+                "cpu_s": 1.0, "peak_rss_mb": 1.0, "stdout_sha256": env}
+
+    monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "REPEATS", 3)
+    return order
+
+
+def test_two_roots_alternate_inside_a_rung(monkeypatch):
+    order = _fake_children(monkeypatch)
+    records = ladder.run_rung(["cmd"], ["old", "new"], 60)
+    assert order == ["old", "new", "old", "new", "old", "new"]
+    assert [r["stdout_sha256"] for r in records] == ["old", "new"]
+    assert [len(r["runs"]) for r in records] == [3, 3]
+
+
+def test_a_failing_root_stops_alone(monkeypatch):
+    order = _fake_children(monkeypatch, failing={("old", 2)})
+    old, new = ladder.run_rung(["cmd"], ["old", "new"], 60)
+    assert order == ["old", "new", "old", "new", "new"]
+    assert (old["exit_code"], len(old["runs"])) == (1, 2)
+    assert (new["exit_code"], len(new["runs"])) == (0, 3)
+
+
+def test_one_label_per_root():
+    with pytest.raises(SystemExit) as exc:
+        ladder.main(["--label", "a", "--root", ".", "--root", "."])
+    assert exc.value.code == 2

@@ -2,11 +2,15 @@
 verify routinely, each timed REPEATS times in fresh processes.
 
     python3 tools/ladder.py --label NAME [--root DIR]
+    python3 tools/ladder.py --label OLD --root OLD_DIR --label NEW --root DIR
 
 Each rung runs ``python -m cyclohecke ...`` with the package imported from
-``DIR/src`` (default: this checkout) and a timeout of 600 s per run. A run
-that times out is killed and recorded with ``timed_out``, not failed, and
-its rung is not repeated; nor is a rung whose run exits nonzero. The
+``DIR/src`` (default: this checkout) and a timeout of 600 s per run. Given
+several roots, each with its own label, a rung alternates their runs (run i
+of every root before run i + 1 of any), so the drift of the host's speed
+hits both trees of a before/after comparison alike. A run that times out
+is killed and recorded with ``timed_out``, not failed, and its root's runs
+of that rung stop there, as they do after a run that exits nonzero. The
 child's own CPU seconds (user + system) and peak resident memory come from
 ``os.wait4``; the ``ru_maxrss`` of RUSAGE_CHILDREN would be a maximum over
 every child so far. A child's peak is at least the ladder's own small
@@ -15,13 +19,14 @@ resident size at the fork that starts it. A rung keeps every run under
 ``peak_rss_mb``: single runs of unchanged code differ by far more than the
 changes the ladder is meant to show. ``stdout_sha256`` hashes the child's
 stdout, so two ladder files show whether a change kept every rung's output
-byte-identical; it is null when the runs of a rung disagree. The result is
-written to ``BENCH_<label>.json`` at the root of this checkout, with the
-Python version, the CPU count, the commit and a hash of ``src/`` of the
-measured tree. Each rung also records ``probe_s``, the mean of the median
-CPU seconds of the ``bench/calibration.py`` probe just before and just
-after its runs: the host's speed drifts by up to 1.8x, so rungs of two
-files compare best as ``cpu_s / probe_s``.
+byte-identical; it is null when the runs of a rung disagree. The result of
+each root is written to ``BENCH_<label>.json`` at the root of this
+checkout, with the Python version, the CPU count, the commit and a hash of
+``src/`` of the measured tree. Each rung also records ``probe_s``, the mean
+of the median CPU seconds of the ``bench/calibration.py`` probe just before
+and just after its runs (of all roots): the host's speed drifts by up to
+1.8x, so rungs of two files made apart compare best as
+``cpu_s / probe_s``.
 
 The four workloads of ``bench/run.py`` remain the gate of a change; the
 ladder records how far the verifier reaches.
@@ -110,16 +115,23 @@ def run_child(cmd, env, timeout):
     }
 
 
-def run_rung(cmd, env, timeout):
-    """Run cmd up to REPEATS times, stopping after a run that times out or
-    exits nonzero; every run under "runs", the median of their wall and
-    CPU seconds and peak RSS, the last run's exit code, and the stdout
-    hash the runs share (None when they differ)."""
-    runs = []
+def run_rung(cmd, envs, timeout):
+    """Run cmd up to REPEATS times under each of envs, alternating: run i
+    under every env comes before run i + 1 under any. An env stops after a
+    run that times out or exits nonzero. One record per env: every run
+    under "runs", the median of their wall and CPU seconds and peak RSS,
+    the last run's exit code, and the stdout hash the runs share (None
+    when they differ)."""
+    runs = [[] for _ in envs]
     for _ in range(REPEATS):
-        runs.append(run_child(cmd, env, timeout))
-        if runs[-1]["exit_code"] != 0:
-            break
+        for env, done in zip(envs, runs):
+            if not done or done[-1]["exit_code"] == 0:
+                done.append(run_child(cmd, env, timeout))
+    return [summarize(done) for done in runs]
+
+
+def summarize(runs):
+    """The record of one env's runs of a rung (see run_rung)."""
     hashes = {run["stdout_sha256"] for run in runs}
     return {
         "exit_code": runs[-1]["exit_code"],
@@ -156,19 +168,27 @@ def load_calibration():
     return calibration
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--root", type=Path, default=HERE,
-                        help="checkout whose src/ is measured")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+def child_env(root):
     env = dict(os.environ)
     env.pop("CYCLOHECKE_CACHE", None)
     env["PYTHONPATH"] = str(root / "src")
     env["PYTHONHASHSEED"] = "0"
-    result = {
-        "label": args.label,
+    return env
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", action="append", required=True,
+                        help="name of the result file, one per --root")
+    parser.add_argument("--root", type=Path, action="append",
+                        help="checkout whose src/ is measured (default: "
+                             "this checkout); repeat to alternate trees")
+    args = parser.parse_args(argv)
+    roots = [root.resolve() for root in args.root or [HERE]]
+    if len(args.label) != len(roots):
+        parser.error("give one --label per --root")
+    results = [{
+        "label": label,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "commit": git(root, "rev-parse", "HEAD"),
@@ -177,20 +197,24 @@ def main(argv=None):
         "timeout_s": TIMEOUT_S,
         "repeats": REPEATS,
         "rungs": [],
-    }
+    } for label, root in zip(args.label, roots)]
+    envs = [child_env(root) for root in roots]
     calibration = load_calibration()
     for name in RUNGS:
         cmd = [sys.executable, "-m", "cyclohecke", *RUNGS[name]]
         before = calibration.calibrate(PROBES)
-        record = {"name": name, "argv": RUNGS[name],
-                  **run_rung(cmd, env, TIMEOUT_S)}
-        record["probe_s"] = round(
-            (before + calibration.calibrate(PROBES)) / 2, 6)
-        result["rungs"].append(record)
-        print(json.dumps(record), flush=True)
-    out = HERE / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {out}")
+        records = run_rung(cmd, envs, TIMEOUT_S)
+        probe_s = round((before + calibration.calibrate(PROBES)) / 2, 6)
+        for result, record in zip(results, records):
+            record = {"name": name, "argv": RUNGS[name], **record,
+                      "probe_s": probe_s}
+            result["rungs"].append(record)
+            print(json.dumps({"label": result["label"], **record}),
+                  flush=True)
+    for result in results:
+        out = HERE / f"BENCH_{result['label']}.json"
+        out.write_text(json.dumps(result, indent=1) + "\n")
+        print(f"wrote {out}")
 
 
 if __name__ == "__main__":
