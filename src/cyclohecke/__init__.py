@@ -35,7 +35,6 @@ from .hecke import (
     AlgebraElement,
     EngineError,
     check_relations,
-    pairing,
     symbolic_context,
     validate_straightening,
 )
@@ -45,8 +44,6 @@ from .center import (
     center_basis,
     central_characters,
     central_idempotents,
-    character_dual,
-    cocenter_dim,
     jm_center_span,
 )
 from .ktheory import (

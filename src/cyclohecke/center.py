@@ -92,26 +92,23 @@ class JMCenterSpan:
     rank: int
     elements: list
     descriptors: list
-    capped: bool
     generators: list
     in_center: bool | None
 
 
 def jm_center_span(ctx, center=None):
     """Span monomials in the elementary symmetric functions of the JM
-    elements (and the inverse of the top one) until the span stabilizes,
-    or mark the span capped after n*r + n + 10 rounds.
+    elements (and the inverse of the top one) until the span stabilizes.
 
     Each candidate is one operator application, e_k x or e_n^{-1} x, to an
     earlier monomial x; the monomials commute pairwise, so this is x e_k.
     So every span element is a product of generators, and a property closed
-    under products holds on the span once it holds on them. center, the
-    RowSpace of the center, gives the inclusion certificate JM <= Z
-    (in_center) and, when it holds, an exact early stop: the loop ends as
-    soon as the span has the center's rank. Otherwise it runs to the
-    end."""
+    under products holds on the span once it holds on them. Only elements
+    that raised the rank are queued, at most dim of them, so the loop
+    ends. center, the RowSpace of the center, gives the inclusion
+    certificate JM <= Z (in_center) and, when it holds, an exact early
+    stop: the loop ends as soon as the span has the center's rank."""
     n = ctx.n
-    max_rounds = n * ctx.r + n + 10
     one = ctx.one()
     generators = [ctx.symmetric_jm(k) for k in range(1, n + 1)]
     generators.append(ctx.symmetric_jm_inverse())
@@ -125,13 +122,9 @@ def jm_center_span(ctx, center=None):
     span.add(one.terms)
     elements = [one]
     descriptors = [zero_desc]
-    queue = deque([(one, zero_desc, 0)])  # breadth first: round = depth + 1
-    capped = False
+    queue = deque([(one, zero_desc)])  # breadth first
     while queue and span.rank != target:
-        element, desc, depth = queue.popleft()
-        if depth == max_rounds:
-            capped = True
-            break
+        element, desc = queue.popleft()
         if element is one:  # e_k 1 and e_n^{-1} 1, already built
             candidates = [g.terms for g in generators]
         else:
@@ -144,10 +137,10 @@ def jm_center_span(ctx, center=None):
                 candidate = AlgebraElement(ctx, vec)
                 elements.append(candidate)
                 descriptors.append(new_desc)
-                queue.append((candidate, new_desc, depth + 1))
+                queue.append((candidate, new_desc))
                 if span.rank == target:
                     break
-    return JMCenterSpan(span.rank, elements, descriptors, capped, generators,
+    return JMCenterSpan(span.rank, elements, descriptors, generators,
                         in_center)
 
 
@@ -258,10 +251,6 @@ def commutator_coordinates(ctx):
     return CocenterCoordinates(span, span.non_pivot_columns())
 
 
-def cocenter_dim(ctx):
-    return commutator_coordinates(ctx).dim
-
-
 def cocenter_matrices(ctx, coords):
     """C_1..C_n and C_inv, the matrices of e_1..e_n and e_n^{-1} on
     H / [H, H] in the coordinates of the complement words b_j, as sparse
@@ -304,19 +293,12 @@ def trace_gram_matrix(ctx, span, coords, mats):
     return gram
 
 
-def character_dual(ctx, x, span, coords, gram):
-    """The unique cocenter class with tau(z * result) = sum over
-    multipartitions of char(z) * x, for all z in the JM-center basis; this is
-    the adjoint of the character map under the trace pairing.
-
-    Raises SingularGramError at non-generic parameters.
-    """
-    return character_duals(ctx, [x], span, coords, gram)[0]
-
-
 def character_duals(ctx, xs, span, coords, gram):
-    """character_dual of each vector in xs, from one character table and one
-    elimination of the Gram matrix with a right-hand side per vector."""
+    """For each vector x in xs, the unique cocenter class D with tau(z D) =
+    sum over multipartitions of char(z) x, for all z in the JM-center basis:
+    the adjoint of the character map under the trace pairing. One character
+    table and one elimination of the Gram matrix with a right-hand side per
+    vector. Raises SingularGramError at non-generic parameters."""
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     if span.rank != len(mps) or coords.dim != len(mps):
         raise SingularGramError(

@@ -5,12 +5,12 @@ w in S_n}, as sparse dicts {basis index: nonzero coefficient}, the one
 vector format of the package; index 0 is the identity word.
 A context stores the left-multiplication matrices of the generators
 T_1..T_{n-1} and T_0 = L_1 only; _apply_L applies the higher Jucys-Murphy
-elements from their definition. right_multiplication_matrix is the one
-place where a PBW word becomes generator applications, and check_relations
-certifies it. No command multiplies two elements; the central elements
-e_k(L_1..L_n) and e_n^{-1} act on vectors through the generator maps
-(apply_symmetric_jm, apply_symmetric_jm_inverse). multiply, the literal
-per-word product, serves the library and the tests, which alone check it.
+elements from their definition. _column_steps is the one place where a
+PBW word becomes generator applications: right_multiplication_matrix
+walks it for every word and multiply for the words of its left factor,
+and check_relations certifies it. No command multiplies two elements; the
+central elements e_k(L_1..L_n) and e_n^{-1} act on vectors through the
+generator maps (apply_symmetric_jm, apply_symmetric_jm_inverse).
 
 The only nontrivial rewriting rule is the straightening identity
 
@@ -256,12 +256,6 @@ class AlgebraElement:
         return self.render()
 
 
-def pairing(a, b):
-    """The trace pairing (a, b) -> tau(a b)."""
-    a._check(b)
-    return (a * b).tau()
-
-
 # ---------------------------------------------------------------------------
 # the algebra context
 # ---------------------------------------------------------------------------
@@ -299,6 +293,7 @@ class AlgebraContext:
         ]
         self.index = {word: i for i, word in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self._steps = self._column_steps()
 
         # L_1^r = sum_j cyclo_red[j] L_1^j from prod_i (L_1 - Q_i) = 0; by
         # Vieta the coefficient of x^j in that product is (-1)^(r-j) e_{r-j}
@@ -429,43 +424,51 @@ class AlgebraContext:
         """out += coeff * vec in place (coeff None means 1)."""
         self.domain.add_scaled(out, vec, coeff)
 
-    def multiply(self, x, y):
-        """Product x * y in PBW normal form, word by word: each left word
-        L_1^a_1 ... L_n^a_n T_w acts on y right to left, T_w by its reduced
-        word, then L_n^a_n, ..., L_1^a_1, and the results are summed with
-        their coefficients. Every word sees its own factor order, so no
-        commutation of the L_i is assumed."""
-        mats = self._matrices
-        out = {}
-        for k, cx in x.terms.items():
-            exps, w = self.basis[k]
-            vec = y.terms
-            for i in reversed(reduced_word(w)):
-                vec = self._apply_cols(mats[("T", i)], vec)
-            for i in range(self.n, 0, -1):
-                for _ in range(exps[i - 1]):
-                    vec = self._apply_L(i, vec)
-            self._add_scaled(out, vec, cx)
-        return AlgebraElement(self, out)
+    def _column_steps(self):
+        """The column recurrence of right multiplication: for each PBW word
+        b after 1, in basis order, (p, g, i) with b x = g_i (p x), p an
+        earlier word and g_i the generator T_{i+1} (g = "T") or L_i (g =
+        "L"). T_w = T_i T_{s_i w}, i the first letter of the reduced word
+        of w (T_w is the same for every reduced word), then L^a T_w = L_j
+        L^a' T_w, a' being a with one power less at its first nonzero place
+        j. check_relations certifies the steps for every x."""
+        steps = [None]
+        for exps, w in self.basis[1:]:
+            if any(exps):
+                j = next(i for i, a in enumerate(exps) if a)
+                prev = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], w)
+                steps.append((self.index[prev], "L", j + 1))
+            else:
+                i = reduced_word(w)[0]
+                prev = (exps, left_mult_simple(i, w))
+                steps.append((self.index[prev], "T", i))
+        return steps
+
+    def _column(self, cols, b):
+        """b x, x = cols[0], by one step from the column of an earlier word;
+        cols maps words to the columns found so far and keeps this one."""
+        if b not in cols:
+            prev, g, i = self._steps[b]
+            vec = self._column(cols, prev)
+            cols[b] = (self._apply_cols(self._matrices[("T", i)], vec)
+                       if g == "T" else self._apply_L(i, vec))
+        return cols[b]
 
     def right_multiplication_matrix(self, x):
-        """Columns of right multiplication by x, each a generator applied to
-        an earlier column: T_w x = T_i (T_{s_i w} x), i the first letter of
-        the reduced word of w (s_i w is an earlier basis word, and T_w is the
-        same for every reduced word), then L^a T_w x = L_j (L^a' T_w x), a'
-        being a with one power less at its first nonzero place j. Column b
-        is b x, certified for every x by check_relations."""
-        m = len(all_permutations(self.n))
-        cols = [x.terms]
-        for exps, w in self.basis[1:m]:
-            i = reduced_word(w)[0]
-            prev = cols[self.index[(exps, left_mult_simple(i, w))]]
-            cols.append(self._apply_cols(self._matrices[("T", i)], prev))
-        for exps, w in self.basis[m:]:
-            j = next(i for i, a in enumerate(exps) if a)
-            prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-            cols.append(self._apply_L(j + 1, cols[self.index[(prev, w)]]))
-        return cols
+        """Columns of right multiplication by x, column b being b x."""
+        cols = {0: x.terms}
+        for b in range(1, self.dim):
+            self._column(cols, b)
+        return list(cols.values())
+
+    def multiply(self, x, y):
+        """Product x * y in PBW normal form: the columns b y of the words b
+        of x, each built once, summed with the coefficients of x."""
+        cols = {0: y.terms}
+        out = {}
+        for b, c in x.terms.items():
+            self._add_scaled(out, self._column(cols, b), c)
+        return AlgebraElement(self, out)
 
     # -- named operations ---------------------------------------------------
 
@@ -649,7 +652,7 @@ def check_relations(ctx):
        h -> rho(h) 1 is onto and sends each word to its own coordinate.
        PBW words span the algebra (Ariki-Koike, Adv. Math. 106, 1994), so
        rho is the regular representation in PBW coordinates, and the
-       recurrence on any x gives rho(b) x = b x. multiply is not run.
+       column steps on any x give rho(b) x = b x, in multiply too.
     3. The definition q L_{i+1} = T_i L_i T_i of each higher L_i, as
        applied by _apply_L, on the identity word (at r = 1 no PBW word has
        an L factor, so reconstruction never applies them). _apply_L is a

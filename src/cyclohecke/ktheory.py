@@ -40,7 +40,7 @@ from .rings import (
     CyclotomicDomain,
     LaurentPoly,
     monomial_elementary_symmetric,
-    prime_field_reduction,
+    reduce_parameters,
 )
 
 
@@ -200,24 +200,24 @@ def _class_spectra(classes, mps, char_rows):
     return class_spectra, witnesses
 
 
-def _prime_field_blocks(n, r, modulus, q_val, Q_vals, rows):
+def _prime_field_blocks(n, r, q_val, Q_vals, rows):
     """The blocks of central_idempotents over the prime field of
-    rings.prime_field_reduction, as (spectrum, image dimension) pairs in
-    block order, each spectrum mapped back to its exact row among rows, the
+    rings.reduce_parameters, as (spectrum, image dimension) pairs in block
+    order, each spectrum mapped back to its exact row among rows, the
     distinct exact spectrum rows. None when there is no prime, when two
     rows meet mod p, when the split fails over F_p or when an F_p spectrum
     is not the image of a row (see docs/reports.md). The parameters are
     roots of unity, units with denominator 1, so reduction never refuses
     them. The context certifies its own product at build; a failure raises
     EngineError."""
-    reduction = prime_field_reduction(modulus)
-    if reduction is None:
+    reduced = reduce_parameters(q_val, Q_vals)
+    if reduced is None:
         return None
-    domain, image = reduction
+    domain, image, q_p, Qs_p = reduced
     exact = {tuple(map(image, row)): row for row in rows}
     if len(exact) != len(rows):
         return None
-    ctx = AlgebraContext(n, r, domain, image(q_val), list(map(image, Q_vals)))
+    ctx = AlgebraContext(n, r, domain, q_p, Qs_p)
     try:
         _, spectra, image_dims = central_idempotents(ctx)
     except IdempotentSplitError:
@@ -300,8 +300,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
         return report(out, witnesses)
 
     if not class_witnesses:
-        blocks = _prime_field_blocks(n, r, modulus, q_val, Q_vals,
-                                     list(class_spectra))
+        blocks = _prime_field_blocks(n, r, q_val, Q_vals, list(class_spectra))
         if blocks is not None and (found := judge(blocks)).passed:
             return found
     ctx = AlgebraContext(n, r, domain, q_val, Q_vals)

@@ -772,6 +772,23 @@ def prime_field_reduction(order):
     return domain, image
 
 
+def reduce_parameters(q, Qs):
+    """(domain, image, q_p, Qs_p): prime_field_reduction for the order of
+    the cyclotomic field of q (1 for rationals), and the images q_p, Qs_p
+    of the parameters. None when there is no prime, when it divides a
+    denominator or when a parameter maps to 0."""
+    reduction = prime_field_reduction(
+        q.order if isinstance(q, CyclotomicNumber) else 1)
+    if reduction is None:
+        return None
+    domain, image = reduction
+    try:
+        images = [image(x) for x in [q, *Qs]]
+    except NotInvertibleError:
+        return None
+    return (domain, image, images[0], images[1:]) if all(images) else None
+
+
 class CyclotomicDomain(ScalarDomain):
     def __init__(self, order):
         if order < 1:

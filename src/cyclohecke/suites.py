@@ -42,32 +42,18 @@ from .hecke import (
 from .ktheory import verify_main_theorem
 from .linalg import kernel_basis
 from .reports import VerificationReport
-from .rings import (
-    CyclotomicDomain,
-    CyclotomicNumber,
-    NotInvertibleError,
-    RationalDomain,
-    prime_field_reduction,
-)
+from .rings import CyclotomicDomain, RationalDomain, reduce_parameters
 
 
 def sample_specialization(n, rng, r):
     """Random rational (q, Q_1..Q_r) in the semisimple locus: entries from
-    {2..97}, rejecting q = 1 and coincidences Q_i = q^m Q_j for |m| <= 2n."""
+    {2..97}, rejecting coincidences Q_i = q^m Q_j for |m| <= 2n."""
     while True:
         q = Fraction(rng.randint(2, 97))
-        if q == 1:
-            continue
         Qs = [Fraction(rng.randint(2, 97)) for _ in range(r)]
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                for m in range(-2 * n, 2 * n + 1):
-                    if Qs[i] == q ** m * Qs[j]:
-                        ok = False
-        if ok:
+        if not any(Qs[i] == q ** m * Qs[j]
+                   for i in range(r) for j in range(r) if i != j
+                   for m in range(-2 * n, 2 * n + 1)):
             return q, Qs
 
 
@@ -115,24 +101,16 @@ def suite_main_theorem(budget=400):
 
 def _prime_field_certificate(n, r, q, Qs):
     """The center and the JM-center span of (n, r) at the exact parameters
-    (q, Qs), rationals or elements of one cyclotomic field, reduced to the
-    prime field of rings.prime_field_reduction, when they certify the exact
+    (q, Qs), rationals or elements of one cyclotomic field, reduced to a
+    prime field by rings.reduce_parameters, when they certify the exact
     dimensions: the span's generators lie in the center and its rank is
-    dim Z (see docs/reports.md). None when there is no prime, when it
-    divides a denominator, when a parameter maps to 0, or when the bounds
-    miss. The context certifies its own product at build; a failure raises
-    EngineError."""
-    order = q.order if isinstance(q, CyclotomicNumber) else 1
-    reduction = prime_field_reduction(order)
-    if reduction is None:
+    dim Z (see docs/reports.md). None when rings.reduce_parameters refuses
+    the parameters or when the bounds miss. The context certifies its own
+    product at build; a failure raises EngineError."""
+    reduced = reduce_parameters(q, Qs)
+    if reduced is None:
         return None
-    domain, image = reduction
-    try:
-        q_p, *Qs_p = map(image, [q, *Qs])
-    except NotInvertibleError:
-        return None
-    if not all([q_p, *Qs_p]):
-        return None
+    domain, _, q_p, Qs_p = reduced
     center, span = center_and_jm_span(AlgebraContext(n, r, domain, q_p, Qs_p))
     if span.in_center and span.rank == center.rank:
         return center, span
@@ -179,7 +157,8 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
         result, span, witness = _center_and_jm_center(
             n, r, domain, q, Qs, str(q))
         result["Q"] = [str(Q) for Q in Qs]
-        result["jm_span_capped"] = span.capped
+        # the span queues only elements that raise its rank: never capped
+        result["jm_span_capped"] = False
         results.append(result)
         dims = (result["dim_center"], result["dim_jm_center"])
         if explicit is None and dims != (expected, expected):
@@ -544,22 +523,15 @@ def suite_pairing(n, r, *, seed=0, samples=1):
 # dimension bookkeeping
 # ---------------------------------------------------------------------------
 
-def pbw_dimension_report(n, r, ctx=None):
-    """PBW basis size r^n n! against the standard-tableaux square sum."""
+def pbw_dimension_report(n, r):
+    """PBW basis size r^n n! against the standard-tableaux square sum;
+    basis_size is null, as no context is built."""
     start = time.perf_counter()
     expected = r ** n * math.factorial(n)
     syt_sum = sum(
         count_standard_tableaux(mp) ** 2
         for mp in enumerate_multipartitions(n, r))
     witnesses = []
-    basis_size = None
-    if ctx is not None:
-        basis_size = ctx.dim
-        if basis_size != expected:
-            witnesses.append({
-                "reason": "PBW basis size mismatch",
-                "basis": basis_size, "expected": expected,
-            })
     if syt_sum != expected:
         witnesses.append({
             "reason": "sum of squared tableau counts mismatch",
@@ -568,7 +540,7 @@ def pbw_dimension_report(n, r, ctx=None):
     return VerificationReport(
         check="pbw_dimension",
         params={"n": n, "r": r, "expected": expected,
-                "syt_square_sum": syt_sum, "basis_size": basis_size},
+                "syt_square_sum": syt_sum, "basis_size": None},
         status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         duration=time.perf_counter() - start,

@@ -12,7 +12,6 @@ from cyclohecke.hecke import (
     check_relations,
     left_mult_simple,
     one_step_T_push,
-    pairing,
     perm_length,
     reduced_word,
     right_mult_simple,
@@ -225,23 +224,23 @@ def failing_families(ctx):
 
 
 def l_before_t_recurrence(monkeypatch):
-    """Make right_multiplication_matrix apply each word's L factors before
-    its T_w: the column of L^a T_w x is T_i applied to the column of
-    L^a T_{s_i w} x, down to the column of L^a x."""
-    def wrong(self, x):
-        cols = [x.terms]
+    """Make the column steps of every context built from now on apply each
+    word's L factors before its T_w: the column of L^a T_w x is T_i applied
+    to the column of L^a T_{s_i w} x, down to the column of L^a x."""
+    def wrong(self):
+        steps = [None]
         for exps, w in self.basis[1:]:
             if w == self._identity_perm:
                 j = next(i for i, a in enumerate(exps) if a)
                 prev = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-                cols.append(self._apply_L(j + 1, cols[self.index[(prev, w)]]))
+                steps.append((self.index[(prev, w)], "L", j + 1))
             else:
                 i = reduced_word(w)[0]
-                prev = cols[self.index[(exps, left_mult_simple(i, w))]]
-                cols.append(self._apply_cols(self._matrices[("T", i)], prev))
-        return cols
+                prev = self.index[(exps, left_mult_simple(i, w))]
+                steps.append((prev, "T", i))
+        return steps
 
-    monkeypatch.setattr(AlgebraContext, "right_multiplication_matrix", wrong)
+    monkeypatch.setattr(AlgebraContext, "_column_steps", wrong)
 
 
 def right_T_oracle(ctx, i):
@@ -711,9 +710,9 @@ class TestTrace:
 
     def test_pairing_examples(self, symbolic_ctx):
         ctx = symbolic_ctx(2, 1)
-        assert pairing(ctx.one(), ctx.one()) == ctx.domain.one
-        assert pairing(ctx.T(1), ctx.T(1)) == ctx.q_val
-        assert ctx.domain.is_zero(pairing(ctx.T(1), ctx.one()))
+        assert (ctx.one() * ctx.one()).tau() == ctx.domain.one
+        assert (ctx.T(1) * ctx.T(1)).tau() == ctx.q_val
+        assert ctx.domain.is_zero((ctx.T(1) * ctx.one()).tau())
 
     def test_trace_symmetry_random(self, rational_ctx):
         ctx = rational_ctx(2, 2, Fraction(3), [Fraction(2), Fraction(5)])
@@ -793,9 +792,9 @@ class TestCertificate:
                            [Fraction(2), Fraction(5)])
 
     def test_l_before_t_recurrence_fails_reconstruction(self, monkeypatch):
+        l_before_t_recurrence(monkeypatch)
         ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                              [Fraction(2), Fraction(5)], self_check=False)
-        l_before_t_recurrence(monkeypatch)
         rep = check_relations(ctx)
         assert rep.status == "fail"
         witness = rep.witnesses[0]
@@ -806,6 +805,17 @@ class TestCertificate:
         with pytest.raises(EngineError, match="reconstruction"):
             AlgebraContext(2, 2, RationalDomain(), Fraction(3),
                            [Fraction(2), Fraction(5)])
+
+    def test_l_before_t_recurrence_reaches_multiply(self, monkeypatch):
+        # multiply walks the certified column steps, so the fault that
+        # reconstruction rejects also moves the product off the literal one
+        l_before_t_recurrence(monkeypatch)
+        ctx = AlgebraContext(2, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)], self_check=False)
+        x = ctx.basis_element(ctx.index[((0, 1), (1, 0))])
+        assert x.render() == "(1) * L2*T[2,1]"
+        y = ctx.one()
+        assert product_vector(ctx, x, y) != literal_product(ctx, x, y)
 
     def test_apply_L_without_q_inverse_fails_at_r1(self, monkeypatch):
         # at r = 1 reconstruction never applies L_2..L_n; only the

@@ -108,6 +108,26 @@ def test_a_failing_root_stops_alone(monkeypatch):
     assert (new["exit_code"], len(new["runs"])) == (0, 3)
 
 
+def test_two_roots_resolve_a_rung_only_past_the_spread(monkeypatch):
+    # the cpu_s of the old and new runs of two rungs, as they alternate
+    cpu = iter([1.0, 2.0, 1.1, 2.1, 1.05, 2.05,
+                1.0, 1.3, 1.5, 1.1, 1.2, 1.6])
+
+    def fake_child(cmd, env, timeout):
+        return {"exit_code": 0, "timed_out": False, "wall_s": 1.0,
+                "cpu_s": next(cpu), "peak_rss_mb": 1.0, "stdout_sha256": "h"}
+
+    monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "REPEATS", 3)
+    apart, overlapping = (
+        ladder.compare(*ladder.run_rung(["cmd"], ["old", "new"], 60))
+        for _ in range(2))
+    # medians 1.05 -> 2.05, spreads 0.1 each: resolved, +95.2%
+    assert apart == {"resolved": True, "cpu_change": 0.952}
+    # medians 1.2 -> 1.3 differ by less than the new runs' spread 0.5
+    assert overlapping == {"resolved": False, "cpu_change": None}
+
+
 def test_one_label_per_root():
     with pytest.raises(SystemExit) as exc:
         ladder.main(["--label", "a", "--root", ".", "--root", "."])

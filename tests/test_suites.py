@@ -295,9 +295,10 @@ class TestCommutatorOperatorFault:
 class TestDimensionReport:
     def test_matches_context(self, rational_ctx):
         ctx = rational_ctx(2, 2, Fraction(3), [Fraction(2), Fraction(5)])
-        rep = pbw_dimension_report(2, 2, ctx)
+        rep = pbw_dimension_report(2, 2)
         assert rep.passed
-        assert rep.params["expected"] == 8
+        assert rep.params["expected"] == ctx.dim == 8
+        assert rep.params["basis_size"] is None
         assert rep.params["syt_square_sum"] == 8
 
     def test_generic_contexts_are_seeded(self):

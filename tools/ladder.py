@@ -28,6 +28,13 @@ and just after its runs (of all roots): the host's speed drifts by up to
 1.8x, so rungs of two files made apart compare best as
 ``cpu_s / probe_s``.
 
+Given two roots, the first the old tree and the second the new, each rung
+of both files also records ``resolved``: whether the two ``cpu_s`` medians
+differ by more than the larger max - min spread of either root's runs,
+both roots having run to the end. Only a resolved rung reports
+``cpu_change``, new over old minus one; an unresolved one reports null,
+and the comparison line printed for it says ``unresolved``.
+
 The four workloads of ``bench/run.py`` remain the gate of a change; the
 ladder records how far the verifier reaches.
 """
@@ -143,6 +150,18 @@ def summarize(runs):
     }
 
 
+def compare(old, new):
+    """Whether the cpu_s medians of two roots' records of one rung resolve
+    a change (see the module docstring), and the change if they do."""
+    spread = max(max(run["cpu_s"] for run in record["runs"])
+                 - min(run["cpu_s"] for run in record["runs"])
+                 for record in (old, new))
+    resolved = (old["exit_code"] == new["exit_code"] == 0
+                and abs(new["cpu_s"] - old["cpu_s"]) > spread)
+    change = round(new["cpu_s"] / old["cpu_s"] - 1, 3) if resolved else None
+    return {"resolved": resolved, "cpu_change": change}
+
+
 def src_hash(root):
     """SHA-256 over the relative paths and bytes of every file in src/."""
     digest = hashlib.sha256()
@@ -205,12 +224,18 @@ def main(argv=None):
         before = calibration.calibrate(PROBES)
         records = run_rung(cmd, envs, TIMEOUT_S)
         probe_s = round((before + calibration.calibrate(PROBES)) / 2, 6)
+        comparison = compare(*records) if len(records) == 2 else {}
         for result, record in zip(results, records):
             record = {"name": name, "argv": RUNGS[name], **record,
-                      "probe_s": probe_s}
+                      "probe_s": probe_s, **comparison}
             result["rungs"].append(record)
             print(json.dumps({"label": result["label"], **record}),
                   flush=True)
+        if comparison:
+            verdict = (f"{comparison['cpu_change']:+.1%}"
+                       if comparison["resolved"] else "unresolved")
+            print(f"{name}: cpu_s {records[0]['cpu_s']} -> "
+                  f"{records[1]['cpu_s']}, {verdict}", flush=True)
     for result in results:
         out = HERE / f"BENCH_{result['label']}.json"
         out.write_text(json.dumps(result, indent=1) + "\n")
