@@ -129,6 +129,19 @@ class LaurentPoly:
         return out
 
     @classmethod
+    def unpacked(cls, nvars, terms, base):
+        """The polynomial of a term map {pack(e, base): coeff}, each e read
+        back as the nvars balanced base digits of its key."""
+        half, out = base // 2, {}
+        for key, coeff in terms.items():
+            exps = []
+            for _ in range(nvars):
+                key, digit = divmod(key + half, base)
+                exps.append(digit - half)
+            out[tuple(exps)] = coeff
+        return cls._from_terms(nvars, out)
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -332,26 +345,44 @@ def elementary_symmetric(values, one):
     return row
 
 
-def monomial_elementary_symmetric(exponents, nvars):
-    """The row [e_0, e_1, ..., e_m] of the m unit monomials x^e given by
-    their exponent tuples e, each of length nvars (ValueError for any
-    other length), as term maps {exponent tuple: count}.
+def packing_base(*exponent_lists):
+    """2·n·s + 1, n the longest list's length and s the largest |slot|: each
+    slot of a sum of up to n of the lists' vectors, or of its negation, is a
+    balanced digit, so pack is additive and injective on those sums."""
+    slots = [abs(x) for exps in exponent_lists for e in exps for x in e]
+    return 2 * max(map(len, exponent_lists)) * max(slots, default=0) + 1
 
-    The sweep of elementary_symmetric on plain term maps: multiplying by a
-    monomial shifts every exponent key by its exponents, and e_j gains the
-    shifted e_{j-1}, highest j first. Every coefficient counts subsets, so
-    it is a positive int and terms only ever add."""
-    rows = [{(0,) * nvars: 1}]
-    for shift in exponents:
-        if len(shift) != nvars:
-            raise ValueError(f"exponent vector {shift} has wrong length")
+
+def pack(exps, base):
+    """The exponent vector exps as the int sum of exps[i]·base^i."""
+    key = 0
+    for x in reversed(exps):
+        key = key * base + x
+    return key
+
+
+def packed_elementary_symmetric(keys):
+    """elementary_symmetric of the unit monomials with packed exponent
+    vectors keys, on term maps {packed key: count}: multiplying by a
+    monomial adds its key to every key, and terms only ever add."""
+    rows = [{0: 1}]
+    for shift in keys:
         rows.append({})
         for j in range(len(rows) - 1, 0, -1):
             target = rows[j]
             for e, count in rows[j - 1].items():
-                key = tuple(map(operator.add, e, shift))
-                target[key] = target.get(key, 0) + count
+                target[e + shift] = target.get(e + shift, 0) + count
     return rows
+
+
+def monomial_elementary_symmetric(exponents, nvars):
+    """packed_elementary_symmetric on exponent tuples of length nvars (a
+    ValueError for another): packed, swept and unpacked."""
+    if any(len(e) != nvars for e in exponents):
+        raise ValueError("exponent vector has wrong length")
+    base = packing_base(exponents)
+    row = packed_elementary_symmetric([pack(e, base) for e in exponents])
+    return [LaurentPoly.unpacked(nvars, t, base).terms for t in row]
 
 
 def elementary_symmetric_poly(k, n):

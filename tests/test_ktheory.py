@@ -178,28 +178,57 @@ class TestMainTheorem:
         table.entries[0][0] = table.entries[0][0] + 1
         rep = verify_main_theorem(2, 1, table=table)
         assert rep.status == "fail"
-        assert rep.witnesses
-        assert rep.witnesses[0]["column"] == "e1"
+        assert rep.witnesses == [{
+            "multipartition": "[[2]]", "column": "e1",
+            "geometric": "1 + Q1 + q*Q1", "algebraic": "Q1 + q*Q1"}]
 
     def test_shifted_content_fails_with_witness(self, monkeypatch):
         # the algebraic side alone sees the fault: the last node of every
         # fixed point gets content + 1, i.e. one more factor q
-        def shifted(mp, r=None):
-            alphas = jm_eigenvalues(mp, r)
-            alphas[-1] = (alphas[-1][0] + 1,) + alphas[-1][1:]
-            return alphas
+        _check_shifted_content(monkeypatch, 1)
 
-        monkeypatch.setattr(ktheory, "jm_eigenvalues", shifted)
-        rep = verify_main_theorem(3, 2)
+    def test_content_shifted_past_the_weight_range_fails(self, monkeypatch):
+        # a shift of n + 1 leaves the range of the true weights: the
+        # packing base must cover the faulty side too, or rows could alias
+        _check_shifted_content(monkeypatch, 4)
+
+    def test_base_covers_the_algebraic_weights(self, monkeypatch):
+        # at (1,1) the true weight Q1 = (0, 1) packs to 3 in base 3, the
+        # base of the geometric weights alone; so does the faulty weight
+        # q^3 = (3, 0), which only a base covering both lists tells apart
+        monkeypatch.setattr(ktheory, "jm_eigenvalues",
+                            lambda mp, r=None: [(3, 0)])
+        rep = verify_main_theorem(1, 1)
         assert rep.status == "fail"
-        assert rep.params["rows"] == 10
-        # the shift moves e_1 and det^-1 at every row
-        assert Counter(w["column"] for w in rep.witnesses)["e1"] == 10
-        assert Counter(w["column"] for w in rep.witnesses)["det_inv"] == 10
-        first = rep.witnesses[0]
-        assert first["multipartition"] == render_multipartition(
-            enumerate_multipartitions(3, 2)[0])
-        assert first["geometric"] != first["algebraic"]
+        assert rep.witnesses == [
+            {"multipartition": "[[1]]", "column": "e1",
+             "geometric": "Q1", "algebraic": "q^3"},
+            {"multipartition": "[[1]]", "column": "det_inv",
+             "geometric": "Q1^-1", "algebraic": "q^-3"}]
+
+
+def _check_shifted_content(monkeypatch, shift):
+    """verify_main_theorem(3, 2) with the content of the last node of every
+    fixed point raised by shift fails e1 and det_inv at all 10 rows."""
+    def shifted(mp, r=None):
+        alphas = jm_eigenvalues(mp, r)
+        alphas[-1] = (alphas[-1][0] + shift,) + alphas[-1][1:]
+        return alphas
+
+    monkeypatch.setattr(ktheory, "jm_eigenvalues", shifted)
+    rep = verify_main_theorem(3, 2)
+    assert rep.status == "fail"
+    assert rep.params["rows"] == 10
+    # the shift moves e_1 and det^-1 at every row
+    assert Counter(w["column"] for w in rep.witnesses)["e1"] == 10
+    assert Counter(w["column"] for w in rep.witnesses)["det_inv"] == 10
+    first = rep.witnesses[0]
+    assert first["multipartition"] == render_multipartition(
+        enumerate_multipartitions(3, 2)[0])
+    # [[3],[]]: contents 0, 1, 2, the last one shifted
+    assert first == {**first, "column": "e1",
+                     "geometric": "Q1 + q*Q1 + q^2*Q1",
+                     "algebraic": f"Q1 + q*Q1 + q^{2 + shift}*Q1"}
 
 
 class TestBlocks:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -132,3 +133,35 @@ def test_one_label_per_root():
     with pytest.raises(SystemExit) as exc:
         ladder.main(["--label", "a", "--root", ".", "--root", "."])
     assert exc.value.code == 2
+
+
+def test_rung_option_runs_only_the_named_rungs(monkeypatch, tmp_path):
+    argvs = []
+
+    def fake_child(cmd, env, timeout):
+        argvs.append(cmd[3:])
+        return {"exit_code": 0, "timed_out": False, "wall_s": 1.0,
+                "cpu_s": 1.0, "peak_rss_mb": 1.0, "stdout_sha256": "h"}
+
+    class Calibration:
+        calibrate = staticmethod(lambda probes: 0.001)
+
+    monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "load_calibration", Calibration)
+    monkeypatch.setattr(ladder, "HERE", tmp_path)
+    monkeypatch.setattr(ladder, "REPEATS", 2)
+    ladder.main(["--label", "x", "--rung", "verify-main-1e6",
+                 "--rung", "hilb-n7"])
+    # in the order of RUNGS, REPEATS runs each
+    assert argvs == [ladder.RUNGS["hilb-n7"]] * 2 \
+        + [ladder.RUNGS["verify-main-1e6"]] * 2
+    written = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert [rung["name"] for rung in written["rungs"]] == \
+        ["hilb-n7", "verify-main-1e6"]
+
+
+def test_unknown_rung_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ladder.main(["--label", "x", "--rung", "no-such-rung"])
+    assert exc.value.code == 2
+    assert "no-such-rung" in capsys.readouterr().err

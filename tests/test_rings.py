@@ -22,6 +22,9 @@ from cyclohecke.rings import (
     elementary_symmetric_poly,
     euler_phi,
     monomial_elementary_symmetric,
+    pack,
+    packed_elementary_symmetric,
+    packing_base,
     q_poly,
     Q_poly,
     specialize,
@@ -181,11 +184,24 @@ def _monomial_lists():
             yield nvars, [rng.choice(pool) for _ in range(m)]
 
 
-def _sweep_mismatches(kernel):
-    """The exponent lists on which kernel differs from the generic sweep
-    over the monomials x^e with coefficient 1."""
+def _bound_reaching_lists():
+    """(nvars, monomials) where a slot of the product of all m monomials is
+    m·s or -m·s, s the largest |slot|: the bound of packing_base, reached
+    exactly."""
+    yield 1, [(1,)]
+    yield 1, [(-3,)] * 4
+    yield 2, [(2, -2)] * 3
+    yield 2, [(2, 0), (2, 1), (2, -1)]
+    yield 3, [(0, -1, 2), (1, 0, 2), (-2, 1, 2)]
+    yield 4, [(-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1), (-1, 1, 0, 0)]
+
+
+def _sweep_mismatches(kernel, cases=None):
+    """The exponent lists of cases (default: the seeded lists) on which
+    kernel differs from the generic sweep over the monomials x^e with
+    coefficient 1."""
     mismatches = []
-    for nvars, exponents in _monomial_lists():
+    for nvars, exponents in cases or _monomial_lists():
         generic = elementary_symmetric(
             [LaurentPoly.monomial(1, e) for e in exponents],
             LaurentPoly.const(1, nvars))
@@ -215,6 +231,28 @@ class TestMonomialElementarySymmetric:
             return row + [{}] * (len(exponents) > 0)
 
         assert _sweep_mismatches(dropping)
+
+    def test_slots_at_the_base_bound(self):
+        cases = list(_bound_reaching_lists())
+        for _, exponents in cases:
+            bound = len(exponents) * max(abs(x) for e in exponents for x in e)
+            top = [sum(slot) for slot in zip(*exponents)]
+            assert bound in map(abs, top)
+        assert _sweep_mismatches(monomial_elementary_symmetric, cases) == []
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_lists_colliding_below_the_base_give_unequal_rows(self, s):
+        # the single weights x^s and x^-s y both pack to s in base 2s, one
+        # below the rule's 2s + 1
+        def row(exponents, base):
+            return packed_elementary_symmetric(
+                [pack(e, base) for e in exponents])
+
+        a, b = [(s, 0)], [(-s, 1)]
+        base = packing_base(a, b)
+        assert base == 2 * s + 1
+        assert row(a, base) != row(b, base)
+        assert row(a, base - 1) == row(b, base - 1)
 
     @pytest.mark.parametrize("bad", [(1, 0, 0), (1,)],
                              ids=["wrong-nvars", "too-short"])

@@ -1,7 +1,7 @@
 """The reach ladder: whole CLI commands at the sizes the project aims to
 verify routinely, each timed REPEATS times in fresh processes.
 
-    python3 tools/ladder.py --label NAME [--root DIR]
+    python3 tools/ladder.py --label NAME [--root DIR] [--rung NAME ...]
     python3 tools/ladder.py --label OLD --root OLD_DIR --label NEW --root DIR
 
 Each rung runs ``python -m cyclohecke ...`` with the package imported from
@@ -34,6 +34,10 @@ differ by more than the larger max - min spread of either root's runs,
 both roots having run to the end. Only a resolved rung reports
 ``cpu_change``, new over old minus one; an unresolved one reports null,
 and the comparison line printed for it says ``unresolved``.
+
+``--rung NAME`` (repeatable) runs only the named rungs, in the order of
+``RUNGS``; an unknown name exits 2. So a change to one layer can give a
+resolved before/after of its own rung without running the whole ladder.
 
 The four workloads of ``bench/run.py`` remain the gate of a change; the
 ladder records how far the verifier reaches.
@@ -202,6 +206,10 @@ def main(argv=None):
     parser.add_argument("--root", type=Path, action="append",
                         help="checkout whose src/ is measured (default: "
                              "this checkout); repeat to alternate trees")
+    parser.add_argument("--rung", action="append", choices=list(RUNGS),
+                        metavar="NAME",
+                        help="run only this rung; repeat for more "
+                             "(default: every rung)")
     args = parser.parse_args(argv)
     roots = [root.resolve() for root in args.root or [HERE]]
     if len(args.label) != len(roots):
@@ -219,7 +227,7 @@ def main(argv=None):
     } for label, root in zip(args.label, roots)]
     envs = [child_env(root) for root in roots]
     calibration = load_calibration()
-    for name in RUNGS:
+    for name in [name for name in RUNGS if name in (args.rung or RUNGS)]:
         cmd = [sys.executable, "-m", "cyclohecke", *RUNGS[name]]
         before = calibration.calibrate(PROBES)
         records = run_rung(cmd, envs, TIMEOUT_S)
