@@ -12,9 +12,7 @@ from .rings import (
     UnsupportedDomainError,
     cyclotomic_polynomial,
     elementary_symmetric,
-    elementary_symmetric_poly,
     euler_phi,
-    specialize,
 )
 from .linalg import RowSpace, kernel_basis, rank, solve_linear
 from .combinatorics import (
@@ -42,7 +40,6 @@ from .center import (
     IdempotentSplitError,
     SingularGramError,
     center_basis,
-    central_characters,
     central_idempotents,
     jm_center_span,
 )

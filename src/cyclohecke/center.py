@@ -1,10 +1,10 @@
 """Center, Jucys-Murphy center, characters, cocenter and block idempotents.
 
 The character map sends a central element acting on the cell module indexed
-by a multipartition to its scalar; for symmetric Laurent polynomials in the
+by a multipartition to its scalar; for a symmetric polynomial in the
 Jucys-Murphy elements that scalar is the polynomial evaluated on the
-content-eigenvalue multiset of the multipartition, so everything here is
-computable from combinatorics plus exact linear algebra.
+specialized content-eigenvalue multiset of the multipartition, so everything
+here is computable from combinatorics plus exact linear algebra.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
 from .linalg import RowSpace, kernel_basis, rank, solve_many, transpose
-from .rings import (
-    LaurentPoly,
-    NotInvertibleError,
-    elementary_symmetric,
-)
+from .rings import NotInvertibleError, elementary_symmetric
 
 
 class SingularGramError(Exception):
@@ -156,32 +152,6 @@ def center_and_jm_span(ctx):
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
-
-def central_characters(f, n, r):
-    """The character vector of a symmetric Laurent polynomial f in n
-    variables: its value on the JM eigenvalue multiset of each multipartition
-    of (n, r), as Laurent polynomials in (q, Q_1..Q_r).
-
-    Rejects non-symmetric input; the result does not depend on the
-    eigenvalue ordering precisely because f is symmetric.
-    """
-    if f.nvars != n:
-        raise ValueError("expression must have one variable per JM element")
-    if not f.is_symmetric():
-        raise ValueError("expression is not symmetric")
-    out = []
-    for mp in enumerate_multipartitions(n, r):
-        values = [LaurentPoly.monomial(1, v) for v in jm_eigenvalues(mp, r)]
-        total = LaurentPoly.zero(1 + r)
-        for exps, coeff in f.terms.items():
-            term = LaurentPoly.const(coeff, 1 + r)
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        out.append(total)
-    return out
-
 
 def specialized_elementary_characters(ctx):
     """For each multipartition, the specialized scalars of e_1..e_n on its

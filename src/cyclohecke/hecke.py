@@ -697,7 +697,5 @@ def symbolic_context(n, r, **kwargs):
     coefficients), q and Q_i the coordinate variables: the algebra is free
     over this ring with the PBW basis, so every coefficient is a Laurent
     polynomial."""
-    domain = LaurentDomain(r)
-    q_val = domain.q()
-    Q_vals = [domain.Q(k) for k in range(1, r + 1)]
-    return AlgebraContext(n, r, domain, q_val, Q_vals, **kwargs)
+    q_val, *Q_vals = (LaurentPoly.variable(k, 1 + r) for k in range(1 + r))
+    return AlgebraContext(n, r, LaurentDomain(r), q_val, Q_vals, **kwargs)

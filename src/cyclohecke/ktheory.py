@@ -147,28 +147,22 @@ def restriction_table(n, r):
     return RestrictionTable(n, r, rows, entries)
 
 
-def verify_main_theorem(n, r, table=None):
+def verify_main_theorem(n, r):
     """Exact equality of the geometric restriction table (diagram weights)
     and the algebraic one (elementary symmetric functions of Jucys-Murphy
     eigenvalues), entry by entry, including the inverse determinant column.
     Each row packs both weight lists with one base and compares packed
-    term maps; a given table stands in for the geometric side.
+    term maps.
     """
     start = time.perf_counter()
     labels = [f"e{i}" for i in range(1, n + 1)] + ["det_inv"]
-    mps = enumerate_multipartitions(n, r) if table is None else table.rows
+    mps = enumerate_multipartitions(n, r)
     witnesses = []
-    for index, mp in enumerate(mps):
+    for mp in mps:
         alg_weights = jm_eigenvalues(mp, r)
-        if table is None:
-            geo_weights = fixed_point_character(mp, r).weights
-            base = packing_base(geo_weights, alg_weights)
-            geometric = _restriction_row(geo_weights, base)
-        else:  # the table's terms, packed with a base that covers them
-            given = [p.terms for p in table.entries[index]]
-            base = packing_base(alg_weights, [e for t in given for e in t])
-            geometric = [{pack(e, base): c for e, c in t.items()}
-                         for t in given]
+        geo_weights = fixed_point_character(mp, r).weights
+        base = packing_base(geo_weights, alg_weights)
+        geometric = _restriction_row(geo_weights, base)
         algebraic = _restriction_row(alg_weights, base)
         for label, geom, alg in zip(labels, geometric, algebraic):
             if geom != alg:

@@ -90,8 +90,7 @@ class LaurentPoly:
     coefficients; the term map is the canonical form, so equality is map
     equality. By convention slot 0 is the Hecke parameter q and slots 1..r
     the cyclotomic parameters Q_1..Q_r, but nothing below depends on that
-    reading (the character map reuses the same class with variables
-    x_1..x_n).
+    reading.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -296,41 +295,6 @@ class LaurentPoly:
             total = total + term
         return total
 
-    def swap_variables(self, i, j):
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = list(exps)
-            e[i], e[j] = e[j], e[i]
-            terms[tuple(e)] = coeff
-        return LaurentPoly._from_terms(self.nvars, terms)
-
-    def is_symmetric(self):
-        """True if invariant under all adjacent variable swaps."""
-        return all(
-            self.swap_variables(i, i + 1) == self
-            for i in range(self.nvars - 1)
-        )
-
-
-def specialize(poly, q_val, Q_vals, domain):
-    """Image of ``poly`` under q -> q_val, Q_i -> Q_vals[i] inside ``domain``.
-
-    This is the evaluation ring homomorphism; negative powers require the
-    value to be invertible in the target domain.
-    """
-    return poly.evaluate([q_val] + list(Q_vals), domain)
-
-
-def q_poly(num_Q):
-    return LaurentPoly.variable(0, 1 + num_Q)
-
-
-def Q_poly(k, num_Q):
-    """The variable Q_k (1-based k)."""
-    if not 1 <= k <= num_Q:
-        raise ValueError("Q index out of range")
-    return LaurentPoly.variable(k, 1 + num_Q)
-
 
 def elementary_symmetric(values, one):
     """The row [e_0, e_1, ..., e_m] of a list of m ring elements (the
@@ -373,24 +337,6 @@ def packed_elementary_symmetric(keys):
             for e, count in rows[j - 1].items():
                 target[e + shift] = target.get(e + shift, 0) + count
     return rows
-
-
-def monomial_elementary_symmetric(exponents, nvars):
-    """packed_elementary_symmetric on exponent tuples of length nvars (a
-    ValueError for another): packed, swept and unpacked."""
-    if any(len(e) != nvars for e in exponents):
-        raise ValueError("exponent vector has wrong length")
-    base = packing_base(exponents)
-    row = packed_elementary_symmetric([pack(e, base) for e in exponents])
-    return [LaurentPoly.unpacked(nvars, t, base).terms for t in row]
-
-
-def elementary_symmetric_poly(k, n):
-    """e_k(x_1..x_n) as a LaurentPoly in n variables."""
-    if not 0 <= k <= n:
-        raise ValueError("elementary symmetric degree out of range")
-    xs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return LaurentPoly._from_terms(n, monomial_elementary_symmetric(xs, n)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -862,17 +808,10 @@ class LaurentDomain(ScalarDomain):
     """
 
     def __init__(self, num_Q):
-        self.num_Q = num_Q
         self.nvars = 1 + num_Q
         self.name = f"laurent_{num_Q}"
         self.zero = LaurentPoly.zero(self.nvars)
         self.one = LaurentPoly.const(1, self.nvars)
-
-    def q(self):
-        return q_poly(self.num_Q)
-
-    def Q(self, k):
-        return Q_poly(k, self.num_Q)
 
     def from_int(self, k):
         return LaurentPoly.const(k, self.nvars)

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from cyclohecke.center import (
     SingularGramError,
     center_and_jm_span,
     center_basis,
-    central_characters,
     central_idempotents,
     character_duals,
     cocenter_matrices,
@@ -31,14 +31,7 @@ from cyclohecke.hecke import AlgebraContext, AlgebraElement
 from cyclohecke.ktheory import verify_blocks
 from cyclohecke.suites import _module_map_witness
 from cyclohecke.linalg import RowSpace, rank, transpose
-from cyclohecke.rings import (
-    CyclotomicDomain,
-    LaurentPoly,
-    Q_poly,
-    RationalDomain,
-    elementary_symmetric_poly,
-    q_poly,
-)
+from cyclohecke.rings import CyclotomicDomain, RationalDomain
 
 
 class TestCenterBasis:
@@ -160,25 +153,42 @@ class TestJMSpanEarlyStop:
 
 
 class TestCharacters:
+    # the map reads only n, r, domain, q_val and Q_vals
     def test_e1_n2_r1(self):
-        # values on shapes (2) and (1,1): Q1 + q Q1 and Q1 + q^{-1} Q1
-        q, Q1 = q_poly(1), Q_poly(1, 1)
-        values = central_characters(elementary_symmetric_poly(1, 2), 2, 1)
-        assert values == [Q1 + q * Q1, Q1 + q ** -1 * Q1]
-
-    def test_constant_gives_ones(self):
-        values = central_characters(LaurentPoly.const(1, 2), 2, 2)
-        assert all(v == LaurentPoly.const(1, 3) for v in values)
+        # at q = 2, Q = 3 the values on (2) and (1,1) are Q + q Q = 9 and
+        # Q + q^-1 Q = 9/2
+        params = SimpleNamespace(n=2, r=1, domain=RationalDomain(),
+                                 q_val=Fraction(2), Q_vals=[Fraction(3)])
+        mps, rows = specialized_elementary_characters(params)
+        assert mps == [((2,),), ((1, 1),)]
+        assert [row[0] for row in rows] == [9, Fraction(9, 2)]
 
     def test_e2_at_two_single_boxes(self):
-        values = central_characters(elementary_symmetric_poly(2, 2), 2, 2)
-        mps = enumerate_multipartitions(2, 2)
-        idx = mps.index(((1,), (1,)))
-        assert values[idx] == Q_poly(1, 2) * Q_poly(2, 2)
+        # e_2 on ((1),(1)) is Q1 Q2
+        params = SimpleNamespace(n=2, r=2, domain=RationalDomain(),
+                                 q_val=Fraction(2),
+                                 Q_vals=[Fraction(3), Fraction(5)])
+        mps, rows = specialized_elementary_characters(params)
+        assert rows[mps.index(((1,), (1,)))][1] == 15
 
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError):
-            central_characters(LaurentPoly.variable(0, 2), 2, 1)
+    def test_constant_gives_ones(self):
+        # the zero descriptor is the monomial 1
+        params = SimpleNamespace(n=2, r=2, domain=RationalDomain(),
+                                 q_val=Fraction(2),
+                                 Q_vals=[Fraction(3), Fraction(5)])
+        chars = descriptor_characters(params, [(0, 0, 0)])
+        assert chars == [[1]] * len(enumerate_multipartitions(2, 2))
+
+    def test_descriptors_multiply_the_values(self):
+        # at (2,1), q = 2, Q = 3: e_1 is 9 and 9/2, e_2 is q Q^2 = 18 and
+        # q^-1 Q^2 = 9/2; a descriptor (a, b, c) is e_1^a e_2^b e_2^-c
+        params = SimpleNamespace(n=2, r=1, domain=RationalDomain(),
+                                 q_val=Fraction(2), Q_vals=[Fraction(3)])
+        chars = descriptor_characters(
+            params, [(1, 1, 0), (0, 0, 1), (0, 1, 1), (2, 0, 0)])
+        assert chars == [[162, Fraction(1, 18), 1, 81],
+                         [Fraction(81, 4), Fraction(2, 9), 1,
+                          Fraction(81, 4)]]
 
     def test_sigma_matrix_full_rank_generic(self, sampled_ctxs):
         for n, r in [(2, 1), (3, 1), (2, 2)]:

@@ -120,10 +120,10 @@ class TestCommands:
 
 
 class TestNoAlgebraProduct:
-    """No command multiplies two algebra elements, not even in the build
-    gate: with AlgebraContext.multiply refusing from before the first
-    context is built, each command exits 0 with the stdout of an
-    unpatched run."""
+    """No command multiplies or inverts algebra elements, not even in the
+    build gate: with AlgebraContext.multiply and .invert refusing from
+    before the first context is built, each command exits 0 with the stdout
+    of an unpatched run."""
 
     @pytest.mark.parametrize("argv", [
         ["hilb", "--n", "3", "--q-values", "2,-1,zeta_3"],
@@ -142,10 +142,11 @@ class TestNoAlgebraProduct:
         assert main(argv) == 0
         expected = capsys.readouterr().out
 
-        def refuse(self, x, y):
-            raise AssertionError("algebra product")
+        def refuse(self, *elements):
+            raise AssertionError("algebra product or inverse")
 
         monkeypatch.setattr(hecke.AlgebraContext, "multiply", refuse)
+        monkeypatch.setattr(hecke.AlgebraContext, "invert", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 

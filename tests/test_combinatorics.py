@@ -18,7 +18,7 @@ from cyclohecke.combinatorics import (
     render_multipartition,
     residue_vector,
 )
-from cyclohecke.rings import CyclotomicDomain, LaurentPoly, specialize
+from cyclohecke.rings import CyclotomicDomain, LaurentPoly
 
 
 class TestEnumeration:
@@ -166,8 +166,8 @@ class TestResidues:
                 specialized = {}
                 for mp in enumerate_multipartitions(n, r):
                     specialized[mp] = Counter(
-                        specialize(LaurentPoly.monomial(1, m), q_val, Q_vals,
-                                   dom)
+                        LaurentPoly.monomial(1, m).evaluate([q_val, *Q_vals],
+                                                            dom)
                         for m in jm_eigenvalues(mp, r))
                 for mp1 in enumerate_multipartitions(n, r):
                     for mp2 in enumerate_multipartitions(n, r):

@@ -1,4 +1,3 @@
-import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,13 +19,7 @@ from cyclohecke.ktheory import (
     verify_main_theorem,
 )
 from cyclohecke.linalg import RowSpace
-from cyclohecke.rings import (
-    LaurentPoly,
-    Q_poly,
-    RationalDomain,
-    q_poly,
-    specialize,
-)
+from cyclohecke.rings import LaurentPoly, RationalDomain
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
 
@@ -77,17 +70,18 @@ class TestFixedPointCharacter:
 class TestRestrictionTable:
     def test_n1_r1(self):
         table = restriction_table(1, 1)
-        assert table.entries == [[Q_poly(1, 1), Q_poly(1, 1) ** -1]]
+        Q1 = LaurentPoly.variable(1, 2)
+        assert table.entries == [[Q1, Q1 ** -1]]
 
     def test_n2_r1_row_of_two(self):
         table = restriction_table(2, 1)
-        q, Q1 = q_poly(1), Q_poly(1, 1)
+        q, Q1 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
         row = table.entries[table.rows.index(((2,),))]
         assert row == [Q1 + q * Q1, q * Q1 ** 2, q ** -1 * Q1 ** -2]
 
     def test_n2_r2_two_single_boxes(self):
         table = restriction_table(2, 2)
-        Q1, Q2 = Q_poly(1, 2), Q_poly(2, 2)
+        Q1, Q2 = LaurentPoly.variable(1, 3), LaurentPoly.variable(2, 3)
         row = table.entries[table.rows.index(((1,), (1,)))]
         assert row == [Q1 + Q2, Q1 * Q2, (Q1 * Q2) ** -1]
 
@@ -107,7 +101,7 @@ class TestRestrictionTable:
             Q_vals = [Fraction(rng.randint(2, 97)) for _ in range(r)]
             seen = set()
             for row in table.entries:
-                key = tuple(specialize(p, q_val, Q_vals, dom) for p in row)
+                key = tuple(p.evaluate([q_val, *Q_vals], dom) for p in row)
                 assert key not in seen
                 seen.add(key)
 
@@ -121,7 +115,7 @@ class TestRestrictionTable:
                                           for k in range(r)]
             count = len(table.rows)
             columns = [
-                [specialize(table.entries[i][j], q_val, Q_vals, dom)
+                [table.entries[i][j].evaluate([q_val, *Q_vals], dom)
                  for i in range(count)]
                 for j in range(len(table.column_labels))
             ]
@@ -172,25 +166,20 @@ class TestMainTheorem:
         assert rep.passed
         assert rep.params["rows"] == 10
 
-    def test_corrupted_table_fails_with_witness(self):
-        table = restriction_table(2, 1)
-        table = copy.deepcopy(table)
-        table.entries[0][0] = table.entries[0][0] + 1
-        rep = verify_main_theorem(2, 1, table=table)
-        assert rep.status == "fail"
-        assert rep.witnesses == [{
-            "multipartition": "[[2]]", "column": "e1",
-            "geometric": "1 + Q1 + q*Q1", "algebraic": "Q1 + q*Q1"}]
+    def test_shifted_box_fails_with_witness(self, monkeypatch):
+        # the geometric side alone sees the fault: the last box of every
+        # fixed point gets one more factor q
+        _check_shifted_last_weight(monkeypatch, "geometric", 1)
 
     def test_shifted_content_fails_with_witness(self, monkeypatch):
         # the algebraic side alone sees the fault: the last node of every
         # fixed point gets content + 1, i.e. one more factor q
-        _check_shifted_content(monkeypatch, 1)
+        _check_shifted_last_weight(monkeypatch, "algebraic", 1)
 
     def test_content_shifted_past_the_weight_range_fails(self, monkeypatch):
         # a shift of n + 1 leaves the range of the true weights: the
         # packing base must cover the faulty side too, or rows could alias
-        _check_shifted_content(monkeypatch, 4)
+        _check_shifted_last_weight(monkeypatch, "algebraic", 4)
 
     def test_base_covers_the_algebraic_weights(self, monkeypatch):
         # at (1,1) the true weight Q1 = (0, 1) packs to 3 in base 3, the
@@ -207,28 +196,36 @@ class TestMainTheorem:
              "geometric": "Q1^-1", "algebraic": "q^-3"}]
 
 
-def _check_shifted_content(monkeypatch, shift):
-    """verify_main_theorem(3, 2) with the content of the last node of every
-    fixed point raised by shift fails e1 and det_inv at all 10 rows."""
-    def shifted(mp, r=None):
-        alphas = jm_eigenvalues(mp, r)
-        alphas[-1] = (alphas[-1][0] + shift,) + alphas[-1][1:]
-        return alphas
+def _check_shifted_last_weight(monkeypatch, side, shift):
+    """verify_main_theorem(3, 2) with the q exponent of the last weight of
+    every fixed point raised by shift on one side (the last node's content
+    on the algebraic side, the last box's torus weight on the geometric one)
+    fails every column at all 10 rows."""
+    def shifted(weights):
+        weights[-1] = (weights[-1][0] + shift,) + weights[-1][1:]
+        return weights
 
-    monkeypatch.setattr(ktheory, "jm_eigenvalues", shifted)
+    if side == "algebraic":
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r=None:
+                            shifted(jm_eigenvalues(mp, r)))
+    else:
+        monkeypatch.setattr(ktheory, "fixed_point_character", lambda mp, r:
+                            FixedPointCharacter(mp, shifted(
+                                fixed_point_character(mp, r).weights)))
     rep = verify_main_theorem(3, 2)
     assert rep.status == "fail"
     assert rep.params["rows"] == 10
-    # the shift moves e_1 and det^-1 at every row
-    assert Counter(w["column"] for w in rep.witnesses)["e1"] == 10
-    assert Counter(w["column"] for w in rep.witnesses)["det_inv"] == 10
-    first = rep.witnesses[0]
-    assert first["multipartition"] == render_multipartition(
-        enumerate_multipartitions(3, 2)[0])
-    # [[3],[]]: contents 0, 1, 2, the last one shifted
-    assert first == {**first, "column": "e1",
-                     "geometric": "Q1 + q*Q1 + q^2*Q1",
-                     "algebraic": f"Q1 + q*Q1 + q^{2 + shift}*Q1"}
+    # one weight times q^shift moves every e_k and det^-1 at every row
+    assert Counter(w["column"] for w in rep.witnesses) == {
+        "e1": 10, "e2": 10, "e3": 10, "det_inv": 10}
+    # [[3],[]]: weights Q1, q*Q1 and q^2*Q1, the last one shifted
+    plain, moved = "Q1 + q*Q1 + q^2*Q1", f"Q1 + q*Q1 + q^{2 + shift}*Q1"
+    geometric, algebraic = ((moved, plain) if side == "geometric"
+                            else (plain, moved))
+    assert rep.witnesses[0] == {
+        "multipartition": render_multipartition(
+            enumerate_multipartitions(3, 2)[0]),
+        "column": "e1", "geometric": geometric, "algebraic": algebraic}
 
 
 class TestBlocks:

@@ -19,15 +19,10 @@ from cyclohecke.rings import (
     RationalDomain,
     cyclotomic_polynomial,
     elementary_symmetric,
-    elementary_symmetric_poly,
     euler_phi,
-    monomial_elementary_symmetric,
     pack,
     packed_elementary_symmetric,
     packing_base,
-    q_poly,
-    Q_poly,
-    specialize,
 )
 
 
@@ -46,7 +41,7 @@ class TestLaurentPoly:
         assert list(p.terms) == [(1, 0)]
 
     def test_equality_is_term_map_equality(self):
-        q = q_poly(1)
+        q = LaurentPoly.variable(0, 2)
         assert q * q - q * q == LaurentPoly.zero(2)
         assert (q + 1) * (q - 1) == q * q - 1
 
@@ -69,18 +64,18 @@ class TestLaurentPoly:
             (m + 1).inverse()
 
     def test_negative_power_of_monomial(self):
-        q = q_poly(0)
+        q = LaurentPoly.variable(0, 1)
         assert q ** -2 * q ** 2 == LaurentPoly.const(1, 1)
 
     def test_render_canonical_order(self):
-        q, Q1 = q_poly(1), Q_poly(1, 1)
+        q, Q1 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
         p = Q1 * q ** 2 - q + LaurentPoly.const(Fraction(3, 2), 2)
         assert p.render() == "3/2 - q + q^2*Q1"
         assert LaurentPoly.zero(2).render() == "0"
         assert (-Q1).render() == "-Q1"
 
     def test_integer_products_keep_int_coefficients(self):
-        q, Q1 = q_poly(1), Q_poly(1, 1)
+        q, Q1 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
         p = (q + 2 * Q1 - 3) * (q ** -1 - Q1) * LaurentPoly.const(
             Fraction(4), 2)
         assert p.terms
@@ -101,12 +96,6 @@ class TestLaurentPoly:
         assert inv.inverse() == half
         assert half * inv == LaurentPoly.const(1, 2)
 
-    def test_symmetry_detection(self):
-        e2 = elementary_symmetric_poly(2, 3)
-        assert e2.is_symmetric()
-        x0 = LaurentPoly.variable(0, 3)
-        assert not x0.is_symmetric()
-
     def test_integral_fraction_is_stored_as_int(self):
         p = LaurentPoly.monomial(Fraction(4, 2), (1, 0))
         assert p.terms == {(1, 0): 2}
@@ -123,6 +112,26 @@ class TestLaurentPoly:
         assert two == LaurentPoly.const(2, 2) == 2
         assert hash(two) == hash(2) == hash(Fraction(2))
         assert two in {2} and Fraction(2) in {two}
+
+    @pytest.mark.parametrize("bad", [(1, 0, 0), (1,)],
+                             ids=["wrong-nvars", "too-short"])
+    def test_refuses_a_wrong_length(self, bad):
+        LaurentPoly(2, {(0, 1): 1})
+        with pytest.raises(ValueError, match="wrong length"):
+            LaurentPoly(2, {(0, 1): 1, bad: 1})
+
+    @pytest.mark.parametrize("nvars,base", [(1, 3), (2, 5), (3, 3), (4, 7)])
+    def test_unpacked_reads_back_every_balanced_vector(self, nvars, base):
+        # every vector of balanced digits, the extremes +-(base // 2)
+        # included, comes back from its key
+        half = base // 2
+        vectors = list(itertools.product(range(-half, half + 1),
+                                         repeat=nvars))
+        terms = {pack(e, base): i + 1 for i, e in enumerate(vectors)}
+        assert len(terms) == len(vectors)
+        p = LaurentPoly.unpacked(nvars, terms, base)
+        assert p.terms == {e: i + 1 for i, e in enumerate(vectors)}
+        assert p == LaurentPoly(nvars, p.terms)
 
     def test_unit_coefficient_inverse_stays_int(self):
         x = LaurentPoly.variable(0, 2)
@@ -161,15 +170,10 @@ class TestElementarySymmetric:
 
     def test_poly_entry_point(self):
         x = [LaurentPoly.variable(i, 3) for i in range(3)]
-        assert elementary_symmetric_poly(0, 3) == LaurentPoly.const(1, 3)
-        assert elementary_symmetric_poly(2, 3) == \
-            x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
-        assert elementary_symmetric_poly(3, 3) == x[0] * x[1] * x[2]
-
-    @pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (-1, 0), (1, 0)])
-    def test_poly_degree_out_of_range(self, k, n):
-        with pytest.raises(ValueError, match="out of range"):
-            elementary_symmetric_poly(k, n)
+        row = elementary_symmetric(x, LaurentPoly.const(1, 3))
+        assert row == [LaurentPoly.const(1, 3), x[0] + x[1] + x[2],
+                       x[0] * x[1] + x[0] * x[2] + x[1] * x[2],
+                       x[0] * x[1] * x[2]]
 
 
 def _monomial_lists():
@@ -198,19 +202,23 @@ def _bound_reaching_lists():
 
 def _sweep_mismatches(kernel, cases=None):
     """The exponent lists of cases (default: the seeded lists) on which
-    kernel differs from the generic sweep over the monomials x^e with
-    coefficient 1."""
+    kernel, given the vectors packed in base packing_base, differs from the
+    generic sweep over the monomials x^e with coefficient 1, its terms
+    packed in the same base."""
     mismatches = []
     for nvars, exponents in cases or _monomial_lists():
+        base = packing_base(exponents)
         generic = elementary_symmetric(
             [LaurentPoly.monomial(1, e) for e in exponents],
             LaurentPoly.const(1, nvars))
-        if kernel(exponents, nvars) != [p.terms for p in generic]:
+        expected = [{pack(e, base): c for e, c in p.terms.items()}
+                    for p in generic]
+        if kernel([pack(e, base) for e in exponents]) != expected:
             mismatches.append((nvars, exponents))
     return mismatches
 
 
-class TestMonomialElementarySymmetric:
+class TestPackedElementarySymmetric:
     def test_cases_cover_the_edges(self):
         cases = list(_monomial_lists())
         assert {nvars for nvars, _ in cases} == {1, 2, 3, 4}
@@ -220,15 +228,17 @@ class TestMonomialElementarySymmetric:
                    for _, exponents in cases)
 
     def test_matches_the_generic_sweep(self):
-        assert _sweep_mismatches(monomial_elementary_symmetric) == []
-        for nvars, exponents in _monomial_lists():
-            for e in monomial_elementary_symmetric(exponents, nvars):
+        assert _sweep_mismatches(packed_elementary_symmetric) == []
+        for _, exponents in _monomial_lists():
+            base = packing_base(exponents)
+            keys = [pack(e, base) for e in exponents]
+            for e in packed_elementary_symmetric(keys):
                 assert all(type(c) is int and c > 0 for c in e.values())
 
     def test_dropped_monomial_fails_the_oracle(self):
-        def dropping(exponents, nvars):
-            row = monomial_elementary_symmetric(exponents[:-1], nvars)
-            return row + [{}] * (len(exponents) > 0)
+        def dropping(keys):
+            row = packed_elementary_symmetric(keys[:-1])
+            return row + [{}] * (len(keys) > 0)
 
         assert _sweep_mismatches(dropping)
 
@@ -238,7 +248,7 @@ class TestMonomialElementarySymmetric:
             bound = len(exponents) * max(abs(x) for e in exponents for x in e)
             top = [sum(slot) for slot in zip(*exponents)]
             assert bound in map(abs, top)
-        assert _sweep_mismatches(monomial_elementary_symmetric, cases) == []
+        assert _sweep_mismatches(packed_elementary_symmetric, cases) == []
 
     @pytest.mark.parametrize("s", [1, 2, 5])
     def test_lists_colliding_below_the_base_give_unequal_rows(self, s):
@@ -254,37 +264,41 @@ class TestMonomialElementarySymmetric:
         assert row(a, base) != row(b, base)
         assert row(a, base - 1) == row(b, base - 1)
 
-    @pytest.mark.parametrize("bad", [(1, 0, 0), (1,)],
-                             ids=["wrong-nvars", "too-short"])
-    def test_refuses_a_wrong_length(self, bad):
-        monomial_elementary_symmetric([(0, 1)], 2)
-        with pytest.raises(ValueError):
-            monomial_elementary_symmetric([(0, 1), bad], 2)
+    def test_rows_do_not_depend_on_the_order(self):
+        # the main identity compares weight multisets, so a permutation of
+        # the keys must give the same rows
+        rng = random.Random(7)
+        for _, exponents in _monomial_lists():
+            base = packing_base(exponents)
+            keys = [pack(e, base) for e in exponents]
+            shuffled = rng.sample(keys, len(keys))
+            assert packed_elementary_symmetric(shuffled) == \
+                packed_elementary_symmetric(keys)
 
 
-class TestSpecialize:
+class TestEvaluate:
     def test_root_of_own_factor(self):
-        q = q_poly(0)
+        q = LaurentPoly.variable(0, 1)
         dom = RationalDomain()
-        assert specialize(q - 1, Fraction(1), [], dom) == 0
+        assert (q - 1).evaluate([Fraction(1)], dom) == 0
 
     def test_zeta2_reduces_to_minus_one(self):
         # q * Q_1 at q = zeta_2, Q_1 = 1 reduces mod x + 1 to -1
         dom = CyclotomicDomain(2)
-        p = q_poly(1) * Q_poly(1, 1)
-        value = specialize(p, dom.zeta(1), [dom.one], dom)
+        p = LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2)
+        value = p.evaluate([dom.zeta(1), dom.one], dom)
         assert value == dom.from_int(-1)
 
     def test_plain_arithmetic(self):
-        q = q_poly(0)
+        q = LaurentPoly.variable(0, 1)
         dom = RationalDomain()
-        assert specialize((q - 1) * (q + 1), Fraction(3), [], dom) == 8
+        assert ((q - 1) * (q + 1)).evaluate([Fraction(3)], dom) == 8
 
     def test_negative_exponent_needs_invertible_value(self):
-        q = q_poly(0)
+        q = LaurentPoly.variable(0, 1)
         dom = RationalDomain()
         with pytest.raises(NotInvertibleError):
-            specialize(q ** -1, Fraction(0), [], dom)
+            (q ** -1).evaluate([Fraction(0)], dom)
 
     def test_is_ring_homomorphism(self):
         rng = random.Random(3)
@@ -294,11 +308,11 @@ class TestSpecialize:
             b = random_poly(rng)
             q_val = Fraction(rng.randint(1, 20), rng.randint(1, 5))
             Q_val = Fraction(rng.randint(1, 20))
-            args = (q_val, [Q_val], dom)
-            assert specialize(a * b, *args) == \
-                specialize(a, *args) * specialize(b, *args)
-            assert specialize(a + b, *args) == \
-                specialize(a, *args) + specialize(b, *args)
+            args = ([q_val, Q_val], dom)
+            assert (a * b).evaluate(*args) == \
+                a.evaluate(*args) * b.evaluate(*args)
+            assert (a + b).evaluate(*args) == \
+                a.evaluate(*args) + b.evaluate(*args)
 
     def test_is_ring_homomorphism_cyclotomic(self):
         rng = random.Random(4)
@@ -307,9 +321,9 @@ class TestSpecialize:
         for _ in range(100):
             a = random_poly(rng)
             b = random_poly(rng)
-            args = (zeta, [zeta + dom.one], dom)
-            assert specialize(a * b, *args) == \
-                specialize(a, *args) * specialize(b, *args)
+            args = ([zeta, zeta + dom.one], dom)
+            assert (a * b).evaluate(*args) == \
+                a.evaluate(*args) * b.evaluate(*args)
 
 
 class TestCyclotomic:
@@ -531,7 +545,7 @@ def test_constant_laurent_polys_hash_like_their_value(nvars):
 class TestLaurentDomain:
     def test_monomials_are_units(self):
         dom = LaurentDomain(1)
-        x = dom.q() * dom.Q(1)
+        x = LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2)
         inv = dom.inv(x)
         assert inv == LaurentPoly.monomial(1, (-1, -1))
         assert x * inv == dom.one
@@ -539,7 +553,7 @@ class TestLaurentDomain:
     def test_other_elements_not_invertible(self):
         dom = LaurentDomain(1)
         with pytest.raises(NotInvertibleError):
-            dom.inv(dom.q() + 1)
+            dom.inv(LaurentPoly.variable(0, 2) + 1)
         with pytest.raises(NotInvertibleError):
             dom.inv(dom.zero)
 

@@ -193,7 +193,6 @@ def load_calibration():
 
 def child_env(root):
     env = dict(os.environ)
-    env.pop("CYCLOHECKE_CACHE", None)
     env["PYTHONPATH"] = str(root / "src")
     env["PYTHONHASHSEED"] = "0"
     return env
