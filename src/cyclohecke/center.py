@@ -163,10 +163,8 @@ def specialized_elementary_characters(ctx):
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     rows = []
     for mp in mps:
-        # q^a Q_c from its exponent vector (a, 0.., 1 in slot c, ..0)
-        alphas = [(q ** w[0] if w[0] >= 0 else d.inv(q) ** -w[0])
-                  * ctx.Q_vals[w.index(1, 1) - 1]
-                  for w in jm_eigenvalues(mp, ctx.r)]
+        alphas = [(q ** a if a >= 0 else d.inv(q) ** -a) * ctx.Q_vals[c - 1]
+                  for a, c in jm_eigenvalues(mp, ctx.r)]
         rows.append([d.canonical(x)
                      for x in elementary_symmetric(alphas, d.one)[1:]])
     return mps, rows

@@ -150,13 +150,16 @@ def _check_nonzero(specs, name):
 
 
 def cmd_verify_main(args):
-    if args.n is None and args.r is not None:
-        raise UsageError("--r needs --n")
-    if args.n is not None:
+    if args.n is None:
+        if args.r is not None:
+            raise UsageError("--r needs --n")
+        reports = (suite_main_theorem() if args.budget is None
+                   else suite_main_theorem(budget=args.budget))
+    elif args.budget is not None:
+        raise UsageError("--budget does not apply with --n")
+    else:
         _check_sizes(args, min_n=0)
         reports = [verify_main_theorem(args.n, args.r or 1)]
-    else:
-        reports = suite_main_theorem(budget=args.budget)
     return _emit(reports, args)
 
 
@@ -265,7 +268,7 @@ def build_parser():
     p = sub.add_parser("verify-main", help="main theorem identity")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--budget", type=int, default=400)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_verify_main)
 
     p = sub.add_parser("hilb", help="Hilbert scheme corollary (r = 1)")

@@ -99,18 +99,14 @@ def content(node):
 
 def jm_eigenvalues(mp, r=None):
     """Multiset of Jucys-Murphy eigenvalues q^(b-a) * Q_c, one per node, as
-    exponent vectors over (q, Q_1..Q_r): b - a in slot 0, 1 in slot c and 0
-    elsewhere.
+    the pairs (b - a, c).
 
     Tableau-independent by construction: iterates nodes directly rather than
     standard tableaux.
     """
-    if r is None:
-        r = len(mp)
-    if len(mp) != r:
+    if r is not None and len(mp) != r:
         raise ValueError("component count mismatch")
-    Q = [(0,) * (c - 1) + (1,) + (0,) * (r - c) for c in range(1, r + 1)]
-    return [(b - a,) + Q[c - 1] for a, b, c in nodes(mp)]
+    return [(b - a, c) for a, b, c in nodes(mp)]
 
 
 def _addable_positions(filled, shape):

@@ -9,9 +9,9 @@ main identity are produced by deliberately independent code paths:
 * algebraic: evaluate symmetric functions on the Jucys-Murphy eigenvalue
   multiset coming from node contents.
 
-Both give each weight q^a Q_k as its exponent vector over (q, Q_1..Q_r), and
-the elementary symmetric functions of the weights are compared as term maps
-keyed by the vectors packed into ints (rings.pack).
+Both give each weight q^a Q_k as the pair (a, k), and each side's product
+of (1 + w) over its weights, the generating function of e_0..e_n, is one
+int by Kronecker substitution (rings.weight_product).
 """
 
 from __future__ import annotations
@@ -39,18 +39,17 @@ from .reports import VerificationReport
 from .rings import (
     CyclotomicDomain,
     LaurentPoly,
-    pack,
-    packed_elementary_symmetric,
-    packing_base,
     reduce_parameters,
+    weight_layout,
+    weight_product,
+    weight_rows,
 )
 
 
 @dataclass
 class FixedPointCharacter:
     """Torus character of the tautological bundle at one fixed point: a
-    multiset of n weights q^a Q_k, each the exponent vector over (q, Q_1..Q_r)
-    with a in slot 0, 1 in slot k and 0 elsewhere."""
+    multiset of n weights q^a Q_k, each the pair (a, k) with 1 <= k <= r."""
 
     multipartition: tuple
     weights: list
@@ -61,11 +60,8 @@ class FixedPointCharacter:
         if len(self.weights) != n:
             raise ValueError("weight count must equal n")
         for w in self.weights:
-            if len(w) != 1 + r:
-                raise ValueError("weight must have 1 + r exponents")
-            Q_exps = w[1:]
-            if Q_exps.count(0) != r - 1 or 1 not in Q_exps:
-                raise ValueError("weight must involve exactly one Q variable")
+            if len(w) != 2 or not 1 <= w[1] <= r:
+                raise ValueError("weight must be a pair (a, k), 1 <= k <= r")
         return self
 
 
@@ -76,16 +72,10 @@ def fixed_point_character(mp, r=None):
 
     Deliberately does not touch the node/content code path.
     """
-    if r is None:
-        r = len(mp)
-    weights = []
-    for k, part in enumerate(mp, start=1):
-        Q_k = (0,) * (k - 1) + (1,) + (0,) * (r - k)
-        for row_idx, row_len in enumerate(part):
-            for col_idx in range(row_len):
-                # monomial exponents of x^u y^v under the staircase
-                u, v = row_idx, col_idx
-                weights.append((v - u,) + Q_k)
+    if r is not None and len(mp) != r:
+        raise ValueError("component count mismatch")
+    weights = [(v - u, k) for k, part in enumerate(mp, start=1)
+               for u, row_len in enumerate(part) for v in range(row_len)]
     return FixedPointCharacter(mp, weights).validate()
 
 
@@ -127,12 +117,20 @@ class RestrictionTable:
         }, sort_keys=True, separators=(",", ":"))
 
 
-def _restriction_row(weights, base):
-    """Packed term maps of e_1..e_n and det_inv of n weights: e_n, their
-    product, is one term, and det_inv is its negated key."""
-    row = packed_elementary_symmetric([pack(w, base) for w in weights])
-    ((top, _),) = row[-1].items()
-    return row[1:] + [{-top: 1}]
+def _side(weights, layout, r):
+    """One side of a row: the product of (1 + w) over the weights as an
+    int, and det_inv as the negated sum of the weights, not read from e_n."""
+    det = [0] * (1 + r)
+    for a, k in weights:
+        det[0] -= a
+        det[k] -= 1
+    return weight_product(weights, layout), tuple(det)
+
+
+def _row(side, layout):
+    """e_1..e_n and det_inv of a side as Laurent polynomials."""
+    product, det = side
+    return weight_rows(product, layout) + [LaurentPoly.monomial(1, det)]
 
 
 def restriction_table(n, r):
@@ -141,9 +139,8 @@ def restriction_table(n, r):
     entries = []
     for mp in rows:
         weights = fixed_point_character(mp, r).weights
-        base = packing_base(weights)
-        entries.append([LaurentPoly.unpacked(1 + r, t, base)
-                        for t in _restriction_row(weights, base)])
+        layout = weight_layout(r, weights)
+        entries.append(_row(_side(weights, layout, r), layout))
     return RestrictionTable(n, r, rows, entries)
 
 
@@ -151,8 +148,8 @@ def verify_main_theorem(n, r):
     """Exact equality of the geometric restriction table (diagram weights)
     and the algebraic one (elementary symmetric functions of Jucys-Murphy
     eigenvalues), entry by entry, including the inverse determinant column.
-    Each row packs both weight lists with one base and compares packed
-    term maps.
+    Each row compares both sides' products of (1 + w) as ints under one
+    layout, and their det_inv; only a mismatch reads the rows back.
     """
     start = time.perf_counter()
     labels = [f"e{i}" for i in range(1, n + 1)] + ["det_inv"]
@@ -161,13 +158,14 @@ def verify_main_theorem(n, r):
     for mp in mps:
         alg_weights = jm_eigenvalues(mp, r)
         geo_weights = fixed_point_character(mp, r).weights
-        base = packing_base(geo_weights, alg_weights)
-        geometric = _restriction_row(geo_weights, base)
-        algebraic = _restriction_row(alg_weights, base)
-        for label, geom, alg in zip(labels, geometric, algebraic):
+        layout = weight_layout(r, geo_weights, alg_weights)
+        geometric = _side(geo_weights, layout, r)
+        algebraic = _side(alg_weights, layout, r)
+        if geometric == algebraic:
+            continue
+        for label, geom, alg in zip(labels, _row(geometric, layout),
+                                    _row(algebraic, layout)):
             if geom != alg:
-                geom, alg = (LaurentPoly.unpacked(1 + r, t, base)
-                             for t in (geom, alg))
                 witnesses.append({
                     "multipartition": render_multipartition(mp),
                     "column": label,

@@ -128,19 +128,6 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def unpacked(cls, nvars, terms, base):
-        """The polynomial of a term map {pack(e, base): coeff}, each e read
-        back as the nvars balanced base digits of its key."""
-        half, out = base // 2, {}
-        for key, coeff in terms.items():
-            exps = []
-            for _ in range(nvars):
-                key, digit = divmod(key + half, base)
-                exps.append(digit - half)
-            out[tuple(exps)] = coeff
-        return cls._from_terms(nvars, out)
-
-    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -309,34 +296,64 @@ def elementary_symmetric(values, one):
     return row
 
 
-def packing_base(*exponent_lists):
-    """2·n·s + 1, n the longest list's length and s the largest |slot|: each
-    slot of a sum of up to n of the lists' vectors, or of its negation, is a
-    balanced digit, so pack is additive and injective on those sums."""
-    slots = [abs(x) for exps in exponent_lists for e in exps for x in e]
-    return 2 * max(map(len, exponent_lists)) * max(slots, default=0) + 1
+def weight_layout(r, *weight_lists):
+    """The layout (offset, places, width) under which weight_product writes
+    the product of (1 + w) over any of the lists as one int, for weights
+    q^a Q_k given as pairs (a, k); a colour k outside 1..r raises ValueError.
+    q^s Q_1^m_1..Q_r^m_r has the place s + offset + sum m_k P_k: offset is
+    -lo, P_1 = hi - lo + 1 and P_(k+1) = P_k (c_k + 1), for lo and hi the
+    extreme sums of negative and of positive a in one list and c_k the most
+    weights of colour k in one. A subset has lo <= s <= hi and m_k <= c_k,
+    so places are distinct; its monomial's coefficient, a count of subsets,
+    is at most C(n, m) < 2^(n + 1) for n the longest length, so digits of
+    n + 1 bits never carry. Each weight has Q-degree 1, so e_m is the part
+    of Q-degree m, and two products are equal exactly when every e_m is."""
+    lo = hi = 0
+    counts = [0] * r
+    for weights in weight_lists:
+        low = total = 0
+        side = [0] * r
+        for a, k in weights:
+            if not 0 < k <= r:
+                raise ValueError(f"colour {k} outside 1..{r}")
+            side[k - 1] += 1
+            total += a
+            if a < 0:
+                low += a
+        lo, hi = min(lo, low), max(hi, total - low)
+        counts = list(map(max, counts, side))
+    places = [hi - lo + 1]
+    for c in counts[:-1]:
+        places.append(places[-1] * (c + 1))
+    return -lo, places, 1 + max(map(len, weight_lists))
 
 
-def pack(exps, base):
-    """The exponent vector exps as the int sum of exps[i]·base^i."""
-    key = 0
-    for x in reversed(exps):
-        key = key * base + x
-    return key
+def weight_product(weights, layout):
+    """The product of (1 + w) over weights, pairs (a, k) from a list that
+    weight_layout read, as the int whose width-bit digit at the place of a
+    monomial is its coefficient: each weight adds a shifted copy."""
+    offset, places, width = layout
+    product = 1 << offset * width
+    for a, k in weights:
+        product += product << (a + places[k - 1]) * width
+    return product
 
 
-def packed_elementary_symmetric(keys):
-    """elementary_symmetric of the unit monomials with packed exponent
-    vectors keys, on term maps {packed key: count}: multiplying by a
-    monomial adds its key to every key, and terms only ever add."""
-    rows = [{0: 1}]
-    for shift in keys:
-        rows.append({})
-        for j in range(len(rows) - 1, 0, -1):
-            target = rows[j]
-            for e, count in rows[j - 1].items():
-                target[e + shift] = target.get(e + shift, 0) + count
-    return rows
+def weight_rows(product, layout):
+    """The Laurent polynomials e_1, ..., e_(width - 1) in q, Q_1..Q_r read
+    back from a weight_product: each nonzero digit is the coefficient of
+    the monomial of its place, in the row of its Q-degree."""
+    offset, places, width = layout
+    nvars, mask = 1 + len(places), (1 << width) - 1
+    rows = [{} for _ in range(width)]
+    for place in range(product.bit_length() // width + 1):
+        if coeff := product >> place * width & mask:
+            exps, rest = [0] * nvars, place
+            for k in range(nvars - 1, 0, -1):
+                exps[k], rest = divmod(rest, places[k - 1])
+            exps[0] = rest - offset
+            rows[sum(exps[1:])][tuple(exps)] = coeff
+    return [LaurentPoly._from_terms(nvars, terms) for terms in rows[1:]]
 
 
 # ---------------------------------------------------------------------------

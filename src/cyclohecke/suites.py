@@ -80,12 +80,8 @@ def main_theorem_coverage(budget=400):
     """All (n, r) with r^n * n! within the dimension budget, under the caps
     n <= N_CAP and r <= R_CAP (the budget alone leaves r unbounded for
     n <= 1)."""
-    pairs = []
-    for r in range(1, R_CAP + 1):
-        for n in range(0, N_CAP + 1):
-            if r ** n * math.factorial(n) <= budget:
-                pairs.append((n, r))
-    return pairs
+    return [(n, r) for r in range(1, R_CAP + 1) for n in range(N_CAP + 1)
+            if r ** n * math.factorial(n) <= budget]
 
 
 def suite_main_theorem(budget=400):

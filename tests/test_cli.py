@@ -256,6 +256,7 @@ class TestExitCodes:
         "--samples 0 pairing --n 2 --r 1",
         "--samples 0 center --n 2 --r 1 --q generic --Q generic",
         "verify-main --budget 0",
+        "verify-main --n 2 --budget 50",
         "table --n 2 --r 2 --out {tmp}/missing/x.csv",
         "--format csv verify-main --n 2 --r 1",
         "--format csv hilb --n 2 --q-values 2",

@@ -25,7 +25,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
 
 
 class TestFixedPointCharacter:
-    # weights are exponent vectors over (q, Q_1..Q_r)
+    # weights q^a Q_k are pairs (a, k)
     def test_single_box(self):
         fpc = fixed_point_character(((1,),))
         assert fpc.weights == [(0, 1)]
@@ -38,24 +38,30 @@ class TestFixedPointCharacter:
     def test_column_plus_box(self):
         # Q_1, q^-1 Q_1 and Q_2
         fpc = fixed_point_character(((1, 1), (1,)))
-        assert Counter(fpc.weights) == Counter(
-            [(0, 1, 0), (-1, 1, 0), (0, 0, 1)])
+        assert Counter(fpc.weights) == Counter([(0, 1), (-1, 1), (0, 2)])
 
     @pytest.mark.parametrize("weights", [
-        [(0, 1, 1)],
-        [(0, 2, 0)],
-        [(0, -1, 0)],
-        [(0, 1, -1)],
-        [(0, 1)],
-        [(0, 1, 0, 2)],
-        [(0, 1, 0), (0, 0, 1)],
-    ], ids=["two-Q-slots", "Q-exponent-2", "negative-Q", "one-and-negative",
-            "too-short", "too-long", "wrong-count"])
+        [(0, 0)],
+        [(0, 3)],
+        [(0, -1)],
+        [(0,)],
+        [(0, 1, 0)],
+        [(0, 1), (0, 2)],
+    ], ids=["colour-0", "colour-above-r", "negative-colour", "too-short",
+            "too-long", "wrong-count"])
     def test_validate_refuses_a_bad_weight(self, weights):
-        # the fixed point of ((1,), ()) has the one weight (0, 1, 0)
-        FixedPointCharacter(((1,), ()), [(0, 1, 0)]).validate()
+        # the fixed point of ((1,), ()) has the one weight (0, 1)
+        FixedPointCharacter(((1,), ()), [(0, 1)]).validate()
         with pytest.raises(ValueError):
             FixedPointCharacter(((1,), ()), weights).validate()
+
+    @pytest.mark.parametrize("weights_of", [
+        lambda mp, r: fixed_point_character(mp, r).weights, jm_eigenvalues,
+    ], ids=["geometric", "algebraic"])
+    def test_both_sides_refuse_a_wrong_level(self, weights_of):
+        assert weights_of(((1,), ()), 2) == [(0, 1)]
+        with pytest.raises(ValueError):
+            weights_of(((1,), ()), 3)
 
     def test_weights_match_jm_eigenvalues(self):
         # this equality is the engine of the main identity; the two sides
@@ -178,22 +184,26 @@ class TestMainTheorem:
 
     def test_content_shifted_past_the_weight_range_fails(self, monkeypatch):
         # a shift of n + 1 leaves the range of the true weights: the
-        # packing base must cover the faulty side too, or rows could alias
+        # layout must cover the faulty side too, or rows could alias
         _check_shifted_last_weight(monkeypatch, "algebraic", 4)
 
-    def test_base_covers_the_algebraic_weights(self, monkeypatch):
-        # at (1,1) the true weight Q1 = (0, 1) packs to 3 in base 3, the
-        # base of the geometric weights alone; so does the faulty weight
-        # q^3 = (3, 0), which only a base covering both lists tells apart
+    def test_layout_covers_the_algebraic_weights(self, monkeypatch):
+        # at (1,2) the faulty eigenvalue q^-1 Q2 = (-1, 2) takes the place
+        # of Q1 under the layout of the geometric weights of [[1],[]]
+        # alone; only a layout covering both lists tells them apart
         monkeypatch.setattr(ktheory, "jm_eigenvalues",
-                            lambda mp, r=None: [(3, 0)])
-        rep = verify_main_theorem(1, 1)
+                            lambda mp, r=None: [(-1, 2)])
+        rep = verify_main_theorem(1, 2)
         assert rep.status == "fail"
         assert rep.witnesses == [
-            {"multipartition": "[[1]]", "column": "e1",
-             "geometric": "Q1", "algebraic": "q^3"},
-            {"multipartition": "[[1]]", "column": "det_inv",
-             "geometric": "Q1^-1", "algebraic": "q^-3"}]
+            {"multipartition": "[[1],[]]", "column": "e1",
+             "geometric": "Q1", "algebraic": "q^-1*Q2"},
+            {"multipartition": "[[1],[]]", "column": "det_inv",
+             "geometric": "Q1^-1", "algebraic": "q*Q2^-1"},
+            {"multipartition": "[[],[1]]", "column": "e1",
+             "geometric": "Q2", "algebraic": "q^-1*Q2"},
+            {"multipartition": "[[],[1]]", "column": "det_inv",
+             "geometric": "Q2^-1", "algebraic": "q*Q2^-1"}]
 
 
 def _check_shifted_last_weight(monkeypatch, side, shift):

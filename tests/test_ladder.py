@@ -147,6 +147,8 @@ def test_rung_option_runs_only_the_named_rungs(monkeypatch, tmp_path):
         calibrate = staticmethod(lambda probes: 0.001)
 
     monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "trace_phases", lambda argv, env, timeout:
+                        {"argv": argv})
     monkeypatch.setattr(ladder, "load_calibration", Calibration)
     monkeypatch.setattr(ladder, "HERE", tmp_path)
     monkeypatch.setattr(ladder, "REPEATS", 2)
@@ -158,6 +160,53 @@ def test_rung_option_runs_only_the_named_rungs(monkeypatch, tmp_path):
     written = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert [rung["name"] for rung in written["rungs"]] == \
         ["hilb-n7", "verify-main-1e6"]
+
+
+_TRACE_STUB = """import json, os, sys
+print("stdout is dropped")
+sys.stderr.write("the command's stderr\\n")
+sys.stderr.write(json.dumps({"argv": sys.argv[1:],
+                             "src": os.environ["PYTHONPATH"]}) + "\\n")
+"""
+
+
+def test_phases_hold_one_traced_run_per_root(monkeypatch, tmp_path):
+    # the trace child is a stub that writes its argv and PYTHONPATH as the
+    # record; the timed runs are faked, and old's last run times out
+    stub = tmp_path / "trace.py"
+    stub.write_text(_TRACE_STUB)
+    old, new = tmp_path / "old", tmp_path / "new"
+
+    def fake_child(cmd, env, timeout):
+        timed_out = env["PYTHONPATH"] == str(old / "src")
+        return {"exit_code": None if timed_out else 0,
+                "timed_out": timed_out, "wall_s": 1.0, "cpu_s": 1.0,
+                "peak_rss_mb": 1.0, "stdout_sha256": "h"}
+
+    class Calibration:
+        calibrate = staticmethod(lambda probes: 0.001)
+
+    monkeypatch.setattr(ladder, "run_child", fake_child)
+    monkeypatch.setattr(ladder, "TRACE", stub)
+    monkeypatch.setattr(ladder, "load_calibration", Calibration)
+    monkeypatch.setattr(ladder, "HERE", tmp_path)
+    monkeypatch.setattr(ladder, "REPEATS", 1)
+    ladder.main(["--label", "old", "--root", str(old), "--label", "new",
+                 "--root", str(new), "--rung", "q1-gap-n5-r2"])
+    (old_rung,), (new_rung,) = (
+        json.loads((tmp_path / f"BENCH_{label}.json").read_text())["rungs"]
+        for label in ("old", "new"))
+    assert old_rung["phases"] is None
+    assert new_rung["phases"] == {
+        "argv": ["--", *ladder.RUNGS["q1-gap-n5-r2"]],
+        "src": str(new / "src")}
+
+
+def test_phases_are_null_without_a_record(monkeypatch, tmp_path):
+    stub = tmp_path / "trace.py"
+    stub.write_text("raise SystemExit('no record')")
+    monkeypatch.setattr(ladder, "TRACE", stub)
+    assert ladder.trace_phases(["dims"], None, 60) is None
 
 
 def test_unknown_rung_exits_2(capsys):

@@ -20,9 +20,9 @@ from cyclohecke.rings import (
     cyclotomic_polynomial,
     elementary_symmetric,
     euler_phi,
-    pack,
-    packed_elementary_symmetric,
-    packing_base,
+    weight_layout,
+    weight_product,
+    weight_rows,
 )
 
 
@@ -120,19 +120,6 @@ class TestLaurentPoly:
         with pytest.raises(ValueError, match="wrong length"):
             LaurentPoly(2, {(0, 1): 1, bad: 1})
 
-    @pytest.mark.parametrize("nvars,base", [(1, 3), (2, 5), (3, 3), (4, 7)])
-    def test_unpacked_reads_back_every_balanced_vector(self, nvars, base):
-        # every vector of balanced digits, the extremes +-(base // 2)
-        # included, comes back from its key
-        half = base // 2
-        vectors = list(itertools.product(range(-half, half + 1),
-                                         repeat=nvars))
-        terms = {pack(e, base): i + 1 for i, e in enumerate(vectors)}
-        assert len(terms) == len(vectors)
-        p = LaurentPoly.unpacked(nvars, terms, base)
-        assert p.terms == {e: i + 1 for i, e in enumerate(vectors)}
-        assert p == LaurentPoly(nvars, p.terms)
-
     def test_unit_coefficient_inverse_stays_int(self):
         x = LaurentPoly.variable(0, 2)
         inv = (-x).inverse()
@@ -176,104 +163,95 @@ class TestElementarySymmetric:
                        x[0] * x[1] * x[2]]
 
 
-def _monomial_lists():
-    """(nvars, monomials) for nvars 1..4 and 0..6 seeded monomials with
-    coefficient 1, drawn from a pool of three so that they repeat, with
-    exponents in -2..2."""
+def _pair_lists():
+    """(r, weights) for r 1..4 and 0..6 seeded weights q^a Q_k as pairs
+    (a, k), drawn from a pool of three so that they repeat, with a in
+    -2..2 and k in 1..r."""
     rng = random.Random(20)
-    for nvars in range(1, 5):
-        pool = [tuple(rng.randint(-2, 2) for _ in range(nvars))
-                for _ in range(3)]
+    for r in range(1, 5):
+        pool = [(rng.randint(-2, 2), rng.randint(1, r)) for _ in range(3)]
         for m in range(7):
-            yield nvars, [rng.choice(pool) for _ in range(m)]
+            yield r, [rng.choice(pool) for _ in range(m)]
 
 
-def _bound_reaching_lists():
-    """(nvars, monomials) where a slot of the product of all m monomials is
-    m·s or -m·s, s the largest |slot|: the bound of packing_base, reached
-    exactly."""
-    yield 1, [(1,)]
-    yield 1, [(-3,)] * 4
-    yield 2, [(2, -2)] * 3
-    yield 2, [(2, 0), (2, 1), (2, -1)]
-    yield 3, [(0, -1, 2), (1, 0, 2), (-2, 1, 2)]
-    yield 4, [(-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1), (-1, 1, 0, 0)]
+def _monomial(a, k, r):
+    """q^a Q_k in 1 + r variables."""
+    exps = [0] * (1 + r)
+    exps[0], exps[k] = a, 1
+    return LaurentPoly.monomial(1, exps)
 
 
-def _sweep_mismatches(kernel, cases=None):
-    """The exponent lists of cases (default: the seeded lists) on which
-    kernel, given the vectors packed in base packing_base, differs from the
-    generic sweep over the monomials x^e with coefficient 1, its terms
-    packed in the same base."""
+def _rows_mismatches(product=weight_product, cases=None):
+    """The cases (default: the seeded lists) on which the rows read back
+    from product, under the layout of the list, differ from e_1..e_m of
+    the generic sweep over the monomials q^a Q_k."""
     mismatches = []
-    for nvars, exponents in cases or _monomial_lists():
-        base = packing_base(exponents)
+    for r, weights in cases or _pair_lists():
         generic = elementary_symmetric(
-            [LaurentPoly.monomial(1, e) for e in exponents],
-            LaurentPoly.const(1, nvars))
-        expected = [{pack(e, base): c for e, c in p.terms.items()}
-                    for p in generic]
-        if kernel([pack(e, base) for e in exponents]) != expected:
-            mismatches.append((nvars, exponents))
+            [_monomial(a, k, r) for a, k in weights],
+            LaurentPoly.const(1, 1 + r))
+        layout = weight_layout(r, weights)
+        if weight_rows(product(weights, layout), layout) != generic[1:]:
+            mismatches.append((r, weights))
     return mismatches
 
 
-class TestPackedElementarySymmetric:
+class TestWeightProduct:
     def test_cases_cover_the_edges(self):
-        cases = list(_monomial_lists())
-        assert {nvars for nvars, _ in cases} == {1, 2, 3, 4}
-        assert any(not monomials for _, monomials in cases)
-        assert any(min(e) < 0 for _, exponents in cases for e in exponents)
-        assert any(len(set(exponents)) < len(exponents)
-                   for _, exponents in cases)
+        cases = list(_pair_lists())
+        assert {r for r, _ in cases} == {1, 2, 3, 4}
+        assert any(not weights for _, weights in cases)
+        assert any(a < 0 for _, weights in cases for a, _ in weights)
+        assert any(len(set(weights)) < len(weights) for _, weights in cases)
 
-    def test_matches_the_generic_sweep(self):
-        assert _sweep_mismatches(packed_elementary_symmetric) == []
-        for _, exponents in _monomial_lists():
-            base = packing_base(exponents)
-            keys = [pack(e, base) for e in exponents]
-            for e in packed_elementary_symmetric(keys):
-                assert all(type(c) is int and c > 0 for c in e.values())
+    def test_rows_match_the_generic_sweep(self):
+        assert _rows_mismatches() == []
 
-    def test_dropped_monomial_fails_the_oracle(self):
-        def dropping(keys):
-            row = packed_elementary_symmetric(keys[:-1])
-            return row + [{}] * (len(keys) > 0)
+    def test_dropped_weight_fails_the_oracle(self):
+        assert _rows_mismatches(lambda weights, layout: weight_product(
+            weights[:-1], layout))
 
-        assert _sweep_mismatches(dropping)
+    def test_eight_equal_weights_fill_one_digit_to_70(self):
+        # e_4 of eight weights q Q_2 is C(8, 4) q^4 Q_2^4, and 70 needs 7
+        # bits: the 9-bit digits hold it, 6-bit ones keep 70 mod 64
+        weights = [(1, 2)] * 8
+        assert _rows_mismatches(cases=[(2, weights)]) == []
+        offset, places, width = weight_layout(2, weights)
+        place = offset + 4 + 4 * places[1]
+        digits = []
+        for bits in (width, 6):
+            product = weight_product(weights, (offset, places, bits))
+            digits.append(product >> place * bits & (1 << bits) - 1)
+        assert (width, digits) == (9, [70, 6])
 
-    def test_slots_at_the_base_bound(self):
-        cases = list(_bound_reaching_lists())
-        for _, exponents in cases:
-            bound = len(exponents) * max(abs(x) for e in exponents for x in e)
-            top = [sum(slot) for slot in zip(*exponents)]
-            assert bound in map(abs, top)
-        assert _sweep_mismatches(packed_elementary_symmetric, cases) == []
+    def test_layout_must_cover_both_lists(self):
+        # under the layout of Q_1 alone, q^-1 Q_2 lands on the place of Q_1
+        a, b = [(0, 1)], [(-1, 2)]
+        one_sided = weight_layout(2, a)
+        assert weight_product(a, one_sided) == weight_product(b, one_sided)
+        both = weight_layout(2, a, b)
+        assert weight_product(a, both) != weight_product(b, both)
 
-    @pytest.mark.parametrize("s", [1, 2, 5])
-    def test_lists_colliding_below_the_base_give_unequal_rows(self, s):
-        # the single weights x^s and x^-s y both pack to s in base 2s, one
-        # below the rule's 2s + 1
-        def row(exponents, base):
-            return packed_elementary_symmetric(
-                [pack(e, base) for e in exponents])
+    @pytest.mark.parametrize("lists", [
+        ([(0, 3)], [(0, 1)]),
+        ([(0, 1)], [(0, 3)]),
+        ([(0, 1)], [(1, 0)]),
+        ([(0, -1)], [(0, 1)]),
+    ], ids=["above-r-first", "above-r-second", "zero", "negative"])
+    def test_refuses_a_colour_outside_1_to_r(self, lists):
+        weight_layout(2, [(0, 1)], [(0, 2)])
+        with pytest.raises(ValueError, match="colour"):
+            weight_layout(2, *lists)
 
-        a, b = [(s, 0)], [(-s, 1)]
-        base = packing_base(a, b)
-        assert base == 2 * s + 1
-        assert row(a, base) != row(b, base)
-        assert row(a, base - 1) == row(b, base - 1)
-
-    def test_rows_do_not_depend_on_the_order(self):
+    def test_product_does_not_depend_on_the_order(self):
         # the main identity compares weight multisets, so a permutation of
-        # the keys must give the same rows
+        # the weights must give the same int
         rng = random.Random(7)
-        for _, exponents in _monomial_lists():
-            base = packing_base(exponents)
-            keys = [pack(e, base) for e in exponents]
-            shuffled = rng.sample(keys, len(keys))
-            assert packed_elementary_symmetric(shuffled) == \
-                packed_elementary_symmetric(keys)
+        for r, weights in _pair_lists():
+            layout = weight_layout(r, weights)
+            shuffled = rng.sample(weights, len(weights))
+            assert weight_product(shuffled, layout) == \
+                weight_product(weights, layout)
 
 
 class TestEvaluate:

@@ -35,6 +35,13 @@ both roots having run to the end. Only a resolved rung reports
 ``cpu_change``, new over old minus one; an unresolved one reports null,
 and the comparison line printed for it says ``unresolved``.
 
+After its timed runs, each rung runs ``tools/trace.py -- ARGV`` once per
+root, untimed, under that root's environment, and stores the per-layer
+record the tracer writes as the last line of stderr under ``phases``: the
+spans and counters of ``bench/tracing.py``, whose hooks add their own time
+to every span. ``phases`` is null for a root whose last run timed out, and
+when the traced run writes no record.
+
 ``--rung NAME`` (repeatable) runs only the named rungs, in the order of
 ``RUNGS``; an unknown name exits 2. So a change to one layer can give a
 resolved before/after of its own rung without running the whole ladder.
@@ -61,6 +68,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+TRACE = Path(__file__).resolve().parent / "trace.py"
 TIMEOUT_S = 600.0
 REPEATS = 3  # runs per rung; the record reports their median
 PROBES = 11  # calibration probes of about 1 ms each, before and after a rung
@@ -139,6 +147,23 @@ def run_rung(cmd, envs, timeout):
             if not done or done[-1]["exit_code"] == 0:
                 done.append(run_child(cmd, env, timeout))
     return [summarize(done) for done in runs]
+
+
+def trace_phases(argv, env, timeout):
+    """The per-layer record of one untimed ``TRACE -- argv`` run under env:
+    the JSON on the last line of its stderr, or None when it times out or
+    that line is not JSON."""
+    try:
+        proc = subprocess.run([sys.executable, str(TRACE), "--", *argv],
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+    try:
+        return json.loads(proc.stderr.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
 
 
 def summarize(runs):
@@ -232,6 +257,9 @@ def main(argv=None):
         records = run_rung(cmd, envs, TIMEOUT_S)
         probe_s = round((before + calibration.calibrate(PROBES)) / 2, 6)
         comparison = compare(*records) if len(records) == 2 else {}
+        for env, record in zip(envs, records):
+            record["phases"] = (None if record["timed_out"] else
+                                trace_phases(RUNGS[name], env, TIMEOUT_S))
         for result, record in zip(results, records):
             record = {"name": name, "argv": RUNGS[name], **record,
                       "probe_s": probe_s, **comparison}
