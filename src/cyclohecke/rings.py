@@ -189,6 +189,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(other.terms) == 1:
+            # a monomial shifts every exponent alike: no two terms meet
+            ((e2, c2),) = other.terms.items()
+            return LaurentPoly._from_terms(self.nvars, {
+                tuple(map(operator.add, e1, e2)): c1 * c2
+                for e1, c1 in self.terms.items()})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -294,66 +300,6 @@ def elementary_symmetric(values, one):
         for j in range(len(row) - 2, 0, -1):
             row[j] = row[j] + row[j - 1] * v
     return row
-
-
-def weight_layout(r, *weight_lists):
-    """The layout (offset, places, width) under which weight_product writes
-    the product of (1 + w) over any of the lists as one int, for weights
-    q^a Q_k given as pairs (a, k); a colour k outside 1..r raises ValueError.
-    q^s Q_1^m_1..Q_r^m_r has the place s + offset + sum m_k P_k: offset is
-    -lo, P_1 = hi - lo + 1 and P_(k+1) = P_k (c_k + 1), for lo and hi the
-    extreme sums of negative and of positive a in one list and c_k the most
-    weights of colour k in one. A subset has lo <= s <= hi and m_k <= c_k,
-    so places are distinct; its monomial's coefficient, a count of subsets,
-    is at most C(n, m) < 2^(n + 1) for n the longest length, so digits of
-    n + 1 bits never carry. Each weight has Q-degree 1, so e_m is the part
-    of Q-degree m, and two products are equal exactly when every e_m is."""
-    lo = hi = 0
-    counts = [0] * r
-    for weights in weight_lists:
-        low = total = 0
-        side = [0] * r
-        for a, k in weights:
-            if not 0 < k <= r:
-                raise ValueError(f"colour {k} outside 1..{r}")
-            side[k - 1] += 1
-            total += a
-            if a < 0:
-                low += a
-        lo, hi = min(lo, low), max(hi, total - low)
-        counts = list(map(max, counts, side))
-    places = [hi - lo + 1]
-    for c in counts[:-1]:
-        places.append(places[-1] * (c + 1))
-    return -lo, places, 1 + max(map(len, weight_lists))
-
-
-def weight_product(weights, layout):
-    """The product of (1 + w) over weights, pairs (a, k) from a list that
-    weight_layout read, as the int whose width-bit digit at the place of a
-    monomial is its coefficient: each weight adds a shifted copy."""
-    offset, places, width = layout
-    product = 1 << offset * width
-    for a, k in weights:
-        product += product << (a + places[k - 1]) * width
-    return product
-
-
-def weight_rows(product, layout):
-    """The Laurent polynomials e_1, ..., e_(width - 1) in q, Q_1..Q_r read
-    back from a weight_product: each nonzero digit is the coefficient of
-    the monomial of its place, in the row of its Q-degree."""
-    offset, places, width = layout
-    nvars, mask = 1 + len(places), (1 << width) - 1
-    rows = [{} for _ in range(width)]
-    for place in range(product.bit_length() // width + 1):
-        if coeff := product >> place * width & mask:
-            exps, rest = [0] * nvars, place
-            for k in range(nvars - 1, 0, -1):
-                exps[k], rest = divmod(rest, places[k - 1])
-            exps[0] = rest - offset
-            rows[sum(exps[1:])][tuple(exps)] = coeff
-    return [LaurentPoly._from_terms(nvars, terms) for terms in rows[1:]]
 
 
 # ---------------------------------------------------------------------------

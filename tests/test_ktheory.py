@@ -183,14 +183,12 @@ class TestMainTheorem:
         _check_shifted_last_weight(monkeypatch, "algebraic", 1)
 
     def test_content_shifted_past_the_weight_range_fails(self, monkeypatch):
-        # a shift of n + 1 leaves the range of the true weights: the
-        # layout must cover the faulty side too, or rows could alias
+        # a shift of n + 1 leaves the range of the true weights
         _check_shifted_last_weight(monkeypatch, "algebraic", 4)
 
-    def test_layout_covers_the_algebraic_weights(self, monkeypatch):
-        # at (1,2) the faulty eigenvalue q^-1 Q2 = (-1, 2) takes the place
-        # of Q1 under the layout of the geometric weights of [[1],[]]
-        # alone; only a layout covering both lists tells them apart
+    def test_eigenvalue_off_the_weight_range_fails(self, monkeypatch):
+        # at (1,2) every eigenvalue becomes q^-1 Q2 = (-1, 2): a weight of
+        # the other colour at [[1],[]] and below the q range of both rows
         monkeypatch.setattr(ktheory, "jm_eigenvalues",
                             lambda mp, r=None: [(-1, 2)])
         rep = verify_main_theorem(1, 2)
@@ -204,6 +202,136 @@ class TestMainTheorem:
              "geometric": "Q2", "algebraic": "q^-1*Q2"},
             {"multipartition": "[[],[1]]", "column": "det_inv",
              "geometric": "Q2^-1", "algebraic": "q*Q2^-1"}]
+
+    def test_shuffled_eigenvalues_pass(self, monkeypatch):
+        # the identity compares weight multisets, not lists
+        rng = random.Random(11)
+
+        def shuffled(mp, r=None):
+            weights = jm_eigenvalues(mp, r)
+            return rng.sample(weights, len(weights))
+
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", shuffled)
+        assert verify_main_theorem(4, 2).passed
+
+    @pytest.mark.parametrize("colour", [0, 3, -1],
+                             ids=["zero", "above-r", "negative"])
+    def test_refuses_an_eigenvalue_colour_outside_1_to_r(self, monkeypatch,
+                                                          colour):
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r=None:
+                            jm_eigenvalues(mp, r)[:-1] + [(0, colour)])
+        with pytest.raises(ValueError, match="colour"):
+            verify_main_theorem(2, 2)
+
+    def test_extra_eigenvalue_witnesses_name_their_columns(self,
+                                                           monkeypatch):
+        # three eigenvalues against two weights: each row is e1, e2 and
+        # det_inv, so e3 of the long side shows in no column
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r=None:
+                            jm_eigenvalues(mp, r) + [(5, 1)])
+        rep = verify_main_theorem(2, 1)
+        assert rep.witnesses[:3] == [
+            {"multipartition": "[[2]]", "column": "e1",
+             "geometric": "Q1 + q*Q1", "algebraic": "Q1 + q*Q1 + q^5*Q1"},
+            {"multipartition": "[[2]]", "column": "e2",
+             "geometric": "q*Q1^2",
+             "algebraic": "q*Q1^2 + q^5*Q1^2 + q^6*Q1^2"},
+            {"multipartition": "[[2]]", "column": "det_inv",
+             "geometric": "q^-1*Q1^-2", "algebraic": "q^-6*Q1^-3"}]
+        assert [w["column"] for w in rep.witnesses[3:]] == [
+            "e1", "e2", "det_inv"]
+
+    def test_missing_eigenvalue_witnesses_name_their_columns(self,
+                                                             monkeypatch):
+        # one eigenvalue against two weights: e2 of the short side is 0
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r=None:
+                            jm_eigenvalues(mp, r)[:-1])
+        rep = verify_main_theorem(2, 1)
+        assert rep.witnesses == [
+            {"multipartition": "[[2]]", "column": "e1",
+             "geometric": "Q1 + q*Q1", "algebraic": "Q1"},
+            {"multipartition": "[[2]]", "column": "e2",
+             "geometric": "q*Q1^2", "algebraic": "0"},
+            {"multipartition": "[[2]]", "column": "det_inv",
+             "geometric": "q^-1*Q1^-2", "algebraic": "Q1^-1"},
+            {"multipartition": "[[1,1]]", "column": "e1",
+             "geometric": "q^-1*Q1 + Q1", "algebraic": "Q1"},
+            {"multipartition": "[[1,1]]", "column": "e2",
+             "geometric": "q^-1*Q1^2", "algebraic": "0"},
+            {"multipartition": "[[1,1]]", "column": "det_inv",
+             "geometric": "q*Q1^-2", "algebraic": "Q1^-1"}]
+
+
+def _oracle_pairs():
+    """(r, a, b): seeded weight lists a of 1..4 weights (a, k), a in -2..2
+    and k in 1..r for r 1..3, each against a shuffled copy, the copy with
+    one q-exponent moved by 1, with one colour changed (r > 1) and with
+    one weight dropped; then a pair with equal sets but unequal multisets
+    and a pair with equal det_inv but unequal e1."""
+    rng = random.Random(31)
+    for r in (1, 2, 3):
+        for m in range(1, 5):
+            a = [(rng.randint(-2, 2), rng.randint(1, r)) for _ in range(m)]
+            i = rng.randrange(m)
+            e, k = a[i]
+            yield r, a, rng.sample(a, m)
+            yield r, a, a[:i] + [(e + rng.choice((-1, 1)), k)] + a[i + 1:]
+            if r > 1:
+                other = rng.choice([c for c in range(1, r + 1) if c != k])
+                yield r, a, a[:i] + [(e, other)] + a[i + 1:]
+            yield r, a, a[:i] + a[i + 1:]
+    w, v = (0, 1), (1, 2)
+    yield 2, [w, w, v], [w, v, v]
+    yield 1, [(0, 1), (2, 1)], [(1, 1), (1, 1)]
+
+
+def test_sorted_weights_agree_with_rows_and_the_verdict(monkeypatch):
+    # oracle: two weight lists have equal sorted lists exactly when their
+    # rows e_1..e_n, det_inv are equal, and verify_main_theorem passes
+    # exactly then, with b as every fixed point's eigenvalues against a
+    # as its weights (n = len(a))
+    outcomes = Counter()
+    for r, a, b in _oracle_pairs():
+        n = len(a)
+        equal = sorted(a) == sorted(b)
+        assert (ktheory._row(a, n, r) == ktheory._row(b, n, r)) == equal
+        monkeypatch.setattr(ktheory, "fixed_point_character",
+                            lambda mp, r: FixedPointCharacter(mp, a))
+        monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r: b)
+        assert verify_main_theorem(n, r).passed == equal, (r, a, b)
+        outcomes[equal] += 1
+    assert outcomes[True] >= 12 and outcomes[False] >= 12
+
+
+def test_oracle_pairs_cover_the_edges():
+    pairs = list(_oracle_pairs())
+    assert {r for r, _, _ in pairs} == {1, 2, 3}
+    assert any(len(b) < len(a) for _, a, b in pairs)
+    assert any(a != b and sorted(a) == sorted(b) for _, a, b in pairs)
+    assert any(set(a) == set(b) and sorted(a) != sorted(b)
+               for _, a, b in pairs)
+    assert any(len(set(a)) < len(a) for _, a, _ in pairs)
+    assert any(e < 0 for _, a, _ in pairs for e, _ in a)
+    changed = [{(e - f, k - c) for (e, k), (f, c) in zip(a, b)} - {(0, 0)}
+               for _, a, b in pairs if len(a) == len(b)]
+    assert {(1, 0)} in changed and {(-1, 0)} in changed
+    assert any(len(d) == 1 and next(iter(d))[1] for d in changed)
+
+
+def test_row_pads_and_cuts_to_n_columns():
+    # e_k past the list's length is 0, and e_k past n is not a column
+    one, zero = LaurentPoly.const(1, 2), LaurentPoly.zero(2)
+    assert ktheory._row([], 2, 1) == [zero, zero, one]
+    q, Q1 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
+    assert ktheory._row([(0, 1), (1, 1), (2, 1)], 1, 1) == [
+        Q1 + q * Q1 + q ** 2 * Q1, q ** -3 * Q1 ** -3]
+
+
+def test_row_counts_subsets_of_equal_weights():
+    # e_4 of eight weights q Q_2 is C(8, 4) q^4 Q_2^4 = 70 q^4 Q_2^4
+    row = ktheory._row([(1, 2)] * 8, 8, 2)
+    assert row[3] == LaurentPoly.monomial(70, (4, 0, 4))
+    assert row[8] == LaurentPoly.monomial(1, (-8, 0, -8))
 
 
 def _check_shifted_last_weight(monkeypatch, side, shift):

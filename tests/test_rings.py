@@ -20,9 +20,6 @@ from cyclohecke.rings import (
     cyclotomic_polynomial,
     elementary_symmetric,
     euler_phi,
-    weight_layout,
-    weight_product,
-    weight_rows,
 )
 
 
@@ -161,97 +158,6 @@ class TestElementarySymmetric:
         assert row == [LaurentPoly.const(1, 3), x[0] + x[1] + x[2],
                        x[0] * x[1] + x[0] * x[2] + x[1] * x[2],
                        x[0] * x[1] * x[2]]
-
-
-def _pair_lists():
-    """(r, weights) for r 1..4 and 0..6 seeded weights q^a Q_k as pairs
-    (a, k), drawn from a pool of three so that they repeat, with a in
-    -2..2 and k in 1..r."""
-    rng = random.Random(20)
-    for r in range(1, 5):
-        pool = [(rng.randint(-2, 2), rng.randint(1, r)) for _ in range(3)]
-        for m in range(7):
-            yield r, [rng.choice(pool) for _ in range(m)]
-
-
-def _monomial(a, k, r):
-    """q^a Q_k in 1 + r variables."""
-    exps = [0] * (1 + r)
-    exps[0], exps[k] = a, 1
-    return LaurentPoly.monomial(1, exps)
-
-
-def _rows_mismatches(product=weight_product, cases=None):
-    """The cases (default: the seeded lists) on which the rows read back
-    from product, under the layout of the list, differ from e_1..e_m of
-    the generic sweep over the monomials q^a Q_k."""
-    mismatches = []
-    for r, weights in cases or _pair_lists():
-        generic = elementary_symmetric(
-            [_monomial(a, k, r) for a, k in weights],
-            LaurentPoly.const(1, 1 + r))
-        layout = weight_layout(r, weights)
-        if weight_rows(product(weights, layout), layout) != generic[1:]:
-            mismatches.append((r, weights))
-    return mismatches
-
-
-class TestWeightProduct:
-    def test_cases_cover_the_edges(self):
-        cases = list(_pair_lists())
-        assert {r for r, _ in cases} == {1, 2, 3, 4}
-        assert any(not weights for _, weights in cases)
-        assert any(a < 0 for _, weights in cases for a, _ in weights)
-        assert any(len(set(weights)) < len(weights) for _, weights in cases)
-
-    def test_rows_match_the_generic_sweep(self):
-        assert _rows_mismatches() == []
-
-    def test_dropped_weight_fails_the_oracle(self):
-        assert _rows_mismatches(lambda weights, layout: weight_product(
-            weights[:-1], layout))
-
-    def test_eight_equal_weights_fill_one_digit_to_70(self):
-        # e_4 of eight weights q Q_2 is C(8, 4) q^4 Q_2^4, and 70 needs 7
-        # bits: the 9-bit digits hold it, 6-bit ones keep 70 mod 64
-        weights = [(1, 2)] * 8
-        assert _rows_mismatches(cases=[(2, weights)]) == []
-        offset, places, width = weight_layout(2, weights)
-        place = offset + 4 + 4 * places[1]
-        digits = []
-        for bits in (width, 6):
-            product = weight_product(weights, (offset, places, bits))
-            digits.append(product >> place * bits & (1 << bits) - 1)
-        assert (width, digits) == (9, [70, 6])
-
-    def test_layout_must_cover_both_lists(self):
-        # under the layout of Q_1 alone, q^-1 Q_2 lands on the place of Q_1
-        a, b = [(0, 1)], [(-1, 2)]
-        one_sided = weight_layout(2, a)
-        assert weight_product(a, one_sided) == weight_product(b, one_sided)
-        both = weight_layout(2, a, b)
-        assert weight_product(a, both) != weight_product(b, both)
-
-    @pytest.mark.parametrize("lists", [
-        ([(0, 3)], [(0, 1)]),
-        ([(0, 1)], [(0, 3)]),
-        ([(0, 1)], [(1, 0)]),
-        ([(0, -1)], [(0, 1)]),
-    ], ids=["above-r-first", "above-r-second", "zero", "negative"])
-    def test_refuses_a_colour_outside_1_to_r(self, lists):
-        weight_layout(2, [(0, 1)], [(0, 2)])
-        with pytest.raises(ValueError, match="colour"):
-            weight_layout(2, *lists)
-
-    def test_product_does_not_depend_on_the_order(self):
-        # the main identity compares weight multisets, so a permutation of
-        # the weights must give the same int
-        rng = random.Random(7)
-        for r, weights in _pair_lists():
-            layout = weight_layout(r, weights)
-            shuffled = rng.sample(weights, len(weights))
-            assert weight_product(shuffled, layout) == \
-                weight_product(weights, layout)
 
 
 class TestEvaluate:

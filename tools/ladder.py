@@ -94,6 +94,7 @@ RUNGS = {
     "pairing-n4-r3": ["--samples", "1", "pairing", "--n", "4", "--r", "3"],
     "q1-gap-n5-r2": ["q1-gap", "--n", "5", "--r", "2", "--Q", "2,5"],
     "verify-main-1e6": ["verify-main", "--budget", "1000000"],
+    "table-n8-r4": ["table", "--n", "8", "--r", "4"],
 }
 
 
