@@ -277,6 +277,44 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
+_CLI_TEXT_CASES = {
+    "help": ["-h"],
+    **{f"help-{name}": [name, "-h"] for name in [
+        "verify-main", "hilb", "blocks", "q1-gap", "pairing", "center",
+        "table", "dims"]},
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "missing-required": ["blocks", "--n", "3"],
+    "bad-int": ["dims", "--n", "x", "--r", "1"],
+    "unknown-option": ["dims", "--n", "1", "--r", "1", "--bogus"],
+    "trials": ["--trials", "5", "pairing", "--n", "2", "--r", "1"],
+}
+
+
+def _cli_text(argv, capsys):
+    """Exit code, stdout and stderr of one parse-level invocation, in the
+    layout of testdata/cli/*.txt; an intended change to the help or usage
+    text rewrites those files from this function."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return (f"exit {code}\n--- stdout\n{captured.out}"
+            f"--- stderr\n{captured.err}")
+
+
+class TestParserText:
+    """Help, usage errors and exit codes are the parser's interface; they
+    stay byte-identical to testdata/cli/ at a fixed terminal width."""
+
+    @pytest.mark.parametrize("name", sorted(_CLI_TEXT_CASES))
+    def test_text_matches_golden(self, monkeypatch, capsys, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = (ROOT / "testdata" / "cli" / f"{name}.txt").read_text()
+        assert _cli_text(_CLI_TEXT_CASES[name], capsys) == golden
+
+
 class TestInclusionCertificate:
     """hilb and center check that the generators of the JM-center span lie
     in the center."""
