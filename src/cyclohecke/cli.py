@@ -7,11 +7,14 @@ given; the table command exports JSON unless --format csv is given, and a
 format the command does not write is a usage error. Exit status is 0 when
 everything passed, 1 on any failure, 2 on a usage error. An engine error (a
 failed context self-test) is reported as a failed ``engine_error`` check.
+Each subcommand is one entry of COMMANDS: the top-level parser, built once
+per process, lists them, and a subcommand's own parser is built on demand.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -251,6 +254,47 @@ def cmd_dims(args):
     return _emit([inner], args)
 
 
+_INT = {"type": int, "required": True}
+_N_R = [("--n", _INT), ("--r", _INT)]
+
+# subcommand -> (help, handler, [(flag, add_argument kwargs), ...])
+COMMANDS = {
+    "verify-main": ("main theorem identity", cmd_verify_main,
+                    [(f, {"type": int}) for f in ("--n", "--r", "--budget")]),
+    "hilb": ("Hilbert scheme corollary (r = 1)", cmd_hilb,
+             [("--n", _INT), ("--q-values", {"default": "2,-1,zeta_3"})]),
+    "blocks": ("block decomposition at a root of unity", cmd_blocks,
+               _N_R + [("--ell", _INT), ("--charge", {
+                   "required": True, "help": "comma-separated multicharge, "
+                                             "one entry per level"})]),
+    "q1-gap": ("q = 1 invariant-dimension gap", cmd_q1_gap,
+               _N_R + [("--Q", {"help": "comma-separated distinct rational "
+                                        "parameters"})]),
+    "pairing": ("trace pairing and cocenter checks", cmd_pairing, _N_R),
+    "center": ("center and JM-center dimensions", cmd_center,
+               _N_R + [(f, {"required": True}) for f in ("--q", "--Q")]),
+    "table": ("export a restriction table", cmd_table, _N_R + [("--out", {})]),
+    "dims": ("dimension bookkeeping", cmd_dims, _N_R),
+}
+
+
+class _CommandParser:
+    """One subcommand's parser, built from COMMANDS on its first dispatch."""
+
+    def __init__(self, prog, command):
+        self.prog, self.command, self.parser = prog, command, None
+
+    def parse_known_args(self, args, namespace=None):
+        if self.parser is None:
+            _, func, arguments = COMMANDS[self.command]
+            self.parser = argparse.ArgumentParser(prog=self.prog)
+            for flag, kwargs in arguments:
+                self.parser.add_argument(flag, **kwargs)
+            self.parser.set_defaults(func=func)
+        return self.parser.parse_known_args(args, namespace)
+
+
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cyclohecke",
@@ -263,65 +307,20 @@ def build_parser():
                         default="json")
     parser.add_argument("--timings", action="store_true",
                         help="print wall-clock durations to stderr")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("verify-main", help="main theorem identity")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_verify_main)
-
-    p = sub.add_parser("hilb", help="Hilbert scheme corollary (r = 1)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q-values", default="2,-1,zeta_3")
-    p.set_defaults(func=cmd_hilb)
-
-    p = sub.add_parser("blocks", help="block decomposition at a root of unity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--charge", required=True,
-                   help="comma-separated multicharge, one entry per level")
-    p.set_defaults(func=cmd_blocks)
-
-    p = sub.add_parser("q1-gap", help="q = 1 invariant-dimension gap")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--Q", default=None,
-                   help="comma-separated distinct rational parameters")
-    p.set_defaults(func=cmd_q1_gap)
-
-    p = sub.add_parser("pairing", help="trace pairing and cocenter checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_pairing)
-
-    p = sub.add_parser("center", help="center and JM-center dimensions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--Q", required=True)
-    p.set_defaults(func=cmd_center)
-
-    p = sub.add_parser("table", help="export a restriction table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("dims", help="dimension bookkeeping")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_dims)
-
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+    for name, (text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=text, command=name)
     return parser
 
 
+def parse_args(argv):
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return 2
     try:
         _check_counts(args)

@@ -17,6 +17,7 @@ from cyclohecke.center import (
     character_duals,
     cocenter_matrices,
     commutator_coordinates,
+    commutator_operators,
     descriptor_characters,
     jm_center_span,
     multiplication_matrices,
@@ -27,11 +28,12 @@ from cyclohecke.center import (
     _spectrum_classes,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
-from cyclohecke.hecke import AlgebraContext, AlgebraElement
+from cyclohecke.hecke import AlgebraContext, AlgebraElement, EngineError
 from cyclohecke.ktheory import verify_blocks
 from cyclohecke.suites import _module_map_witness
 from cyclohecke.linalg import RowSpace, rank, transpose
-from cyclohecke.rings import CyclotomicDomain, RationalDomain
+from cyclohecke.rings import (CyclotomicDomain, PrimeFieldDomain,
+                              RationalDomain)
 
 
 class TestCenterBasis:
@@ -58,6 +60,49 @@ class TestCenterBasis:
         assert len(center_basis(symbolic_ctx(2, 1))) == 2
         with pytest.raises(UnsupportedDomainError):
             center_basis(symbolic_ctx(2, 2))
+
+
+def _recurrence_operators(ctx):
+    """ad_g = g b - b g with every column of b g from the recurrence of
+    right_multiplication_matrix, L-part columns included."""
+    lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
+    lefts.append(ctx._matrices[("L", 1)])
+    ops = []
+    for left, g in zip(lefts, ctx.generators()):
+        ops.append([dict(col) for col in left])
+        for col, right_col in zip(ops[-1],
+                                  ctx.right_multiplication_matrix(g)):
+            ctx._add_scaled(col, right_col, -ctx.domain.one)
+    return ops
+
+
+class TestCommutatorOperators:
+    """The columns L^a (T_w T_i) of right multiplication by T_i are the
+    T-part columns T_w T_i relabelled, not recurrence runs of their own."""
+
+    @pytest.mark.parametrize("field", ["Q", "F_p"])
+    @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 5)
+                                      for r in range(1, 5)])
+    def test_equal_the_recurrence(self, field, n, r):
+        domain = RationalDomain() if field == "Q" else PrimeFieldDomain()
+        ctx = AlgebraContext(n, r, domain, domain.from_int(3),
+                             [domain.from_int(Q) for Q in (2, 5, 7, 11)[:r]])
+        assert commutator_operators(ctx) == _recurrence_operators(ctx)
+
+    def test_stray_L_part_entry_is_an_engine_error(self, monkeypatch):
+        ctx = AlgebraContext(3, 2, RationalDomain(), Fraction(3),
+                             [Fraction(2), Fraction(5)])
+        column = ctx._column
+
+        def stray(cols, b):
+            col = column(cols, b)
+            if b == 1:
+                col[6] = Fraction(1)  # the word L_3, exponents (0, 0, 1)
+            return col
+
+        monkeypatch.setattr(ctx, "_column", stray)
+        with pytest.raises(EngineError, match="T-words"):
+            commutator_operators(ctx)
 
 
 class TestJMCenterSpan:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -313,6 +314,25 @@ class TestParserText:
         monkeypatch.setenv("COLUMNS", "80")
         golden = (ROOT / "testdata" / "cli" / f"{name}.txt").read_text()
         assert _cli_text(_CLI_TEXT_CASES[name], capsys) == golden
+
+    def test_only_the_running_command_gets_a_parser(self, monkeypatch,
+                                                    capsys):
+        # the top-level parser plus the one of dims; built afresh here, so
+        # that an earlier test's cached parser does not hide the count
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cli.build_parser.cache_clear()
+        assert main(["dims", "--n", "1", "--r", "1"]) == 0
+        assert len(built) <= 2, built
+        assert main(["dims", "--n", "1", "--r", "1"]) == 0
+        assert len(built) <= 2, built
 
 
 class TestInclusionCertificate:

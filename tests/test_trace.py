@@ -25,6 +25,8 @@ def test_traced_stdout_is_the_commands_and_stderr_ends_in_the_record():
     assert record["ktheory.main_identity_s"] > 0
     # one fixed-point character per row of (3,2)
     assert record["ktheory.fixed_points"] == 10
+    # building the parsers and parsing, outside every bench span
+    assert record["cli.parse_s"] > 0
 
 
 def test_exit_code_is_the_commands():
@@ -32,3 +34,12 @@ def test_exit_code_is_the_commands():
                    "verify-main", "--r", "2"])
     assert traced.returncode == 2
     assert "--r needs --n" in traced.stderr
+
+
+def test_parse_error_exits_as_argparse_does():
+    # the parse span re-raises argparse's SystemExit(2) unchanged
+    plain = _run([sys.executable, "-m", "cyclohecke", "dims", "--n", "x"])
+    traced = _run([sys.executable, str(ROOT / "tools" / "trace.py"), "--",
+                   "dims", "--n", "x"])
+    assert plain.returncode == traced.returncode == 2
+    assert traced.stderr == plain.stderr

@@ -74,6 +74,8 @@ REPEATS = 3  # runs per rung; the record reports their median
 PROBES = 11  # calibration probes of about 1 ms each, before and after a rung
 
 RUNGS = {
+    # start-up cost: interpreter, import and parser, next to no algebra
+    "cli-start": ["dims", "--n", "2", "--r", "2"],
     "hilb-n7": ["hilb", "--n", "7", "--q-values", "2"],
     "hilb-n8": ["hilb", "--n", "8", "--q-values", "2"],
     "hilb-n5-zeta": ["hilb", "--n", "5", "--q-values", "zeta_3,zeta_4,zeta_5"],

@@ -9,9 +9,12 @@ JSON line to stderr, after whatever the command wrote there. Stdout and
 the exit code are the command's own. The package is imported from
 PYTHONPATH when that names one, else from this checkout's ``src/``.
 
-The hooks add their own time to every span, so compare a traced record
-with other traced records, not with untraced timings. Arguments that do
-not parse exit 2 from argparse, before any record is written.
+The record also holds ``cli.parse_s``, the seconds of ``cli.parse_args``:
+building the parsers and parsing the arguments, which no span of
+``bench/tracing.py`` covers. The hooks add their own time to every span,
+so compare a traced record with other traced records, not with untraced
+timings. Arguments that do not parse exit 2 from argparse, before any
+record is written.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ def main(argv=None):
 
     tracing = load_tracing()
     tracer = tracing.install()
+    # a span of its own, outside bench/tracing.py's SPANS; SystemExit from
+    # argparse passes through it unchanged
+    cli.parse_args = tracer.span("cli.parse", cli.parse_args)
     code = cli.main(argv)
-    sys.stderr.write(json.dumps(tracing.layer_metrics(tracer),
-                                sort_keys=True) + "\n")
+    record = {**tracing.layer_metrics(tracer),
+              "cli.parse_s": tracer.inclusive["cli.parse"]}
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return code
 
 
