@@ -169,14 +169,15 @@ def cmd_verify_main(args):
 def cmd_hilb(args):
     _check_sizes(args)
     specs = [parse_scalar(x) for x in args.q_values.split(",")]
-    for spec in specs:
-        if spec[0] == "generic":
-            raise UsageError("hilb takes explicit q literals")
-        if (spec[0] == "rational" and spec[1] == 1
-                or spec[0] == "zeta" and spec[2] % spec[1] == 0):
-            raise UsageError("hilb requires q != 1")
+    if any(spec[0] == "generic" for spec in specs):
+        raise UsageError("hilb takes explicit q literals")
     _check_nonzero(specs, "q")
-    reports = [suite_hilb_fg06(args.n, specs, seed=args.seed)]
+    points = [(*build_domain_and_values(spec, [])[:2],
+               f"zeta_{spec[1]}^{spec[2]}" if spec[0] == "zeta"
+               else str(spec[1])) for spec in specs]
+    if any(q == domain.one for domain, q, _ in points):
+        raise UsageError("hilb requires q != 1")
+    reports = [suite_hilb_fg06(args.n, points, seed=args.seed)]
     return _emit(reports, args)
 
 

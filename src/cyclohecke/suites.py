@@ -2,11 +2,13 @@
 
 "Generic parameter" claims are certified at sampled random rational
 specializations (Schwartz-Zippel style), never proclaimed proved; the
-reports label them "generic (sampled)". The center and JM-center
-dimensions are certified over a prime field first, at rational parameters
-and at roots of unity alike, with the exact computation as the fallback
-(docs/reports.md). Every suite is
-deterministic given its parameters and seed.
+reports label them "generic (sampled)". The center suites, hilb's
+r = 1, Q_1 = 1 case included, make one claim per point (_center_claim):
+the JM center lies in the center and, at q != 1, both have dimension the
+number of r-multipartitions of n. The dimensions are certified over a
+prime field first, at rational parameters and at roots of unity alike,
+with the exact computation as the fallback (docs/reports.md). Every suite
+is deterministic given its parameters and seed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .hecke import (
 from .ktheory import verify_main_theorem
 from .linalg import kernel_basis
 from .reports import VerificationReport
-from .rings import CyclotomicDomain, RationalDomain, reduce_parameters
+from .rings import RationalDomain, reduce_parameters
 
 
 def sample_specialization(n, rng, r):
@@ -113,32 +115,35 @@ def _prime_field_certificate(n, r, q, Qs):
     return None
 
 
-def _center_and_jm_center(n, r, domain, q, Qs, label):
-    """The center and the JM-center span of (n, r) at (q, Qs) in domain:
-    the result entry {"q": label, "dim_center", "dim_jm_center"}, the span,
-    and the inclusion witness, None when every generator of the span lies
-    in the center. The parameters are tried over a prime field first; the
-    exact computation runs where that certificate is refused or misses."""
+def _center_claim(n, r, domain, q, Qs, label):
+    """The center claim of (n, r) at (q, Qs) in domain: every generator of
+    the JM-center span lies in the center and, at q != 1, dim Z = rank JM =
+    the number of r-multipartitions of n (see docs/reports.md). Returns the
+    result entry {"q": label, "dim_center", "dim_jm_center"} and the
+    witnesses, none on a pass. The parameters are tried over a prime field
+    first; the exact computation runs where that certificate is refused or
+    misses."""
     found = _prime_field_certificate(n, r, q, Qs)
     center, span = found or center_and_jm_span(
         AlgebraContext(n, r, domain, q, Qs))
-    result = {"q": label, "dim_center": center.rank,
-              "dim_jm_center": span.rank}
-    witness = None
+    dims = {"dim_center": center.rank, "dim_jm_center": span.rank}
+    witnesses = []
+    expected = len(enumerate_multipartitions(n, r))
+    if q != domain.one and not center.rank == span.rank == expected:
+        witnesses.append({
+            "reason": "dimensions differ from the number of multipartitions",
+            "q": label, "expected": expected, **dims})
     if not span.in_center:
-        witness = {"reason": "a JM-center element is not in the center",
-                   "q": label}
-    return result, span, witness
+        witnesses.append({"reason": "a JM-center element is not in the center",
+                          "q": label})
+    return {"q": label, **dims}, witnesses
 
 
 def suite_center(n, r, explicit=None, *, seed=0, samples=3):
-    """Center and JM-center dimensions with the inclusion certificate, at
-    explicit parameters explicit = (domain, q, [Q_1..Q_r]) or, when
-    explicit is None, at sampled generic rational specializations. The
-    samples lie in the semisimple locus (sample_specialization), so there
-    both dimensions must also equal the number of r-multipartitions of n."""
+    """The center claim (_center_claim) at explicit parameters
+    explicit = (domain, q, [Q_1..Q_r]) or, when explicit is None, at
+    sampled generic rational specializations."""
     start = time.perf_counter()
-    expected = len(enumerate_multipartitions(n, r))
     if explicit is None:
         domain = RationalDomain()
         points = generic_specializations(n, r, seed, samples)
@@ -150,20 +155,12 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
     results = []
     witnesses = []
     for q, Qs in points:
-        result, span, witness = _center_and_jm_center(
-            n, r, domain, q, Qs, str(q))
+        result, found = _center_claim(n, r, domain, q, Qs, str(q))
         result["Q"] = [str(Q) for Q in Qs]
         # the span queues only elements that raise its rank: never capped
         result["jm_span_capped"] = False
         results.append(result)
-        dims = (result["dim_center"], result["dim_jm_center"])
-        if explicit is None and dims != (expected, expected):
-            witnesses.append({
-                "reason": "generic dimensions differ from the number of "
-                          "multipartitions", "q": str(q), "expected": expected,
-                "dim_center": dims[0], "dim_jm_center": dims[1]})
-        if witness:
-            witnesses.append(witness)
+        witnesses += found
     return VerificationReport(
         check="center_dimensions",
         params={"n": n, "r": r, "specialization": label,
@@ -179,60 +176,24 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
 # Hilbert scheme corollary (r = 1)
 # ---------------------------------------------------------------------------
 
-def suite_hilb_fg06(n, q_specs, *, seed=0):
-    """For r = 1 and Q_1 = 1: the center and the Jucys-Murphy center have
-    equal dimension at every q != 1 in the list, and both equal the number
-    of partitions of n at the generic entries.
-
-    q_specs entries: ("rational", Fraction) or ("zeta", order, power);
-    rational entries other than roots of unity count as generic.
-    """
+def suite_hilb_fg06(n, points, *, seed=0):
+    """The center claim at r = 1 and Q_1 = 1, at each (domain, q, label) in
+    points: the center equals the Jucys-Murphy center, of dimension p(n),
+    at every q != 1."""
     start = time.perf_counter()
-    witnesses = []
+    if any(q == domain.one for domain, q, _ in points):
+        raise ValueError("the corollary needs q != 1")
     results = []
-    p_n = len(enumerate_multipartitions(n, 1))
-    for spec in q_specs:
-        if spec[0] == "rational":
-            q = Fraction(spec[1])
-            if q == 1:
-                raise ValueError("the corollary needs q != 1")
-            domain = RationalDomain()
-            q_val = q
-            generic = q not in (Fraction(-1),)
-            label = str(q)
-        elif spec[0] == "zeta":
-            order, power = spec[1], spec[2]
-            domain = CyclotomicDomain(order)
-            q_val = domain.zeta(power)
-            if q_val == domain.one:
-                raise ValueError("the corollary needs q != 1")
-            generic = False
-            label = f"zeta_{order}^{power}"
-        else:
-            raise ValueError(f"unknown q spec {spec!r}")
-        result, _, inclusion = _center_and_jm_center(
-            n, 1, domain, q_val, [domain.one], label)
-        dim_center, dim_jm = result["dim_center"], result["dim_jm_center"]
+    witnesses = []
+    for domain, q, label in points:
+        result, found = _center_claim(n, 1, domain, q, [domain.one], label)
         results.append(result)
-        if dim_center != dim_jm:
-            witnesses.append({
-                "reason": "center and JM-center dimensions differ",
-                "q": label, "dim_center": dim_center,
-                "dim_jm_center": dim_jm,
-            })
-        if generic and (dim_center != p_n or dim_jm != p_n):
-            witnesses.append({
-                "reason": "generic dimensions differ from p(n)",
-                "q": label, "expected": p_n,
-                "dim_center": dim_center, "dim_jm_center": dim_jm,
-            })
-        if inclusion:
-            witnesses.append(inclusion)
+        witnesses += found
     return VerificationReport(
         check="hilb_center_equals_jm_center",
         params={"n": n, "r": 1, "Q1": "1", "results": results,
-                "p_n": p_n},
-        status="pass" if not witnesses else "fail",
+                "p_n": len(enumerate_multipartitions(n, 1))},
+        status="fail" if witnesses else "pass",
         witnesses=witnesses,
         seed=seed,
         duration=time.perf_counter() - start,

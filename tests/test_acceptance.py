@@ -126,17 +126,17 @@ def test_criterion_05_minimal_polynomial(sampled_ctxs):
 
 
 def test_criterion_06_hilbert_scheme_corollary():
-    q_specs = [("rational", Fraction(2)), ("rational", Fraction(-1)),
-               ("zeta", 3, 1)]
-    expected_generic = {2: 2, 3: 3, 4: 5}
+    QQ, Z3 = RationalDomain(), CyclotomicDomain(3)
+    points = [(QQ, Fraction(2), "2"), (QQ, Fraction(-1), "-1"),
+              (Z3, Z3.zeta(1), "zeta_3^1")]
+    p_n = {2: 2, 3: 3, 4: 5}
     for n in (2, 3, 4):
-        report = suite_hilb_fg06(n, q_specs)
+        report = suite_hilb_fg06(n, points)
         assert report.passed, report.witnesses[:1]
-        by_q = {r["q"]: r for r in report.params["results"]}
-        assert by_q["2"]["dim_center"] == expected_generic[n]
-        assert by_q["2"]["dim_jm_center"] == expected_generic[n]
+        assert [r["q"] for r in report.params["results"]] == \
+            ["2", "-1", "zeta_3^1"]
         for entry in report.params["results"]:
-            assert entry["dim_center"] == entry["dim_jm_center"]
+            assert entry["dim_center"] == entry["dim_jm_center"] == p_n[n]
     _announce("C6 Hilbert-scheme corollary", "(p(n) = 2, 3, 5)")
 
 

@@ -94,6 +94,15 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out.strip())
         assert report["status"] == "pass"
 
+    def test_hilb_labels(self, capsys):
+        # a root of unity without a power is labelled with power 1
+        code = main(["hilb", "--n", "2",
+                     "--q-values", "2,-1/2,zeta_3,zeta_4^-1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.strip())
+        assert [res["q"] for res in report["params"]["results"]] == \
+            ["2", "-1/2", "zeta_3^1", "zeta_4^-1"]
+
     def test_dims_command(self, capsys):
         code = main(["dims", "--n", "2", "--r", "2"])
         assert code == 0
@@ -341,16 +350,16 @@ class TestInclusionCertificate:
 
     @pytest.mark.parametrize("argv, reasons", [pytest.param(*case, id=case[0])
                                                for case in [
-        # the non-central e_1 also enlarges the span past dim Z = p(3),
-        # and at the generic center samples past the multipartition count
+        # the non-central e_1 also enlarges the span past the number of
+        # multipartitions, at explicit and sampled parameters alike
         ("hilb --n 3 --q-values 2",
-         ["center and JM-center dimensions differ",
-          "generic dimensions differ from p(n)",
+         ["dimensions differ from the number of multipartitions",
           "a JM-center element is not in the center"]),
         ("center --n 2 --r 2 --q 3 --Q 2,5",
-         ["a JM-center element is not in the center"]),
+         ["dimensions differ from the number of multipartitions",
+          "a JM-center element is not in the center"]),
         ("center --n 3 --r 1 --q generic --Q generic",
-         ["generic dimensions differ from the number of multipartitions",
+         ["dimensions differ from the number of multipartitions",
           "a JM-center element is not in the center"] * 3),
     ]])
     def test_jm_element_outside_the_center_fails(self, monkeypatch, capsys,
@@ -368,7 +377,7 @@ class TestGenericCenterCount:
     def test_spurious_center_vector_fails_generic_center(self, monkeypatch,
                                                           capsys):
         # T_1 is not central, so the inclusion check still passes; only the
-        # multipartition count of the semisimple samples catches it
+        # multipartition count catches it
         basis = center.center_basis
         monkeypatch.setattr(center, "center_basis",
                             lambda ctx: basis(ctx) + [ctx.T(1)])
@@ -379,8 +388,8 @@ class TestGenericCenterCount:
         report = json.loads(line)
         assert report["status"] == "fail"
         (witness,) = report["witnesses"]
-        assert witness["reason"] == ("generic dimensions differ from the "
-                                     "number of multipartitions")
+        assert witness["reason"] == ("dimensions differ from the number of "
+                                     "multipartitions")
         assert (witness["expected"], witness["dim_center"],
                 witness["dim_jm_center"]) == (14, 15, 14)
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import add_T1_to_e1
 from cyclohecke import center, suites
 from cyclohecke.reports import VerificationReport, summarize
+from cyclohecke.rings import CyclotomicDomain, RationalDomain
 from cyclohecke.suites import (
     SmashProduct,
     generic_contexts,
@@ -69,27 +70,34 @@ class TestMainTheoremSuite:
         assert reports and all(r.passed for r in reports)
 
 
+QQ = RationalDomain()
+
+
 class TestHilbSuite:
     def test_dimensions_at_listed_values(self):
         rep = suite_hilb_fg06(
-            2, [("rational", Fraction(2)), ("rational", Fraction(-1))])
+            2, [(QQ, Fraction(2), "2"), (QQ, Fraction(-1), "-1")])
         assert rep.passed
         by_q = {r["q"]: r for r in rep.params["results"]}
         assert by_q["-1"]["dim_center"] == 2
         assert by_q["-1"]["dim_jm_center"] == 2
 
     def test_generic_equals_partition_count(self):
-        rep = suite_hilb_fg06(3, [("rational", Fraction(5))])
+        rep = suite_hilb_fg06(3, [(QQ, Fraction(5), "5")])
         assert rep.passed
         assert rep.params["results"][0]["dim_center"] == 3
 
     def test_root_of_unity(self):
-        rep = suite_hilb_fg06(3, [("zeta", 3, 1)])
+        domain = CyclotomicDomain(3)
+        rep = suite_hilb_fg06(3, [(domain, domain.zeta(1), "zeta_3^1")])
         assert rep.passed
+        assert rep.params["results"][0]["dim_jm_center"] == 3
 
     def test_q_equal_one_rejected(self):
-        with pytest.raises(ValueError):
-            suite_hilb_fg06(2, [("rational", Fraction(1))])
+        z3 = CyclotomicDomain(3)
+        for domain, q in [(QQ, Fraction(1)), (z3, z3.zeta(3))]:
+            with pytest.raises(ValueError, match="q != 1"):
+                suite_hilb_fg06(2, [(QQ, Fraction(2), "2"), (domain, q, "1")])
 
 
 class TestSmashProduct:
@@ -279,7 +287,7 @@ class TestCommutatorOperatorFault:
                     for j, col in enumerate(right(ctx, x))]
 
         monkeypatch.setattr(center, "_right_T_matrix", without_diagonal)
-        hilb = suite_hilb_fg06(3, [("rational", 2)])
+        hilb = suite_hilb_fg06(3, [(QQ, Fraction(2), "2")])
         assert hilb.status == "fail"
         assert hilb.params["results"][0]["dim_center"] == 1
         pairing = suite_pairing(2, 2, samples=1)

@@ -81,6 +81,11 @@ RUNGS = {
     "hilb-n5-zeta": ["hilb", "--n", "5", "--q-values", "zeta_3,zeta_4,zeta_5"],
     "center-n4-r3": ["--samples", "3", "center", "--n", "4", "--r", "3",
                      "--q", "generic", "--Q", "generic,generic,generic"],
+    # the center claim at parameters where the algebra is not semisimple
+    "center-n5-r2-zeta3": ["center", "--n", "5", "--r", "2",
+                           "--q", "zeta_3", "--Q", "1,1"],
+    "center-n4-r3-minus1": ["center", "--n", "4", "--r", "3",
+                            "--q", "-1", "--Q", "1,-1,1"],
     "blocks-n5-r1-ell3": ["blocks", "--n", "5", "--r", "1", "--ell", "3",
                           "--charge", "0"],
     "blocks-n4-r2-ell2": ["blocks", "--n", "4", "--r", "2", "--ell", "2",
