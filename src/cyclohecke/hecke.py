@@ -23,11 +23,19 @@ knows the two degree-1 exchange rules. Each context then certifies its
 generator matrices and the column recurrence at build time with
 check_relations, first on the Ariki-Koike presentation with T_0 = L_1,
 L_1 L_2 = L_2 L_1 stated as T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0, then by
-reconstruction. Each relation side runs on whole columns: it starts from
-the stored columns of its rightmost generator and applies one matrix per
-further factor to each column. Per column a commutation costs 2 matrix
-applications, T_0 T_1 T_0 T_1 6, a braid 4, a quadratic relation 1 (its
-right side is read off the stored column) and the cyclotomic relation r - 1.
+reconstruction. Each relation runs only on the roots of a set of its
+generators, from which single-entry columns A e_b = c e_b' (c != 0,
+b' != b) of the set reach every basis word; the relation's kernel is
+stable under the set. First the quadratic relation of T_i and the
+cyclotomic one, on the roots of T_i and of L_1 (f(A) commutes with A).
+Then, by T_i^2 = (q-1) T_i + q, the difference C of another relation has
+C T_i = (q - 1 - A) C, A = T_i for a commutation and the other T for a
+braid: T_i T_j = T_j T_i and the braids run on the roots of their pair,
+the commutations with L_1 on the roots of T_i (T_1 for T_0 T_1 T_0 T_1),
+skipped at r = 1, where L_1 = Q_1. Per root a side costs one matrix
+application per factor beyond its rightmost, whose column is stored: a
+commutation 2, T_0 T_1 T_0 T_1 6, a braid 4, a quadratic relation 1 (its
+right side is read off the stored column), the cyclotomic relation r - 1.
 _apply_L is certified only by the reconstruction and conjugation steps.
 """
 
@@ -565,57 +573,86 @@ class AlgebraContext:
 # relation checks
 # ---------------------------------------------------------------------------
 
+def _steps(d, cols):
+    """For each basis word b, the word c when column b of cols is a single
+    entry x e_c with x != 0 and c != b, else None."""
+    return [next(iter(col)) if len(col) == 1 and b not in col
+            and not d.is_zero(*col.values()) else None
+            for b, col in enumerate(cols)]
+
+
+def _roots(steps, dim):
+    """The root words of a set of generators, one _steps list each: every
+    basis word is reached from them along steps. Sources, the words that
+    no step reaches, come first; then, while a word is unreached (on a
+    cycle, as for T_i at q = 1), the first one in index order. Sorted."""
+    targets = {c for step in steps for c in step}
+    roots, reached = [], set()
+    for b in itertools.chain((b for b in range(dim) if b not in targets),
+                             range(dim)):
+        if b not in reached:
+            roots.append(b)
+            stack = [b]
+            while stack:
+                w = stack.pop()
+                if w not in reached:
+                    reached.add(w)
+                    stack += [s[w] for s in steps if s[w] is not None]
+    return sorted(roots)
+
+
 def _presentation(ctx):
-    """(name, lhs, rhs) for each relation of the Ariki-Koike presentation
-    with T_0 = L_1, in the certificate's order; lhs and rhs yield the two
-    sides' columns, one PBW basis word at a time, at the cost per column
-    given in the module docstring. Commutation of every L_i with L_j, and
-    of T_i with L_j for j not in {i, i+1}, is a theorem in any
+    """(name, words, lhs, rhs) for each relation of the Ariki-Koike
+    presentation with T_0 = L_1, in the certificate's order (module
+    docstring): lhs and rhs give the two sides' columns at a basis word,
+    to be evaluated on the root words only. Commutation of every L_i with
+    L_j, and of T_i with L_j for j not in {i, i+1}, is a theorem in any
     representation of the presentation, so those pairs are not checked."""
     d = ctx.domain
     n = ctx.n
     gens = [ctx._matrices[("L", 1)]] + [
         ctx._matrices[("T", i)] for i in range(n - 1)]
 
-    def side(*word):
-        rest = [gens[g] for g in reversed(word[:-1])]
-        for v in gens[word[-1]]:
-            for cols in rest:
-                v = d.apply_cols(cols, v)
-            yield v
+    steps = [_steps(d, cols) for cols in gens]
+    roots = cache(lambda *g: _roots([steps[k] for k in g], ctx.dim))
 
-    def quadratic_rhs(i):
-        q = ctx.q_val
-        for k, col in enumerate(gens[i]):
-            v = {}
-            d.add_scaled(v, col, q - d.one)
-            d.add_scaled(v, {k: q})
-            yield v
+    def side(word, b):
+        v = gens[word[-1]][b]
+        for g in reversed(word[:-1]):
+            v = d.apply_cols(gens[g], v)
+        return v
 
-    def cyclotomic():
-        L1 = gens[0]
-        for k, col in enumerate(L1):
-            v = dict(col)
-            d.add_scaled(v, {k: -ctx.Q_vals[0]})
-            for Q in ctx.Q_vals[1:]:
-                w = d.apply_cols(L1, v)
-                d.add_scaled(w, v, -Q)
-                v = w
-            yield v
+    def family(name, g, lhs, rhs):  # two generator words, on the roots of g
+        return name, roots(*g), partial(side, lhs), partial(side, rhs)
 
+    def quadratic_rhs(i, b):
+        v = {b: ctx.q_val}
+        d.add_scaled(v, gens[i][b], ctx.q_val - d.one)
+        return v
+
+    def cyclotomic(b):
+        v = dict(gens[0][b])
+        d.add_scaled(v, {b: -ctx.Q_vals[0]})
+        for Q in ctx.Q_vals[1:]:
+            v, w = d.apply_cols(gens[0], v), v
+            d.add_scaled(v, w, -Q)
+        return v
+
+    for i in range(1, n):
+        yield (f"quadratic T{i}", roots(i), partial(side, (i, i)),
+               partial(quadratic_rhs, i))
+    yield "cyclotomic prod (L1 - Qi)", roots(0), cyclotomic, lambda b: {}
     for i in range(1, n):
         for j in range(i + 2, n):
-            yield f"commute T{i} T{j}", side(i, j), side(j, i)
-    if n >= 2:
-        yield "commute L1 L2", side(0, 1, 0, 1), side(1, 0, 1, 0)
-    for i in range(2, n):
-        yield f"commute T{i} L1", side(i, 0), side(0, i)
+            yield family(f"commute T{i} T{j}", (i, j), (i, j), (j, i))
+    if ctx.r > 1:  # else the cyclotomic relation makes L_1 the scalar Q_1
+        if n >= 2:
+            yield family("commute L1 L2", (1,), (0, 1, 0, 1), (1, 0, 1, 0))
+        for i in range(2, n):
+            yield family(f"commute T{i} L1", (i,), (i, 0), (0, i))
     for i in range(1, n - 1):
-        yield (f"braid T{i} T{i + 1}",
-               side(i, i + 1, i), side(i + 1, i, i + 1))
-    for i in range(1, n):
-        yield f"quadratic T{i}", side(i, i), quadratic_rhs(i)
-    yield "cyclotomic prod (L1 - Qi)", cyclotomic(), itertools.repeat({})
+        yield family(f"braid T{i} T{i + 1}", (i, i + 1), (i, i + 1, i),
+                     (i + 1, i, i + 1))
 
 
 def _mismatch(ctx, name, j, lhs, rhs):
@@ -631,11 +668,12 @@ def _mismatch(ctx, name, j, lhs, rhs):
 
 def _presentation_witness(ctx):
     """The witness of the first relation of _presentation that fails, at its
-    first failing basis word, or None. Columns are compared as dicts; the
+    first failing root word, or None. Columns are compared as dicts; the
     residual is computed only on a mismatch."""
-    for name, lhs, rhs in _presentation(ctx):
-        for j, (a, b) in enumerate(zip(lhs, rhs)):
-            if a != b and (witness := _mismatch(ctx, name, j, a, b)):
+    for name, words, lhs, rhs in _presentation(ctx):
+        for j in words:
+            if (a := lhs(j)) != (b := rhs(j)) and (
+                    witness := _mismatch(ctx, name, j, a, b)):
                 return witness
     return None
 
@@ -644,9 +682,10 @@ def check_relations(ctx):
     """Certify the engine product.
 
     1. Every relation of the Ariki-Koike presentation (T_0 = L_1) holds as
-       an operator identity on the whole PBW basis, evaluated on whole
-       columns (_presentation), so the stored generator matrices define a
-       representation rho of the algebra on the coordinate space.
+       an operator identity on the whole PBW basis, evaluated on the
+       columns of its roots (_presentation), so the stored generator
+       matrices define a representation rho of the algebra on the
+       coordinate space.
     2. Reconstruction: column b of right_multiplication_matrix(1) is e_b
        for every PBW word b. The recurrence makes that column rho(b) 1, so
        h -> rho(h) 1 is onto and sends each word to its own coordinate.

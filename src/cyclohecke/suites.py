@@ -53,9 +53,9 @@ def sample_specialization(n, rng, r):
     while True:
         q = Fraction(rng.randint(2, 97))
         Qs = [Fraction(rng.randint(2, 97)) for _ in range(r)]
-        if not any(Qs[i] == q ** m * Qs[j]
-                   for i in range(r) for j in range(r) if i != j
-                   for m in range(-2 * n, 2 * n + 1)):
+        powers = {q ** m for m in range(-2 * n, 2 * n + 1)}
+        if not any(Qs[i] / Qs[j] in powers
+                   for i in range(r) for j in range(r) if i != j):
             return q, Qs
 
 

@@ -203,24 +203,23 @@ def unit_vector_relations(ctx):
 
 
 def oracle_failures(ctx):
-    """(name, basis index, residual lhs - rhs) at the first failing basis
-    word of every failing family of unit_vector_relations, in family order
-    (the certificate itself stops at the first)."""
+    """{name: {basis index: residual lhs - rhs}} with every failing basis
+    word of every failing family of unit_vector_relations, in family
+    order."""
     d = ctx.domain
-    failures = []
+    failures = {}
     for name, lhs, rhs in unit_vector_relations(ctx):
         for j in range(ctx.dim):
             diff = lhs({j: d.one})
             ctx._add_scaled(diff, rhs({j: d.one}), -d.one)
             if diff:
-                failures.append((name, j, diff))
-                break
+                failures.setdefault(name, {})[j] = diff
     return failures
 
 
 def failing_families(ctx):
     """Names of every relation family with a failing basis word."""
-    return [name for name, _, _ in oracle_failures(ctx)]
+    return list(oracle_failures(ctx))
 
 
 def l_before_t_recurrence(monkeypatch):
@@ -924,6 +923,25 @@ def fault_last_column(key):
     return fault
 
 
+def fault_off_root(key):
+    """One entry doubled in the column of the stored matrix key at the first
+    basis word that is not a root of {key}: a word the relation phase
+    reaches only from a root, never evaluates on (for L_1, a word with an
+    L_1 factor). Returns that word."""
+    def fault(ctx):
+        d = ctx.domain
+        cols = list(ctx._matrices[key])
+        roots = hecke._roots([hecke._steps(d, cols)], ctx.dim)
+        b = next(b for b in range(ctx.dim) if b not in roots)
+        col = dict(cols[b])
+        k = min(col)
+        col[k] = d.from_int(2) * col[k]
+        cols[b] = col
+        ctx._matrices[key] = cols
+        return b
+    return fault
+
+
 def _differential_cases():
     contexts = [("prime", 4, 1, 3), ("prime", 2, 4, 3), ("prime", 3, 2, 3),
                 ("rational", 3, 2, 3), ("rational", 4, 1, 2),
@@ -942,7 +960,10 @@ def _differential_cases():
         faults += [(f"last_column_T{i + 1}", fault_last_column(("T", i)))
                    for i in range(n - 1)]
         if n >= 2:
-            faults.append(("scaled_T", fault_scaled_T))
+            faults += [("scaled_T", fault_scaled_T),
+                       ("off_root_T1", fault_off_root(("T", 0)))]
+        if r >= 2:
+            faults.append(("off_root_L1", fault_off_root(("L", 1))))
         if n >= 3:
             faults.append(("T2_other_root", fault_T2_other_root))
         if n >= 4:
@@ -954,42 +975,100 @@ def _differential_cases():
 
 
 class TestColumnGate:
-    """The relation phase on whole columns against the unit-vector
-    oracle, and its cost in matrix applications."""
+    """The relation phase on the root words against the unit-vector
+    oracle, the roots themselves, and the phase's cost in matrix
+    applications."""
 
     @pytest.mark.parametrize("kind,n,r,q,fault", _differential_cases())
     def test_agrees_with_unit_vector_oracle(self, kind, n, r, q, fault):
+        """The gate fails exactly when the oracle finds a failing word of
+        any family. It names the first failing family in its own order, at
+        a word where the oracle finds that family failing, with the
+        oracle's residual there. A fault in a column off the roots, which
+        the gate never evaluates, is a failure for both."""
         ctx = _differential_context(kind, n, r, q)
-        fault(ctx)
-        expected = oracle_failures(ctx)
+        off_root = fault(ctx)
+        failures = oracle_failures(ctx)
+        assert off_root is None or failures
         rep = check_relations(ctx)
         witness = hecke._presentation_witness(ctx)
-        if not expected:
+        if not failures:
             assert witness is None
             assert rep.passed or rep.witnesses[0]["relation"].startswith(
                 ("reconstruction", "conjugation"))
             return
-        name, j, diff = expected[0]
-        if name == "commute L1 L2":
-            # T_0 T_1 T_0 T_1 - T_1 T_0 T_1 T_0 = q (L_1 L_2 - L_2 L_1)
-            diff = ctx.domain.scale(diff, ctx.q_val)
         assert rep.status == "fail"
         assert rep.params["reconstructed"] == 0
-        assert rep.witnesses == [witness] == [{
-            "relation": name,
-            "word": ctx.basis_element(j).render(),
-            "residual": AlgebraElement(ctx, diff).render()}]
+        assert rep.witnesses == [witness]
+        order = [name for name, *_ in hecke._presentation(ctx)]
+        name = next(name for name in order if name in failures)
+        assert witness["relation"] == name
+        residuals = {}
+        for j, diff in failures[name].items():
+            if name == "commute L1 L2":
+                # T_0 T_1 T_0 T_1 - T_1 T_0 T_1 T_0 = q (L_1 L_2 - L_2 L_1)
+                diff = ctx.domain.scale(diff, ctx.q_val)
+            residuals[ctx.basis_element(j).render()] = AlgebraElement(
+                ctx, diff).render()
+        assert residuals[witness["word"]] == witness["residual"]
 
-    @pytest.mark.parametrize("n,r,per_column", [
-        # 2 (T1 T3) + 6 (T0 T1 T0 T1) + 2 * 2 (T2 L1, T3 L1) + 2 * 4 (braids)
-        # + 3 * 1 (quadratics) + 0 (cyclotomic at r = 1)
-        (4, 1, 23),
-        # 6 (T0 T1 T0 T1) + 1 (quadratic) + 3 (cyclotomic at r = 4)
-        (2, 4, 10),
+    @pytest.mark.parametrize("n,r,q", [
+        (4, 1, 3), (4, 1, 1), (5, 1, -1), (5, 1, 1), (3, 2, 3), (3, 2, 1),
+        (2, 4, 3)])
+    def test_roots_reach_every_word(self, n, r, q):
+        """Every basis word is reached from the roots of each generator set
+        the relation phase uses, along single-entry columns c e_c' with
+        c != 0 and c' != b, at q = 1 (two-cycles, no sources) too. At
+        r = 1 there is one root per orbit of the parabolic subgroup: n!/2
+        for one T_i, n!/4 for a commuting pair, n!/6 for a braid pair;
+        every word is a root of the scalar L_1."""
+        ctx = _differential_context("rational", n, r, q)
+        d = ctx.domain
+        sets = [[("L", 1)]] + [[("T", i)] for i in range(n - 1)]
+        sets += [[("T", i), ("T", j)] for i in range(n - 1)
+                 for j in range(i + 1, n - 1)]
+        for keys in sets:
+            mats = [ctx._matrices[key] for key in keys]
+            roots = hecke._roots([hecke._steps(d, m) for m in mats],
+                                 ctx.dim)
+            reached, stack = set(roots), list(roots)
+            while stack:
+                b = stack.pop()
+                for cols in mats:
+                    if len(cols[b]) == 1:
+                        ((c, x),) = cols[b].items()
+                        if c not in reached and not d.is_zero(x):
+                            reached.add(c)
+                            stack.append(c)
+            assert reached == set(range(ctx.dim)), keys
+            if r == 1:
+                if len(keys) == 2:
+                    size = 6 if keys[1][1] - keys[0][1] == 1 else 4
+                else:
+                    size = 1 if keys[0][0] == "L" else 2
+                assert len(roots) == ctx.dim // size, keys
+            elif keys == [("L", 1)]:
+                assert roots == [b for b, (exps, _) in enumerate(ctx.basis)
+                                 if exps[0] == 0]
+
+    @pytest.mark.parametrize("n,r,total", [
+        # 3 quadratics on n!/2 = 12 roots, 1 application each; the
+        # cyclotomic relation costs r - 1 = 0; T1 T3 on n!/4 = 6 roots, 2
+        # each; two braids on n!/6 = 4 roots, 4 each; at r = 1 no L1
+        # commutation: 36 + 12 + 32 = 80 (552 on every column)
+        (4, 1, 80),
+        # T_1 has 7 single-entry columns: T_1 L_1^a L_2^a = L_1^a L_2^a T_1
+        # (a = 0..3) and T_1 L_1^(a+1) L_2^a T_1 = q L_1^a L_2^(a+1)
+        # (a = 0..2), so 32 - 7 = 25 roots of {T_1}; 8 roots of {L_1}, the
+        # words without L_1. The quadratic 25 * 1, the cyclotomic relation
+        # 8 * (r - 1) = 24, T0 T1 T0 T1 on the roots of {T_1} 25 * 6 = 150
+        # (320 on every column)
+        (2, 4, 25 + 24 + 150),
     ])
-    def test_relation_phase_cost(self, monkeypatch, n, r, per_column):
-        """One apply_cols per column for each factor of a side beyond its
-        rightmost: no unit vectors and no expanded products."""
+    def test_relation_phase_cost(self, monkeypatch, n, r, total):
+        """One apply_cols per root for each factor of a side beyond its
+        rightmost: no unit vectors, no expanded products and no non-root
+        columns."""
         ctx = _differential_context("prime", n, r)
         calls = []
         apply_cols = ctx.domain.apply_cols
@@ -1000,4 +1079,4 @@ class TestColumnGate:
 
         monkeypatch.setattr(ctx.domain, "apply_cols", counting)
         assert hecke._presentation_witness(ctx) is None
-        assert len(calls) == ctx.dim * per_column
+        assert len(calls) == total

@@ -12,6 +12,7 @@ from cyclohecke.rings import CyclotomicDomain, RationalDomain
 from cyclohecke.suites import (
     SmashProduct,
     generic_contexts,
+    generic_specializations,
     main_theorem_coverage,
     pbw_dimension_report,
     sample_specialization,
@@ -50,6 +51,37 @@ class TestSampler:
                     if i != j:
                         for m in range(-6, 7):
                             assert Qs[i] != q ** m * Qs[j]
+
+    def test_matches_the_literal_criterion(self):
+        """Seed for seed, the same samples as rejecting Q_i = q^m Q_j
+        literally, for every ordered pair i != j and every |m| <= 2n. At
+        n = 1, r = 4 the last three seeds draw a coincidence at |m| = 2n
+        first, so a bound one short would keep a different sample."""
+        rejected = 0
+
+        def literal(n, r, rng, bound):
+            nonlocal rejected
+            while True:
+                q = Fraction(rng.randint(2, 97))
+                Qs = [Fraction(rng.randint(2, 97)) for _ in range(r)]
+                if not any(Qs[i] == q ** m * Qs[j]
+                           for i in range(r) for j in range(r) if i != j
+                           for m in range(-bound, bound + 1)):
+                    return q, Qs
+                rejected += 1
+
+        cases = [(2, 4, 1, range(50)), (4, 3, 3, range(50)),
+                 (5, 2, 3, range(50)), (1, 4, 1, (1434, 2872, 2922))]
+        for n, r, samples, seeds in cases:
+            for seed in seeds:
+                rng = random.Random(seed)
+                expected = [literal(n, r, rng, 2 * n) for _ in range(samples)]
+                assert generic_specializations(
+                    n, r, seed, samples) == expected, (n, r, seed)
+        assert rejected  # the seeds reach the rejection
+        for seed in cases[-1][3]:
+            assert (literal(1, 4, random.Random(seed), 1)
+                    != literal(1, 4, random.Random(seed), 2))
 
     def test_deterministic_given_seed(self):
         a = sample_specialization(2, random.Random(9), 2)
@@ -184,6 +216,37 @@ class TestPairingSuite:
         assert rep.passed
         assert rep.params["specialization"] == "generic (sampled)"
         assert "trials" not in rep.params
+
+    def test_matches_the_literal_criterion(self):
+        """Seed for seed, the same samples as rejecting Q_i = q^m Q_j
+        literally, for every ordered pair i != j and every |m| <= 2n. At
+        n = 1, r = 4 the last three seeds draw a coincidence at |m| = 2n
+        first, so a bound one short would keep a different sample."""
+        rejected = 0
+
+        def literal(n, r, rng, bound):
+            nonlocal rejected
+            while True:
+                q = Fraction(rng.randint(2, 97))
+                Qs = [Fraction(rng.randint(2, 97)) for _ in range(r)]
+                if not any(Qs[i] == q ** m * Qs[j]
+                           for i in range(r) for j in range(r) if i != j
+                           for m in range(-bound, bound + 1)):
+                    return q, Qs
+                rejected += 1
+
+        cases = [(2, 4, 1, range(50)), (4, 3, 3, range(50)),
+                 (5, 2, 3, range(50)), (1, 4, 1, (1434, 2872, 2922))]
+        for n, r, samples, seeds in cases:
+            for seed in seeds:
+                rng = random.Random(seed)
+                expected = [literal(n, r, rng, 2 * n) for _ in range(samples)]
+                assert generic_specializations(
+                    n, r, seed, samples) == expected, (n, r, seed)
+        assert rejected  # the seeds reach the rejection
+        for seed in cases[-1][3]:
+            assert (literal(1, 4, random.Random(seed), 1)
+                    != literal(1, 4, random.Random(seed), 2))
 
     def test_deterministic_given_seed(self):
         a = suite_pairing(2, 1, seed=3, samples=1).to_json()
