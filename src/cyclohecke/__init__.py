@@ -44,7 +44,6 @@ from .center import (
     jm_center_span,
 )
 from .ktheory import (
-    FixedPointCharacter,
     RestrictionTable,
     fixed_point_character,
     restriction_table,

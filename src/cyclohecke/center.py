@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
-from .hecke import AlgebraElement, EngineError
+from .hecke import AlgebraElement
 from .linalg import RowSpace, kernel_basis, rank, solve_many, transpose
 from .rings import NotInvertibleError, elementary_symmetric
 
@@ -34,36 +34,23 @@ class IdempotentSplitError(Exception):
 # center of the algebra
 # ---------------------------------------------------------------------------
 
-def _right_T_matrix(ctx, x):
-    """right_multiplication_matrix(x) for x = T_i, running the recurrence
-    on the T-part columns only (see commutator_operators)."""
-    m = ctx.dim // ctx.r ** ctx.n  # n!: the T-words come first
-    cols = {0: x.terms}
-    for b in range(1, m):
-        ctx._column(cols, b)
-    if any(u >= m for col in cols.values() for u in col):
-        raise EngineError("a column T_w T_i leaves the span of the T-words")
-    return [{u + b - b % m: c for u, c in cols[b % m].items()}
-            for b in range(ctx.dim)]
-
-
 def commutator_operators(ctx):
     """For each generator g of T_1..T_{n-1}, L_1, the sparse columns of
     ad_g: b -> g b - b g. Left multiplication is the cached generator
     matrix, right multiplication the column recurrence the build certifies
-    (right_multiplication_matrix). For g = T_i, column (a, w) is
-    L^a (T_w g): column (0, w) with each word (0, u) renamed (a, u), index
-    u + b - b mod n!. The common kernel of the ad_g is the center; the
-    span of their columns is [H, H]."""
-    lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
-    rights = [_right_T_matrix(ctx, ctx.T(i + 1)) for i in range(ctx.n - 1)]
-    lefts.append(ctx._matrices[("L", 1)])
-    rights.append(ctx.right_multiplication_matrix(ctx.jm_element(1)))
+    (right_multiplication_matrix). At r = 1 the certified cyclotomic
+    relation makes L_1 the scalar Q_1, so ad L_1 is zero and is left out.
+    The common kernel of the ad_g is the center; the span of their columns
+    is [H, H]."""
+    gens = [(("T", i), ctx.T(i + 1)) for i in range(ctx.n - 1)]
+    if ctx.r > 1:
+        gens.append((("L", 1), ctx.jm_element(1)))
     minus_one = -ctx.domain.one
     ops = []
-    for left, right in zip(lefts, rights):
-        ops.append([dict(col) for col in left])
-        for col, right_col in zip(ops[-1], right):
+    for key, g in gens:
+        ops.append([dict(col) for col in ctx._matrices[key]])
+        for col, right_col in zip(ops[-1],
+                                  ctx.right_multiplication_matrix(g)):
             ctx._add_scaled(col, right_col, minus_one)
     return ops
 

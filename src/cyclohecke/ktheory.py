@@ -9,10 +9,12 @@ main identity are produced by deliberately independent code paths:
 * algebraic: evaluate symmetric functions on the Jucys-Murphy eigenvalue
   multiset coming from node contents.
 
-Both give each weight q^a Q_k as the pair (a, k). The rows e_1..e_n and
-det_inv are functions of the weight multiset that the e-row determines, so
-the identity at a fixed point is the equality of the two sorted weight
-lists; Laurent rows are built only for tables and witnesses.
+Both sides are plain lists that give each weight q^a Q_k as the pair
+(a, k). The rows e_1..e_n and det_inv are functions of the weight multiset
+that the e-row determines, so the identity at a fixed point is the equality
+of the two sorted weight lists; Laurent rows are built only for tables and
+witnesses, by _row, which refuses a weight that is not a pair (a, k) with
+1 <= k <= r on either side.
 """
 
 from __future__ import annotations
@@ -45,37 +47,18 @@ from .rings import (
 )
 
 
-@dataclass
-class FixedPointCharacter:
-    """Torus character of the tautological bundle at one fixed point: a
-    multiset of n weights q^a Q_k, each the pair (a, k) with 1 <= k <= r."""
-
-    multipartition: tuple
-    weights: list
-
-    def validate(self):
-        r = len(self.multipartition)
-        n = sum(sum(p) for p in self.multipartition)
-        if len(self.weights) != n:
-            raise ValueError("weight count must equal n")
-        for w in self.weights:
-            if len(w) != 2 or not 1 <= w[1] <= r:
-                raise ValueError("weight must be a pair (a, k), 1 <= k <= r")
-        return self
-
-
 def fixed_point_character(mp, r=None):
     """Weights at the fixed point of a multipartition, computed from the
     diagram geometry: box (i, j) of component k carries the quotient-ring
-    monomial x^(i-1) y^(j-1) and the torus scales it by q^(j-i) Q_k.
+    monomial x^(i-1) y^(j-1) and the torus scales it by q^(j-i) Q_k, the
+    pair (j - i, k).
 
     Deliberately does not touch the node/content code path.
     """
     if r is not None and len(mp) != r:
         raise ValueError("component count mismatch")
-    weights = [(v - u, k) for k, part in enumerate(mp, start=1)
-               for u, row_len in enumerate(part) for v in range(row_len)]
-    return FixedPointCharacter(mp, weights).validate()
+    return [(v - u, k) for k, part in enumerate(mp, start=1)
+            for u, row_len in enumerate(part) for v in range(row_len)]
 
 
 @dataclass
@@ -137,8 +120,7 @@ def _row(weights, n, r):
 def restriction_table(n, r):
     """The full fixed-point restriction table of (n, r), geometric side."""
     rows = enumerate_multipartitions(n, r)
-    entries = [_row(fixed_point_character(mp, r).weights, n, r)
-               for mp in rows]
+    entries = [_row(fixed_point_character(mp, r), n, r) for mp in rows]
     return RestrictionTable(n, r, rows, entries)
 
 
@@ -156,7 +138,7 @@ def verify_main_theorem(n, r):
     witnesses = []
     for mp in mps:
         alg_weights = jm_eigenvalues(mp, r)
-        geo_weights = fixed_point_character(mp, r).weights
+        geo_weights = fixed_point_character(mp, r)
         if sorted(geo_weights) == sorted(alg_weights):
             continue
         for label, geom, alg in zip(labels, _row(geo_weights, n, r),
@@ -263,13 +245,14 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
     def judge(blocks):
         """The report of the blocks, (spectrum, image dimension) pairs."""
         out = dict(params, blocks=len(blocks))
+        witnesses = list(class_witnesses)
         if len(blocks) != len(classes):
-            return report(out, [{
+            witnesses.append({
                 "reason": "block count mismatch",
                 "residue_classes": [str(k) for k in classes],
                 "blocks": len(blocks),
-            }])
-        witnesses = list(class_witnesses)
+            })
+            return report(out, witnesses)
         block_info = {}  # residue -> image dimension of its block
         for spectrum, image_dim in blocks:
             residue = class_spectra.get(spectrum)

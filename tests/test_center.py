@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import add_T1_to_e1
+from test_hecke import literal_product, right_T_oracle
 from cyclohecke.center import (
     CocenterCoordinates,
     IdempotentSplitError,
@@ -28,7 +29,7 @@ from cyclohecke.center import (
     _spectrum_classes,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
-from cyclohecke.hecke import AlgebraContext, AlgebraElement, EngineError
+from cyclohecke.hecke import AlgebraContext, AlgebraElement
 from cyclohecke.ktheory import verify_blocks
 from cyclohecke.suites import _module_map_witness
 from cyclohecke.linalg import RowSpace, rank, transpose
@@ -62,47 +63,41 @@ class TestCenterBasis:
             center_basis(symbolic_ctx(2, 2))
 
 
-def _recurrence_operators(ctx):
-    """ad_g = g b - b g with every column of b g from the recurrence of
-    right_multiplication_matrix, L-part columns included."""
-    lefts = [ctx._matrices[("T", i)] for i in range(ctx.n - 1)]
-    lefts.append(ctx._matrices[("L", 1)])
-    ops = []
-    for left, g in zip(lefts, ctx.generators()):
-        ops.append([dict(col) for col in left])
-        for col, right_col in zip(ops[-1],
-                                  ctx.right_multiplication_matrix(g)):
-            ctx._add_scaled(col, right_col, -ctx.domain.one)
-    return ops
+def _difference(d, left, right):
+    """The sparse column left - right, without zero entries."""
+    return d.nonzero({k: left.get(k, d.zero) - right.get(k, d.zero)
+                      for k in left.keys() | right.keys()})
 
 
 class TestCommutatorOperators:
-    """The columns L^a (T_w T_i) of right multiplication by T_i are the
-    T-part columns T_w T_i relabelled, not recurrence runs of their own."""
+    """ad T_i against the Hecke rule on permutations and ad L_1 against the
+    literal per-word product, both independent of the column recurrence;
+    at r = 1 ad L_1 is zero and left out."""
 
     @pytest.mark.parametrize("field", ["Q", "F_p"])
     @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 5)
-                                      for r in range(1, 5)])
-    def test_equal_the_recurrence(self, field, n, r):
+                                      for r in range(1, 4)])
+    def test_match_the_oracles(self, field, n, r):
         domain = RationalDomain() if field == "Q" else PrimeFieldDomain()
         ctx = AlgebraContext(n, r, domain, domain.from_int(3),
-                             [domain.from_int(Q) for Q in (2, 5, 7, 11)[:r]])
-        assert commutator_operators(ctx) == _recurrence_operators(ctx)
-
-    def test_stray_L_part_entry_is_an_engine_error(self, monkeypatch):
-        ctx = AlgebraContext(3, 2, RationalDomain(), Fraction(3),
-                             [Fraction(2), Fraction(5)])
-        column = ctx._column
-
-        def stray(cols, b):
-            col = column(cols, b)
-            if b == 1:
-                col[6] = Fraction(1)  # the word L_3, exponents (0, 0, 1)
-            return col
-
-        monkeypatch.setattr(ctx, "_column", stray)
-        with pytest.raises(EngineError, match="T-words"):
-            commutator_operators(ctx)
+                             [domain.from_int(Q) for Q in (2, 5, 7)[:r]])
+        ops = commutator_operators(ctx)
+        assert len(ops) == n - 1 + (r > 1)
+        for i, op in enumerate(ops[:n - 1]):
+            left = ctx._matrices[("T", i)]
+            right = right_T_oracle(ctx, i + 1)
+            assert op == [_difference(domain, left[b], right[b])
+                          for b in range(ctx.dim)], i
+        if r == 1:
+            # the certified cyclotomic relation: L_1 is the scalar Q_1
+            assert ctx._matrices[("L", 1)] == [
+                {b: ctx.Q_vals[0]} for b in range(ctx.dim)]
+        else:
+            L1 = ctx.jm_element(1)
+            assert ops[-1] == [
+                _difference(domain, left, literal_product(
+                    ctx, ctx.basis_element(b), L1))
+                for b, left in enumerate(ctx._matrices[("L", 1)])]
 
 
 class TestJMCenterSpan:

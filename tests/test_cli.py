@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import add_T1_to_e1
-from cyclohecke import center, cli, hecke
+from cyclohecke import center, cli, hecke, ktheory, suites
 from cyclohecke.hecke import EngineError
 from cyclohecke.linalg import kernel_basis
 from cyclohecke.cli import (
@@ -411,6 +412,97 @@ class TestCenterKernelFault:
         assert report["params"]["results"][0]["dim_center"] == 2
         assert "a JM-center element is not in the center" in {
             w["reason"] for w in report["witnesses"]}
+
+
+def _failed_witnesses(argv, capsys):
+    """The witnesses of the one report of a CLI run that must exit 1."""
+    assert main(argv.split()) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    report = json.loads(line)
+    assert report["status"] == "fail"
+    return report["witnesses"]
+
+
+class TestFailurePaths:
+    """Each failure path below fails on its own fault, with its exact
+    witness."""
+
+    def test_block_image_dimension_differs_from_class_size(self, monkeypatch,
+                                                           capsys):
+        # (3,1) at ell = 2: every block's Jucys-Murphy center image gains
+        # one dimension; the prime-field split fails the same way, so the
+        # report comes from the exact rerun
+        split = ktheory.central_idempotents
+        domains = []
+
+        def grown(ctx):
+            domains.append(type(ctx.domain).__name__)
+            idempotents, spectra, image_dims = split(ctx)
+            return idempotents, spectra, [dim + 1 for dim in image_dims]
+
+        monkeypatch.setattr(ktheory, "central_idempotents", grown)
+        witnesses = _failed_witnesses(
+            "blocks --n 3 --r 1 --ell 2 --charge 0", capsys)
+        assert domains == ["PrimeFieldDomain", "CyclotomicDomain"]
+        assert witnesses == [
+            {"reason": "jm-center image dimension != class size",
+             "residue": "(2, 1)", "jm_image_dim": 3, "class_size": 2},
+            {"reason": "jm-center image dimension != class size",
+             "residue": "(1, 2)", "jm_image_dim": 2, "class_size": 1}]
+
+    def test_pairing_jm_center_rank_differs_from_the_count(self, monkeypatch,
+                                                           capsys):
+        # the span loses its last element: rank 4 against 5 multipartitions
+        spans = suites.center_and_jm_span
+
+        def short(ctx):
+            center_space, span = spans(ctx)
+            return center_space, dataclasses.replace(
+                span, rank=span.rank - 1, elements=span.elements[:-1],
+                descriptors=span.descriptors[:-1])
+
+        monkeypatch.setattr(suites, "center_and_jm_span", short)
+        witnesses = _failed_witnesses("--samples 1 pairing --n 2 --r 2",
+                                      capsys)
+        assert witnesses == [{"reason": "JM-center rank != multipartition "
+                                        "count", "rank": 4, "expected": 5}]
+
+    def test_q1_gap_without_a_gap(self, monkeypatch, capsys):
+        # at (2,2) the invariant dimension is 3 against 5 multipartitions;
+        # a count of 3 leaves no gap
+        mps = suites.enumerate_multipartitions
+        monkeypatch.setattr(suites, "enumerate_multipartitions",
+                            lambda n, r: mps(n, r)[:3])
+        witnesses = _failed_witnesses("q1-gap --n 2 --r 2", capsys)
+        assert witnesses == [{
+            "reason": "no gap: invariant dimension not below the "
+                      "multipartition count",
+            "invariant_dim": 3, "multipartitions": 3}]
+
+    def test_q1_gap_engine_rank_disagrees(self, monkeypatch, capsys):
+        # the engine's span at q = 1 reports one dimension fewer than the
+        # invariant dimension 3 of (2,2)
+        spans = suites.jm_center_span
+
+        def short(ctx):
+            span = spans(ctx)
+            return dataclasses.replace(span, rank=span.rank - 1)
+
+        monkeypatch.setattr(suites, "jm_center_span", short)
+        witnesses = _failed_witnesses("q1-gap --n 2 --r 2", capsys)
+        assert witnesses == [{
+            "reason": "engine JM-center rank at q = 1 disagrees",
+            "jm_rank": 2, "invariant_dim": 3}]
+
+    def test_dims_square_sum_mismatch(self, monkeypatch, capsys):
+        # at (2,2) the tableau counts 1, 1, 2, 1, 1 become 2, 2, 3, 2, 2
+        count = suites.count_standard_tableaux
+        monkeypatch.setattr(suites, "count_standard_tableaux",
+                            lambda mp: count(mp) + 1)
+        witnesses = _failed_witnesses("dims --n 2 --r 2", capsys)
+        assert witnesses == [{
+            "reason": "sum of squared tableau counts mismatch",
+            "syt_sum": 25, "expected": 8}]
 
 
 class TestEngineErrors:

@@ -12,7 +12,6 @@ from cyclohecke.combinatorics import (
     render_multipartition,
 )
 from cyclohecke.ktheory import (
-    FixedPointCharacter,
     fixed_point_character,
     restriction_table,
     verify_blocks,
@@ -27,18 +26,17 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
 class TestFixedPointCharacter:
     # weights q^a Q_k are pairs (a, k)
     def test_single_box(self):
-        fpc = fixed_point_character(((1,),))
-        assert fpc.weights == [(0, 1)]
+        assert fixed_point_character(((1,),)) == [(0, 1)]
 
     def test_row_of_two(self):
         # boxes (1,1), (1,2): weights Q_1 and q Q_1
-        fpc = fixed_point_character(((2,),))
-        assert Counter(fpc.weights) == Counter([(0, 1), (1, 1)])
+        assert Counter(fixed_point_character(((2,),))) == \
+            Counter([(0, 1), (1, 1)])
 
     def test_column_plus_box(self):
         # Q_1, q^-1 Q_1 and Q_2
-        fpc = fixed_point_character(((1, 1), (1,)))
-        assert Counter(fpc.weights) == Counter([(0, 1), (-1, 1), (0, 2)])
+        assert Counter(fixed_point_character(((1, 1), (1,)))) == \
+            Counter([(0, 1), (-1, 1), (0, 2)])
 
     @pytest.mark.parametrize("weights", [
         [(0, 0)],
@@ -46,17 +44,41 @@ class TestFixedPointCharacter:
         [(0, -1)],
         [(0,)],
         [(0, 1, 0)],
-        [(0, 1), (0, 2)],
     ], ids=["colour-0", "colour-above-r", "negative-colour", "too-short",
-            "too-long", "wrong-count"])
-    def test_validate_refuses_a_bad_weight(self, weights):
-        # the fixed point of ((1,), ()) has the one weight (0, 1)
-        FixedPointCharacter(((1,), ()), [(0, 1)]).validate()
+            "too-long"])
+    def test_main_identity_refuses_a_bad_geometric_weight(self, monkeypatch,
+                                                          weights):
+        # the fixed point [[1],[]] of (1,2) has the one weight (0, 1); a
+        # malformed geometric list there raises on the witness path
+        monkeypatch.setattr(ktheory, "fixed_point_character", lambda mp, r:
+                            weights if mp == ((1,), ()) else
+                            fixed_point_character(mp, r))
         with pytest.raises(ValueError):
-            FixedPointCharacter(((1,), ()), weights).validate()
+            verify_main_theorem(1, 2)
+
+    def test_missing_geometric_weight_witnesses_name_their_columns(
+            self, monkeypatch):
+        # one weight against two eigenvalues: e2 of the short side is 0
+        monkeypatch.setattr(ktheory, "fixed_point_character", lambda mp, r:
+                            fixed_point_character(mp, r)[:-1])
+        rep = verify_main_theorem(2, 1)
+        assert rep.status == "fail"
+        assert rep.witnesses == [
+            {"multipartition": "[[2]]", "column": "e1",
+             "geometric": "Q1", "algebraic": "Q1 + q*Q1"},
+            {"multipartition": "[[2]]", "column": "e2",
+             "geometric": "0", "algebraic": "q*Q1^2"},
+            {"multipartition": "[[2]]", "column": "det_inv",
+             "geometric": "Q1^-1", "algebraic": "q^-1*Q1^-2"},
+            {"multipartition": "[[1,1]]", "column": "e1",
+             "geometric": "Q1", "algebraic": "q^-1*Q1 + Q1"},
+            {"multipartition": "[[1,1]]", "column": "e2",
+             "geometric": "0", "algebraic": "q^-1*Q1^2"},
+            {"multipartition": "[[1,1]]", "column": "det_inv",
+             "geometric": "Q1^-1", "algebraic": "q*Q1^-2"}]
 
     @pytest.mark.parametrize("weights_of", [
-        lambda mp, r: fixed_point_character(mp, r).weights, jm_eigenvalues,
+        fixed_point_character, jm_eigenvalues,
     ], ids=["geometric", "algebraic"])
     def test_both_sides_refuse_a_wrong_level(self, weights_of):
         assert weights_of(((1,), ()), 2) == [(0, 1)]
@@ -69,7 +91,7 @@ class TestFixedPointCharacter:
         for n in range(0, 6):
             for r in (1, 2, 3):
                 for mp in enumerate_multipartitions(n, r):
-                    assert Counter(fixed_point_character(mp, r).weights) == \
+                    assert Counter(fixed_point_character(mp, r)) == \
                         Counter(jm_eigenvalues(mp, r))
 
 
@@ -296,7 +318,7 @@ def test_sorted_weights_agree_with_rows_and_the_verdict(monkeypatch):
         equal = sorted(a) == sorted(b)
         assert (ktheory._row(a, n, r) == ktheory._row(b, n, r)) == equal
         monkeypatch.setattr(ktheory, "fixed_point_character",
-                            lambda mp, r: FixedPointCharacter(mp, a))
+                            lambda mp, r: a)
         monkeypatch.setattr(ktheory, "jm_eigenvalues", lambda mp, r: b)
         assert verify_main_theorem(n, r).passed == equal, (r, a, b)
         outcomes[equal] += 1
@@ -348,8 +370,7 @@ def _check_shifted_last_weight(monkeypatch, side, shift):
                             shifted(jm_eigenvalues(mp, r)))
     else:
         monkeypatch.setattr(ktheory, "fixed_point_character", lambda mp, r:
-                            FixedPointCharacter(mp, shifted(
-                                fixed_point_character(mp, r).weights)))
+                            shifted(fixed_point_character(mp, r)))
     rep = verify_main_theorem(3, 2)
     assert rep.status == "fail"
     assert rep.params["rows"] == 10
@@ -479,3 +500,27 @@ class TestBlockMatchingFaults:
         assert rep.witnesses == [{
             "reason": "block does not match a residue class",
             "spectrum": ["2", "-1", "-1"]}]
+
+    def test_block_count_mismatch_keeps_the_class_witnesses(self,
+                                                           monkeypatch):
+        # (4,1) at ell = 3 has the classes (1, 1, 2) = {[3,1]},
+        # (1, 2, 1) = {[2,1,1]} and (2, 1, 1) = {[4], [2,2], [1,1,1,1]};
+        # merging the first into the second leaves two classes for three
+        # blocks, and the merged class has two spectra
+        from cyclohecke import ktheory
+
+        partition = ktheory.block_partition
+
+        def merged(*args):
+            classes = partition(*args)
+            classes[(1, 2, 1)] += classes.pop((1, 1, 2))
+            return classes
+
+        monkeypatch.setattr(ktheory, "block_partition", merged)
+        rep = verify_blocks(4, 1, 3, (0,))
+        assert rep.status == "fail"
+        assert rep.params["blocks"] == 3
+        assert rep.witnesses == [
+            {"reason": "class spectra not constant", "residue": "(1, 2, 1)"},
+            {"reason": "block count mismatch",
+             "residue_classes": ["(1, 2, 1)", "(2, 1, 1)"], "blocks": 3}]

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import add_T1_to_e1
 from cyclohecke import center, suites
+from cyclohecke.hecke import AlgebraContext
 from cyclohecke.reports import VerificationReport, summarize
 from cyclohecke.rings import CyclotomicDomain, RationalDomain
 from cyclohecke.suites import (
@@ -342,14 +343,19 @@ class TestCommutatorOperatorFault:
                                                               monkeypatch):
         # the center and the cocenter both read the commutator operators;
         # dropping the diagonal (q-1) entries of right multiplication by
-        # T_i must make both suites fail
-        right = center._right_T_matrix
+        # T_i must make both suites fail. Right multiplication by 1, which
+        # the build gate reads, is left alone, so the contexts still build
+        right = AlgebraContext.right_multiplication_matrix
 
         def without_diagonal(ctx, x):
+            cols = right(ctx, x)
+            if all(x != ctx.T(i) for i in range(1, ctx.n)):
+                return cols
             return [{k: c for k, c in col.items() if k != j}
-                    for j, col in enumerate(right(ctx, x))]
+                    for j, col in enumerate(cols)]
 
-        monkeypatch.setattr(center, "_right_T_matrix", without_diagonal)
+        monkeypatch.setattr(AlgebraContext, "right_multiplication_matrix",
+                            without_diagonal)
         hilb = suite_hilb_fg06(3, [(QQ, Fraction(2), "2")])
         assert hilb.status == "fail"
         assert hilb.params["results"][0]["dim_center"] == 1
