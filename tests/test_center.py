@@ -76,11 +76,11 @@ class TestCommutatorOperators:
 
     @pytest.mark.parametrize("field", ["Q", "F_p"])
     @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 5)
-                                      for r in range(1, 4)])
+                                      for r in range(1, 5)])
     def test_match_the_oracles(self, field, n, r):
         domain = RationalDomain() if field == "Q" else PrimeFieldDomain()
         ctx = AlgebraContext(n, r, domain, domain.from_int(3),
-                             [domain.from_int(Q) for Q in (2, 5, 7)[:r]])
+                             [domain.from_int(Q) for Q in (2, 5, 7, 11)[:r]])
         ops = commutator_operators(ctx)
         assert len(ops) == n - 1 + (r > 1)
         for i, op in enumerate(ops[:n - 1]):
