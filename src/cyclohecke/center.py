@@ -51,7 +51,7 @@ def commutator_operators(ctx):
         ops.append([dict(col) for col in ctx._matrices[key]])
         for col, right_col in zip(ops[-1],
                                   ctx.right_multiplication_matrix(g)):
-            ctx._add_scaled(col, right_col, minus_one)
+            ctx.domain.add_scaled(col, right_col, minus_one)
     return ops
 
 
@@ -294,14 +294,6 @@ def character_duals(ctx, xs, span, coords, gram):
 # block idempotents
 # ---------------------------------------------------------------------------
 
-def _spectrum_classes(ctx):
-    """The distinct specialized (e_1..e_n) rows over all multipartitions, as
-    tuples in order of first appearance: one per Jucys-Murphy spectrum
-    class."""
-    _, rows = specialized_elementary_characters(ctx)
-    return list(dict.fromkeys(map(tuple, rows)))
-
-
 def root_multiplicity(d, poly, v):
     """The multiplicity of v as a root of the nonzero poly (ascending
     coefficients), by repeated synthetic division by x - v."""
@@ -407,22 +399,26 @@ def _poly_apply(d, cols, p, vec):
     return out
 
 
-def central_idempotents(ctx):
+def central_idempotents(ctx, classes):
     """The complete set of primitive central idempotents of a specialized
-    algebra, read off the Jucys-Murphy spectra, as (idempotents, spectra,
-    image_dims): spectra[i] holds the eigenvalues of e_1..e_n on
-    idempotents[i] Z, and image_dims[i] is the dimension of that ideal.
+    algebra, split along classes, the distinct rows of scalars of e_1..e_n
+    on the cell modules (tuples of ctx.domain values), as (idempotents,
+    spectra, image_dims): spectra[i] is the row that built idempotents[i],
+    the eigenvalues of e_1..e_n on idempotents[i] Z, and image_dims[i] is
+    the dimension of that ideal.
 
     The span must be the center, so that e_1..e_n and e_n^{-1} generate Z;
     the rest works in its coordinates, where the first span element is 1.
-    For each distinct row s of scalars of e_1..e_n on the cell modules, P,
-    multiplication by eps, starts at the identity and, for k = 1..n,
-    becomes p(M_k) P: eps = P 1 becomes its component in the generalized
-    s_k-eigenspace of e_k on eps Z. Then e_1..e_n, and so e_n^{-1}, have
-    single eigenvalues on eps Z: eps is primitive over any extension of the
-    field. The family must be idempotent, orthogonal and sum to one; it
-    lies in Z, so it is central, and primitive central idempotents are
-    unique. Any failure raises IdempotentSplitError, as at q = 1.
+    For each row s, P, multiplication by eps, starts at the identity and,
+    for k = 1..n, becomes p(M_k) P: eps = P 1 becomes its component in the
+    generalized s_k-eigenspace of e_k on eps Z. Then e_1..e_n, and so
+    e_n^{-1}, have single eigenvalues on eps Z: eps is primitive over any
+    extension of the field. The family must be idempotent, orthogonal and
+    sum to one; it lies in Z, so it is central, and primitive central
+    idempotents are unique. Any failure raises IdempotentSplitError, as at
+    q = 1. So wrong classes cannot pass: a missing row fails the sum or
+    the root count (component not primitive), a repeated row fails
+    orthogonality, and a row no cell module has gives a zero component.
     """
     center, span = center_and_jm_span(ctx)
     if not (span.in_center and span.rank == center.rank):
@@ -430,7 +426,6 @@ def central_idempotents(ctx):
     d, m = ctx.domain, span.rank
     mats = multiplication_matrices(ctx, span)
     basis = [z.terms for z in span.elements]
-    classes = _spectrum_classes(ctx)
     columns = [list(dict.fromkeys(column)) for column in zip(*classes)]
     blocks = []
     for s in classes:

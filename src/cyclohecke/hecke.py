@@ -199,7 +199,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             terms = dict(self.terms)
-            self.ctx._add_scaled(terms, other.terms)
+            self.ctx.domain.add_scaled(terms, other.terms)
             return AlgebraElement(self.ctx, terms)
         return self + self.ctx.scalar(other) * self.ctx.one()
 
@@ -384,9 +384,6 @@ class AlgebraContext:
         idx = self.index[word]
         col[idx] = col[idx] + coeff if idx in col else coeff
 
-    def _apply_cols(self, cols, vec):
-        return self.domain.apply_cols(cols, vec)
-
     def _apply_L(self, i, vec):
         """L_i v for a sparse vector v, from the stored L_1 by the definition
         of the Jucys-Murphy elements, L_i = q^{-1} T_{i-1} L_{i-1} T_{i-1},
@@ -394,7 +391,7 @@ class AlgebraContext:
         mats = self._matrices
         ts = [mats[("T", j)] for j in range(i - 2, -1, -1)]
         for cols in ts + [mats[("L", 1)]] + ts[::-1]:
-            vec = self._apply_cols(cols, vec)
+            vec = self.domain.apply_cols(cols, vec)
         return vec if i == 1 else self.domain.scale(vec, self.q_inv ** (i - 1))
 
     # -- element constructors ---------------------------------------------
@@ -428,10 +425,6 @@ class AlgebraContext:
 
     # -- multiplication ----------------------------------------------------
 
-    def _add_scaled(self, out, vec, coeff=None):
-        """out += coeff * vec in place (coeff None means 1)."""
-        self.domain.add_scaled(out, vec, coeff)
-
     def _column_steps(self):
         """The column recurrence of right multiplication: for each PBW word
         b after 1, in basis order, (p, g, i) with b x = g_i (p x), p an
@@ -458,7 +451,7 @@ class AlgebraContext:
         if b not in cols:
             prev, g, i = self._steps[b]
             vec = self._column(cols, prev)
-            cols[b] = (self._apply_cols(self._matrices[("T", i)], vec)
+            cols[b] = (self.domain.apply_cols(self._matrices[("T", i)], vec)
                        if g == "T" else self._apply_L(i, vec))
         return cols[b]
 
@@ -475,7 +468,7 @@ class AlgebraContext:
         cols = {0: y.terms}
         out = {}
         for b, c in x.terms.items():
-            self._add_scaled(out, self._column(cols, b), c)
+            self.domain.add_scaled(out, self._column(cols, b), c)
         return AlgebraElement(self, out)
 
     # -- named operations ---------------------------------------------------
@@ -494,7 +487,7 @@ class AlgebraContext:
         for i in range(1, self.n + 1):
             row.append(self._apply_L(i, row[-1]))
             for k in range(len(row) - 2, 0, -1):
-                self._add_scaled(row[k], self._apply_L(i, row[k - 1]))
+                self.domain.add_scaled(row[k], self._apply_L(i, row[k - 1]))
         return row[1:]
 
     def apply_symmetric_jm_inverse(self, vec):
@@ -514,13 +507,13 @@ class AlgebraContext:
         def L1_inv(v):  # c_0 L_1^{-1}
             acc = v
             for j in range(self.r - 1, 0, -1):
-                acc = self._apply_cols(self._matrices[("L", 1)], acc)
-                self._add_scaled(acc, v, -c[j])
+                acc = d.apply_cols(self._matrices[("L", 1)], acc)
+                d.add_scaled(acc, v, -c[j])
             return acc
 
         def T_shift(i, v):  # q T_i^{-1} = T_i - (q-1), 0-based i
-            out = self._apply_cols(self._matrices[("T", i)], v)
-            self._add_scaled(out, v, -qm1)
+            out = d.apply_cols(self._matrices[("T", i)], v)
+            d.add_scaled(out, v, -qm1)
             return out
 
         def L_inv(i, v):  # c_0 q^(i-1) L_i^{-1}
@@ -714,7 +707,7 @@ def check_relations(ctx):
     if witness is None:
         unit = {0: d.one}
         for i in range(1, ctx.n):
-            T = partial(ctx._apply_cols, ctx._matrices[("T", i - 1)])
+            T = partial(ctx.domain.apply_cols, ctx._matrices[("T", i - 1)])
             witness = _mismatch(
                 ctx, f"conjugation q L{i + 1} = T{i} L{i} T{i}", 0,
                 d.scale(ctx._apply_L(i + 1, unit), ctx.q_val),

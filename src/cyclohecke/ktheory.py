@@ -184,29 +184,26 @@ def _class_spectra(classes, mps, char_rows):
 
 def _prime_field_blocks(n, r, q_val, Q_vals, rows):
     """The blocks of central_idempotents over the prime field of
-    rings.reduce_parameters, as (spectrum, image dimension) pairs in block
-    order, each spectrum mapped back to its exact row among rows, the
-    distinct exact spectrum rows. None when there is no prime, when two
-    rows meet mod p, when the split fails over F_p or when an F_p spectrum
-    is not the image of a row (see docs/reports.md). The parameters are
-    roots of unity, units with denominator 1, so reduction never refuses
-    them. The context certifies its own product at build; a failure raises
-    EngineError."""
+    rings.reduce_parameters, split along the images of rows, the distinct
+    exact spectrum rows: (image, blocks), image the reduction and blocks the
+    (reduced spectrum, image dimension) pairs in block order. None when
+    there is no prime, when two rows meet mod p or when the split fails
+    over F_p (see docs/reports.md). The parameters are roots of unity,
+    units with denominator 1, so reduction never refuses them. The context
+    certifies its own product at build; a failure raises EngineError."""
     reduced = reduce_parameters(q_val, Q_vals)
     if reduced is None:
         return None
     domain, image, q_p, Qs_p = reduced
-    exact = {tuple(map(image, row)): row for row in rows}
-    if len(exact) != len(rows):
+    classes = [tuple(map(image, row)) for row in rows]
+    if len(set(classes)) != len(rows):
         return None
     ctx = AlgebraContext(n, r, domain, q_p, Qs_p)
     try:
-        _, spectra, image_dims = central_idempotents(ctx)
+        _, spectra, image_dims = central_idempotents(ctx, classes)
     except IdempotentSplitError:
         return None
-    if not all(s in exact for s in spectra):
-        return None
-    return [(exact[s], dim) for s, dim in zip(spectra, image_dims)]
+    return image, list(zip(spectra, image_dims))
 
 
 def verify_blocks(n, r, modulus, charge, *, seed=0):
@@ -240,9 +237,10 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
     # the exact rows read only the parameters: no context over the field
     mps, char_rows = specialized_elementary_characters(SimpleNamespace(
         n=n, r=r, domain=domain, q_val=q_val, Q_vals=Q_vals))
+    rows = list(dict.fromkeys(map(tuple, char_rows)))
     class_spectra, class_witnesses = _class_spectra(classes, mps, char_rows)
 
-    def judge(blocks):
+    def judge(blocks, residue_of):
         """The report of the blocks, (spectrum, image dimension) pairs."""
         out = dict(params, blocks=len(blocks))
         witnesses = list(class_witnesses)
@@ -255,7 +253,7 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
             return report(out, witnesses)
         block_info = {}  # residue -> image dimension of its block
         for spectrum, image_dim in blocks:
-            residue = class_spectra.get(spectrum)
+            residue = residue_of.get(spectrum)
             if residue is None or residue in block_info:
                 witnesses.append({
                     "reason": "block does not match a residue class",
@@ -282,15 +280,17 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
             out["per_block"] = per_block
         return report(out, witnesses)
 
-    if not class_witnesses:
-        blocks = _prime_field_blocks(n, r, q_val, Q_vals, list(class_spectra))
-        if blocks is not None and (found := judge(blocks)).passed:
+    if not class_witnesses and (
+            split := _prime_field_blocks(n, r, q_val, Q_vals, rows)):
+        image, blocks = split
+        reduced = {tuple(map(image, s)): k for s, k in class_spectra.items()}
+        if (found := judge(blocks, reduced)).passed:
             return found
     ctx = AlgebraContext(n, r, domain, q_val, Q_vals)
     try:
-        _, spectra, image_dims = central_idempotents(ctx)
+        _, spectra, image_dims = central_idempotents(ctx, rows)
     except IdempotentSplitError as exc:
         # no decomposition to compare with the classes: not verified
-        return report(params, [{"reason": "idempotent splitting failed",
-                                "error": str(exc)}])
-    return judge(list(zip(spectra, image_dims)))
+        return report(params, class_witnesses + [{
+            "reason": "idempotent splitting failed", "error": str(exc)}])
+    return judge(list(zip(spectra, image_dims)), class_spectra)

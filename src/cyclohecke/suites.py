@@ -42,7 +42,7 @@ from .hecke import (
     right_mult_simple,
 )
 from .ktheory import verify_main_theorem
-from .linalg import kernel_basis
+from .linalg import rank
 from .reports import VerificationReport
 from .rings import RationalDomain, reduce_parameters
 
@@ -277,8 +277,8 @@ class SmashProduct:
         return words + [((1,) + (0,) * (self.n - 1), identity)]
 
     def invariant_polynomial_dim(self):
-        """Dimension of the symmetric-group invariants of P_Q: kernel of the
-        stacked (swap - identity) actions on the monomial basis."""
+        """Dimension of the symmetric-group invariants of P_Q: the monomial
+        count minus the rank of the stacked (swap - identity) actions."""
         rows = []
         for i in range(self.n - 1):
             for col, exps in enumerate(self.exponents):
@@ -287,7 +287,7 @@ class SmashProduct:
                 target = self.exp_index[tuple(swapped)]
                 if target != col:
                     rows.append({col: Fraction(-1), target: Fraction(1)})
-        return len(kernel_basis(rows, RationalDomain(), len(self.exponents)))
+        return len(self.exponents) - rank(rows, RationalDomain())
 
 
 def _smash_mismatch(smash, ctx):

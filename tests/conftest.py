@@ -6,6 +6,7 @@ settings.load_profile("ci")
 
 from fractions import Fraction
 
+from cyclohecke.center import specialized_elementary_characters
 from cyclohecke.hecke import AlgebraContext, AlgebraElement, symbolic_context
 from cyclohecke.rings import RationalDomain
 from cyclohecke.suites import generic_contexts
@@ -29,10 +30,18 @@ def literal_L(ctx, i, vec):
     recursing down to the stored L_1 matrix: the tests' own statement of the
     definition, independent of the context's."""
     if i == 1:
-        return ctx._apply_cols(ctx._matrices[("L", 1)], vec)
+        return ctx.domain.apply_cols(ctx._matrices[("L", 1)], vec)
     t_mat = ctx._matrices[("T", i - 2)]
-    inner = literal_L(ctx, i - 1, ctx._apply_cols(t_mat, vec))
-    return ctx.domain.scale(ctx._apply_cols(t_mat, inner), ctx.q_inv)
+    inner = literal_L(ctx, i - 1, ctx.domain.apply_cols(t_mat, vec))
+    return ctx.domain.scale(ctx.domain.apply_cols(t_mat, inner), ctx.q_inv)
+
+
+def spectrum_rows(ctx):
+    """The classes central_idempotents splits along: the distinct rows of
+    scalars of e_1..e_n on the cell modules of ctx, as tuples in order of
+    first appearance."""
+    _, rows = specialized_elementary_characters(ctx)
+    return list(dict.fromkeys(map(tuple, rows)))
 
 
 def add_T1_to_e1(monkeypatch):
@@ -42,7 +51,8 @@ def add_T1_to_e1(monkeypatch):
 
     def with_T1(ctx, vec):
         row = sweep(ctx, vec)
-        ctx._add_scaled(row[0], ctx._apply_cols(ctx._matrices[("T", 0)], vec))
+        d = ctx.domain
+        d.add_scaled(row[0], d.apply_cols(ctx._matrices[("T", 0)], vec))
         return row
 
     monkeypatch.setattr(AlgebraContext, "apply_symmetric_jm", with_T1)

@@ -186,7 +186,7 @@ def _dropped_commutations_hold(ctx):
     n, d = ctx.n, ctx.domain
 
     def T(i):
-        return lambda v: ctx._apply_cols(ctx._matrices[("T", i - 1)], v)
+        return lambda v: ctx.domain.apply_cols(ctx._matrices[("T", i - 1)], v)
 
     def L(j):
         return lambda v: literal_L(ctx, j, v)
@@ -199,7 +199,7 @@ def _dropped_commutations_hold(ctx):
     for (a, f), (b, g) in pairs:
         for k in range(ctx.dim):
             ab = f(g({k: d.one}))
-            ctx._add_scaled(ab, g(f({k: d.one})), -d.one)
+            ctx.domain.add_scaled(ab, g(f({k: d.one})), -d.one)
             assert not ab, (ctx.domain.name, a, b, ctx.basis[k])
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import add_T1_to_e1
+from conftest import add_T1_to_e1, spectrum_rows
 from test_hecke import literal_product, right_T_oracle
 from cyclohecke.center import (
     CocenterCoordinates,
@@ -26,7 +26,6 @@ from cyclohecke.center import (
     specialized_elementary_characters,
     trace_gram_matrix,
     _eigenspace_projector,
-    _spectrum_classes,
 )
 from cyclohecke.combinatorics import enumerate_multipartitions
 from cyclohecke.hecke import AlgebraContext, AlgebraElement
@@ -415,7 +414,7 @@ def product_idempotents(ctx):
     eps starts at 1 and becomes p(e_k) eps for k = 1..n, p the eigenspace
     projector of the product minimal polynomial of e_k on eps * Z."""
     _, span = center_and_jm_span(ctx)
-    classes = _spectrum_classes(ctx)
+    classes = spectrum_rows(ctx)
     columns = [list(dict.fromkeys(column)) for column in zip(*classes)]
     blocks = []
     for s in classes:
@@ -471,23 +470,23 @@ def _assert_oracles_agree(ctx, eps, spectra):
 class TestIdempotents:
     def test_generic_n2_r1_two_blocks(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(7), [1])
-        eps, _, _ = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 2
 
     def test_q_minus_one_single_block(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
-        eps, _, _ = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 1
 
     def test_cyclotomic_order_two(self):
         dom = CyclotomicDomain(2)
         ctx = AlgebraContext(2, 2, dom, dom.zeta(1), [dom.one, dom.one])
-        eps, _, _ = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 2
 
     def test_family_is_orthogonal_and_complete(self, rational_ctx):
         ctx = rational_ctx(3, 1, Fraction(-1), [1])
-        eps, _, _ = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 2
         total = ctx.zero()
         for i, e in enumerate(eps):
@@ -501,8 +500,8 @@ class TestIdempotents:
 
     def test_deterministic(self, rational_ctx):
         ctx = rational_ctx(3, 1, Fraction(-1), [1])
-        eps1, spectra1, _ = central_idempotents(ctx)
-        eps2, spectra2, _ = central_idempotents(ctx)
+        eps1, spectra1, _ = central_idempotents(ctx, spectrum_rows(ctx))
+        eps2, spectra2, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert all(a == b for a, b in zip(eps1, eps2))
         assert spectra1 == spectra2
 
@@ -511,7 +510,7 @@ class TestIdempotents:
         # spectra and idempotent coefficients live in Q(i), not in Q
         dom = CyclotomicDomain(4)
         ctx = AlgebraContext(2, 1, dom, dom.zeta(1), [dom.one])
-        eps, _, _ = central_idempotents(ctx)
+        eps, _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 2
 
     def test_q_one_is_refused(self, rational_ctx):
@@ -526,7 +525,7 @@ class TestIdempotents:
             ctx, ctx.one(), span.generators[:-1]) is not None
         with pytest.raises(IdempotentSplitError,
                            match="the Jucys-Murphy center is not the center"):
-            central_idempotents(ctx)
+            central_idempotents(ctx, spectrum_rows(ctx))
 
     def test_smaller_jm_span_is_a_failed_report(self, monkeypatch):
         from cyclohecke import center
@@ -557,19 +556,19 @@ class TestPrimitivityCertificate:
     def test_rejects_identity_of_two_blocks(self):
         ctx = _root_of_unity_ctx(3, 1, 2, (0,))
         assert not _generator_certificate(ctx, ctx.one())
-        eps, spectra, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 2
         _assert_oracles_agree(ctx, eps, spectra)
 
     def test_rejects_sum_of_two_blocks(self):
         ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
-        eps, spectra, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == 3
         _assert_oracles_agree(ctx, eps, spectra)
 
     def test_spectra_are_the_certified_eigenvalues(self):
         ctx = _root_of_unity_ctx(2, 2, 5, (0, 1))
-        eps, spectra, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx, spectrum_rows(ctx))
         for e, spectrum in zip(eps, spectra):
             assert spectrum == tuple(
                 unique_eigenvalue(ctx, product_min_poly(
@@ -580,14 +579,14 @@ class TestPrimitivityCertificate:
         # (3,1) at ell = 2 has two blocks; pretending both spectra are one
         # class gives the identity as the only component, which is not
         # primitive
-        from cyclohecke import center
+        from cyclohecke import ktheory
 
-        true_classes = center._spectrum_classes
-        monkeypatch.setattr(center, "_spectrum_classes",
-                            lambda ctx: true_classes(ctx)[:1])
         ctx = _root_of_unity_ctx(3, 1, 2, (0,))
         with pytest.raises(IdempotentSplitError, match="not primitive"):
-            central_idempotents(ctx)
+            central_idempotents(ctx, spectrum_rows(ctx)[:1])
+        split = ktheory.central_idempotents
+        monkeypatch.setattr(ktheory, "central_idempotents",
+                            lambda ctx, classes: split(ctx, classes[:1]))
         rep = verify_blocks(3, 1, 2, (0,))
         assert rep.status == "fail"
         assert rep.witnesses == [{"reason": "idempotent splitting failed",
@@ -618,7 +617,7 @@ class TestBlockSpectra:
 
     def test_unique_eigenvalue_extraction(self, rational_ctx):
         ctx = rational_ctx(2, 1, Fraction(-1), [1])
-        (eps,), _, _ = central_idempotents(ctx)
+        (eps,), _, _ = central_idempotents(ctx, spectrum_rows(ctx))
         mu = product_min_poly(ctx, eps, ctx.symmetric_jm(1))
         value = unique_eigenvalue(ctx, mu)
         # e_1 = L_1 + L_2 = Q_1 + q Q_1 = 0 at q = -1, Q_1 = 1
@@ -637,7 +636,7 @@ class TestBlockSpectra:
         # a minimal polynomial of degree 3 from a real block: e_2 on the
         # first block of (2,2) at q = -1, Q = (1, 1)
         ctx = _root_of_unity_ctx(2, 2, 2, (0, 0))
-        eps = central_idempotents(ctx)[0][0]
+        eps = central_idempotents(ctx, spectrum_rows(ctx))[0][0]
         mu = product_min_poly(ctx, eps, ctx.symmetric_jm(2))
         assert len(mu) == 4
         assert unique_eigenvalue(ctx, mu) == ctx.domain.from_int(-1)
@@ -694,7 +693,7 @@ class TestPerElementOracles:
         _assert_gram_is_the_products(ctx)
 
     def test_center_basis_certificate_agrees_on_every_block(self, ctx):
-        eps, spectra, _ = central_idempotents(ctx)
+        eps, spectra, _ = central_idempotents(ctx, spectrum_rows(ctx))
         _assert_oracles_agree(ctx, eps, spectra)
 
 
@@ -720,7 +719,7 @@ class TestCoordinatesAgainstProducts:
         ids=_case_id)
     def test_same_blocks_as_the_product_construction(self, case):
         ctx = _root_of_unity_ctx(*case)
-        eps, spectra, image_dims = central_idempotents(ctx)
+        eps, spectra, image_dims = central_idempotents(ctx, spectrum_rows(ctx))
         ref_eps, ref_spectra = product_idempotents(ctx)
         assert [e.terms for e in eps] == [e.terms for e in ref_eps]
         assert spectra == ref_spectra
@@ -730,11 +729,11 @@ class TestCoordinatesAgainstProducts:
         ranks = []
         for e in eps:
             right = ctx.right_multiplication_matrix(e)
-            ranks.append(rank([ctx._apply_cols(right, z.terms)
+            ranks.append(rank([ctx.domain.apply_cols(right, z.terms)
                                for z in span.elements], ctx.domain))
         assert image_dims == ranks
         if case in _REORDERED:
-            assert spectra != _spectrum_classes(ctx)
+            assert spectra != spectrum_rows(ctx)
 
     @pytest.mark.parametrize("case", [(3, 1, 2, (0,)), (2, 2, 5, (0, 1)),
                                       (3, 2, 3, (1, 0))], ids=_case_id)
@@ -756,9 +755,21 @@ class TestCoordinateFaults:
     failure is a failed block_decomposition report."""
 
     @staticmethod
-    def _refused(case, error):
+    def _refused(case, error, alter=None, monkeypatch=None):
+        """The split of case fails with error, directly and in
+        verify_blocks; alter, if given, changes the classes of both."""
+        ctx = _root_of_unity_ctx(*case)
+        rows = spectrum_rows(ctx)
+        if alter is not None:
+            from cyclohecke import ktheory
+
+            rows = alter(rows)
+            split = ktheory.central_idempotents
+            monkeypatch.setattr(
+                ktheory, "central_idempotents",
+                lambda ctx, classes: split(ctx, alter(classes)))
         with pytest.raises(IdempotentSplitError, match=error):
-            central_idempotents(_root_of_unity_ctx(*case))
+            central_idempotents(ctx, rows)
         rep = verify_blocks(*case)
         assert rep.status == "fail"
         assert rep.witnesses == [{"reason": "idempotent splitting failed",
@@ -793,26 +804,15 @@ class TestCoordinateFaults:
                       "non-idempotent component")
 
     def test_repeated_class_is_not_orthogonal(self, monkeypatch):
-        from cyclohecke import center
-
-        true_classes = center._spectrum_classes
-
-        def repeated(ctx):
-            classes = true_classes(ctx)
-            return classes + classes[:1]
-
-        monkeypatch.setattr(center, "_spectrum_classes", repeated)
-        self._refused((3, 1, 2, (0,)),
-                      "components are not orthogonal")
+        self._refused((3, 1, 2, (0,)), "components are not orthogonal",
+                      lambda classes: classes + classes[:1], monkeypatch)
 
     def test_missing_class_does_not_sum_to_one(self, monkeypatch):
         # (2,2) at ell = 2, charge (0, 1) is one block; with more blocks a
         # missing class also drops a value the root count needs
-        from cyclohecke import center
-
-        monkeypatch.setattr(center, "_spectrum_classes", lambda ctx: [])
         self._refused((2, 2, 2, (0, 1)),
-                      "components do not sum to the identity")
+                      "components do not sum to the identity",
+                      lambda classes: [], monkeypatch)
 
     def test_sweep_fault_after_the_span_is_not_closed(self, monkeypatch):
         # the span is built and certified first; only the sweeps of the
@@ -841,15 +841,15 @@ class TestCoordinateFaults:
 
         ctx = _root_of_unity_ctx(*case)
         monkeypatch.setattr(AlgebraContext, "multiply", refuse)
-        eps, _, image_dims = central_idempotents(ctx)
+        eps, _, image_dims = central_idempotents(ctx, spectrum_rows(ctx))
         assert len(eps) == len(image_dims) >= 2
         monkeypatch.undo()
         # verify_blocks builds its own context, whose self-test multiplies
         split = ktheory.central_idempotents
 
-        def without_products(ctx):
+        def without_products(ctx, classes):
             monkeypatch.setattr(AlgebraContext, "multiply", refuse)
-            return split(ctx)
+            return split(ctx, classes)
 
         monkeypatch.setattr(ktheory, "central_idempotents", without_products)
         assert verify_blocks(*case).passed

@@ -414,6 +414,21 @@ class TestCenterKernelFault:
             w["reason"] for w in report["witnesses"]}
 
 
+def test_q1_gap_builds_no_kernel_vectors(monkeypatch, capsys):
+    # the invariant count is a rank: no binding of kernel_basis runs
+    def refuse(*args):
+        raise AssertionError("kernel vectors built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cyclohecke" and \
+                getattr(module, "kernel_basis", None) is kernel_basis:
+            monkeypatch.setattr(module, "kernel_basis", refuse)
+    assert main(["q1-gap", "--n", "3", "--r", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["params"]["invariant_dim"] == 4
+
+
 def _failed_witnesses(argv, capsys):
     """The witnesses of the one report of a CLI run that must exit 1."""
     assert main(argv.split()) == 1
@@ -435,9 +450,9 @@ class TestFailurePaths:
         split = ktheory.central_idempotents
         domains = []
 
-        def grown(ctx):
+        def grown(ctx, classes):
             domains.append(type(ctx.domain).__name__)
-            idempotents, spectra, image_dims = split(ctx)
+            idempotents, spectra, image_dims = split(ctx, classes)
             return idempotents, spectra, [dim + 1 for dim in image_dims]
 
         monkeypatch.setattr(ktheory, "central_idempotents", grown)
@@ -449,6 +464,43 @@ class TestFailurePaths:
              "residue": "(2, 1)", "jm_image_dim": 3, "class_size": 2},
             {"reason": "jm-center image dimension != class size",
              "residue": "(1, 2)", "jm_image_dim": 2, "class_size": 1}]
+
+    def test_block_row_of_no_cell_module_is_a_zero_component(self,
+                                                             monkeypatch,
+                                                             capsys):
+        # e_n is a unit, so no cell module has the row of zeros; both routes
+        # split along it as well and fail, and the report is the exact one
+        split = ktheory.central_idempotents
+        domains = []
+
+        def grown(ctx, classes):
+            domains.append(type(ctx.domain).__name__)
+            return split(ctx, classes + [(ctx.domain.zero,) * ctx.n])
+
+        monkeypatch.setattr(ktheory, "central_idempotents", grown)
+        witnesses = _failed_witnesses(
+            "blocks --n 3 --r 1 --ell 2 --charge 0", capsys)
+        assert domains == ["PrimeFieldDomain", "CyclotomicDomain"]
+        assert witnesses == [{"reason": "idempotent splitting failed",
+                              "error": "zero component"}]
+
+    def test_pairing_singular_gram_matrix_is_skipped(self, monkeypatch,
+                                                     capsys):
+        def singular(*args):
+            raise center.SingularGramError("trace Gram matrix is singular")
+
+        monkeypatch.setattr(suites, "trace_gram_matrix", singular)
+        argv = "--samples 1 pairing --n 2 --r 2".split()
+        assert main(argv) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "skipped"
+        assert report["params"]["gram_skipped"] == \
+            "trace Gram matrix is singular"
+        assert report["witnesses"] == []
+        assert main(["--format", "table", *argv]) == 0
+        assert capsys.readouterr().out.endswith(
+            "\n0 passed, 0 failed, 1 skipped\n")
 
     def test_pairing_jm_center_rank_differs_from_the_count(self, monkeypatch,
                                                            capsys):
@@ -478,6 +530,21 @@ class TestFailurePaths:
             "reason": "no gap: invariant dimension not below the "
                       "multipartition count",
             "invariant_dim": 3, "multipartitions": 3}]
+
+    def test_q1_gap_invariant_dimension_differs_from_the_binomial(
+            self, monkeypatch, capsys):
+        # at (2,2) the invariant count 3 becomes 4: it differs from
+        # binom(3, 2) = 3 and from the engine's rank 3, and stays below the
+        # 5 multipartitions
+        count = suites.SmashProduct.invariant_polynomial_dim
+        monkeypatch.setattr(suites.SmashProduct, "invariant_polynomial_dim",
+                            lambda smash: count(smash) + 1)
+        witnesses = _failed_witnesses("q1-gap --n 2 --r 2", capsys)
+        assert witnesses == [
+            {"reason": "invariant dimension != binom(n+r-1, n)",
+             "invariant_dim": 4, "expected": 3},
+            {"reason": "engine JM-center rank at q = 1 disagrees",
+             "jm_rank": 3, "invariant_dim": 4}]
 
     def test_q1_gap_engine_rank_disagrees(self, monkeypatch, capsys):
         # the engine's span at q = 1 reports one dimension fewer than the

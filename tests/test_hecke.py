@@ -35,7 +35,7 @@ def literal_product(ctx, x, y):
     out = {}
 
     def T(i):
-        return lambda v: ctx._apply_cols(ctx._matrices[("T", i)], v)
+        return lambda v: ctx.domain.apply_cols(ctx._matrices[("T", i)], v)
 
     def L(k):
         return lambda v: literal_L(ctx, k, v)
@@ -148,7 +148,7 @@ def unit_vector_relations(ctx):
 
     def T(i):  # 1-based
         mat = ctx._matrices[("T", i - 1)]
-        return lambda v: ctx._apply_cols(mat, v)
+        return lambda v: ctx.domain.apply_cols(mat, v)
 
     def L(i):
         return lambda v: ctx._apply_L(i, v)
@@ -164,7 +164,7 @@ def unit_vector_relations(ctx):
         def apply(v):
             out = {}
             for c, f in cfs:
-                ctx._add_scaled(out, f(v), c)
+                ctx.domain.add_scaled(out, f(v), c)
             return out
         return apply
 
@@ -211,7 +211,7 @@ def oracle_failures(ctx):
     for name, lhs, rhs in unit_vector_relations(ctx):
         for j in range(ctx.dim):
             diff = lhs({j: d.one})
-            ctx._add_scaled(diff, rhs({j: d.one}), -d.one)
+            ctx.domain.add_scaled(diff, rhs({j: d.one}), -d.one)
             if diff:
                 failures.setdefault(name, {})[j] = diff
     return failures

@@ -428,7 +428,7 @@ class TestBlocks:
         from cyclohecke import ktheory
         from cyclohecke.center import IdempotentSplitError
 
-        def no_split(ctx):
+        def no_split(ctx, classes):
             raise IdempotentSplitError("no split found")
 
         monkeypatch.setattr(ktheory, "central_idempotents", no_split)
@@ -488,8 +488,8 @@ class TestBlockMatchingFaults:
 
         split = ktheory.central_idempotents
 
-        def perturbed(ctx):
-            idempotents, spectra, image_dims = split(ctx)
+        def perturbed(ctx, classes):
+            idempotents, spectra, image_dims = split(ctx, classes)
             first = spectra[0]
             spectra[0] = (first[0] + ctx.domain.one,) + first[1:]
             return idempotents, spectra, image_dims

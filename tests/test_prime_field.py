@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from types import SimpleNamespace
+
 from cyclohecke import center, ktheory, rings
 from cyclohecke.center import center_and_jm_span, commutator_coordinates
 from cyclohecke.cli import main
@@ -288,8 +290,8 @@ class TestBlocksFallback:
         # a failed F_p outcome: the exact split decides, and it passes
         split = ktheory.central_idempotents
 
-        def bumped_over_fp(ctx):
-            idempotents, spectra, image_dims = split(ctx)
+        def bumped_over_fp(ctx, classes):
+            idempotents, spectra, image_dims = split(ctx, classes)
             if isinstance(ctx.domain, PrimeFieldDomain):
                 image_dims = [image_dims[0] + 1] + image_dims[1:]
             return idempotents, spectra, image_dims
@@ -331,3 +333,45 @@ class TestBlocksFallback:
         assert report["witnesses"][0] == {
             "reason": "class spectra not constant", "residue": "(2, 1)"}
         assert built == ["CyclotomicDomain"]
+
+
+class TestOneSpectrumTable:
+    """verify_blocks computes the exact spectrum rows once, and the split
+    of each route takes them: as they are, or reduced mod p."""
+
+    def test_the_rows_are_computed_once(self, monkeypatch, capsys):
+        characters = ktheory.specialized_elementary_characters
+        calls = []
+
+        def counted(point):
+            calls.append(type(point.domain).__name__)
+            return characters(point)
+
+        for module in (center, ktheory):
+            monkeypatch.setattr(module, "specialized_elementary_characters",
+                                counted)
+        code, _ = run("blocks --n 3 --r 1 --ell 2 --charge 0", capsys)
+        assert code == 0
+        assert calls == ["CyclotomicDomain"]
+
+    def test_prime_field_split_takes_the_reduced_exact_rows(
+            self, monkeypatch, capsys, built):
+        split = ktheory.central_idempotents
+        seen = []
+
+        def spy(ctx, classes):
+            seen.append(classes)
+            return split(ctx, classes)
+
+        monkeypatch.setattr(ktheory, "central_idempotents", spy)
+        code, _ = run(BLOCKS, capsys)
+        assert code == 0
+        assert built == ["PrimeFieldDomain"]
+        domain = CyclotomicDomain(3)
+        point = SimpleNamespace(n=3, r=2, domain=domain, q_val=domain.zeta(1),
+                                Q_vals=[domain.zeta(0), domain.zeta(1)])
+        _, image, _, _ = rings.reduce_parameters(point.q_val, point.Q_vals)
+        _, rows = center.specialized_elementary_characters(point)
+        exact = dict.fromkeys(map(tuple, rows))
+        assert len(exact) > 1
+        assert seen == [[tuple(map(image, row)) for row in exact]]
