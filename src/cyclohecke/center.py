@@ -152,6 +152,27 @@ def center_and_jm_span(ctx):
     return center, jm_center_span(ctx, center)
 
 
+def center_and_jm_rank(ctx):
+    """The center RowSpace, rank JM and whether e_1..e_n, e_n^{-1} lie in
+    the center, with no span where the cell modules decide the rank. Each
+    row of specialized_elementary_characters is an algebra map JM -> K,
+    and distinct ones are linearly independent (Dedekind), so rank JM is
+    at least the number of distinct rows; with the generators in Z it is
+    at most dim Z. When the two meet, rank JM = dim Z. Otherwise the rank
+    and inclusion are jm_center_span's."""
+    center = RowSpace(ctx.domain, ctx.dim)
+    for z in center_basis(ctx):
+        center.add(z.terms)
+    generators = [ctx.symmetric_jm(k) for k in range(1, ctx.n + 1)]
+    generators.append(ctx.symmetric_jm_inverse())
+    _, rows = specialized_elementary_characters(ctx)
+    if (len(set(map(tuple, rows))) == center.rank
+            and all(center.contains(g.terms) for g in generators)):
+        return center, center.rank, True
+    span = jm_center_span(ctx, center)
+    return center, span.rank, span.in_center
+
+
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -173,11 +194,11 @@ def specialized_elementary_characters(ctx):
     return mps, rows
 
 
-def descriptor_characters(ctx, descriptors):
-    """Character matrix of JM-center monomial descriptors: rows indexed by
-    multipartitions, one column per descriptor."""
+def descriptor_characters(ctx, rows, descriptors):
+    """Character matrix of JM-center monomial descriptors from rows, the
+    table of specialized_elementary_characters: one row per multipartition,
+    one column per descriptor."""
     d = ctx.domain
-    _, rows = specialized_elementary_characters(ctx)
     out = []
     for values in rows:
         e_top_inv = d.inv(values[-1])
@@ -264,17 +285,18 @@ def trace_gram_matrix(ctx, span, coords, mats):
     return gram
 
 
-def character_duals(ctx, xs, span, coords, gram):
+def character_duals(ctx, rows, xs, span, coords, gram):
     """For each vector x in xs, the unique cocenter class D with tau(z D) =
     sum over multipartitions of char(z) x, for all z in the JM-center basis:
-    the adjoint of the character map under the trace pairing. One character
-    table and one elimination of the Gram matrix with a right-hand side per
-    vector. Raises SingularGramError at non-generic parameters."""
+    the adjoint of the character map under the trace pairing, char read off
+    rows (specialized_elementary_characters). One elimination of the Gram
+    matrix with a right-hand side per vector. Raises SingularGramError at
+    non-generic parameters."""
     mps = enumerate_multipartitions(ctx.n, ctx.r)
     if span.rank != len(mps) or coords.dim != len(mps):
         raise SingularGramError(
             "center/cocenter dimensions do not match the fixed points")
-    char_matrix = descriptor_characters(ctx, span.descriptors)
+    char_matrix = descriptor_characters(ctx, rows, span.descriptors)
     d = ctx.domain
     rhss = []
     for x in xs:  # rhs_i = sum over lam of char_lam(z_i) x_lam

@@ -5,10 +5,11 @@ specializations (Schwartz-Zippel style), never proclaimed proved; the
 reports label them "generic (sampled)". The center suites, hilb's
 r = 1, Q_1 = 1 case included, make one claim per point (_center_claim):
 the JM center lies in the center and, at q != 1, both have dimension the
-number of r-multipartitions of n. The dimensions are certified over a
-prime field first, at rational parameters and at roots of unity alike,
-with the exact computation as the fallback (docs/reports.md). Every suite
-is deterministic given its parameters and seed.
+number of r-multipartitions of n; rank JM is read off the distinct cell
+module characters where they number dim Z. The dimensions are certified
+over a prime field first, at rational parameters and at roots of unity
+alike, with the exact computation as the fallback (docs/reports.md).
+Every suite is deterministic given its parameters and seed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .combinatorics import (
 )
 from .center import (
     SingularGramError,
+    center_and_jm_rank,
     center_and_jm_span,
     character_duals,
     cocenter_matrices,
@@ -98,21 +100,20 @@ def suite_main_theorem(budget=400):
 # ---------------------------------------------------------------------------
 
 def _prime_field_certificate(n, r, q, Qs):
-    """The center and the JM-center span of (n, r) at the exact parameters
-    (q, Qs), rationals or elements of one cyclotomic field, reduced to a
-    prime field by rings.reduce_parameters, when they certify the exact
-    dimensions: the span's generators lie in the center and its rank is
-    dim Z (see docs/reports.md). None when rings.reduce_parameters refuses
+    """center_and_jm_rank of (n, r) at the exact parameters (q, Qs),
+    rationals or elements of one cyclotomic field, reduced to a prime field
+    by rings.reduce_parameters, when it certifies the exact dimensions: the
+    JM generators lie in the center and rank JM is dim Z (see
+    docs/reports.md). None when rings.reduce_parameters refuses
     the parameters or when the bounds miss. The context certifies its own
     product at build; a failure raises EngineError."""
     reduced = reduce_parameters(q, Qs)
     if reduced is None:
         return None
     domain, _, q_p, Qs_p = reduced
-    center, span = center_and_jm_span(AlgebraContext(n, r, domain, q_p, Qs_p))
-    if span.in_center and span.rank == center.rank:
-        return center, span
-    return None
+    found = center_and_jm_rank(AlgebraContext(n, r, domain, q_p, Qs_p))
+    center, jm_rank, in_center = found
+    return found if in_center and jm_rank == center.rank else None
 
 
 def _center_claim(n, r, domain, q, Qs, label):
@@ -124,16 +125,16 @@ def _center_claim(n, r, domain, q, Qs, label):
     first; the exact computation runs where that certificate is refused or
     misses."""
     found = _prime_field_certificate(n, r, q, Qs)
-    center, span = found or center_and_jm_span(
+    center, jm_rank, in_center = found or center_and_jm_rank(
         AlgebraContext(n, r, domain, q, Qs))
-    dims = {"dim_center": center.rank, "dim_jm_center": span.rank}
+    dims = {"dim_center": center.rank, "dim_jm_center": jm_rank}
     witnesses = []
     expected = len(enumerate_multipartitions(n, r))
-    if q != domain.one and not center.rank == span.rank == expected:
+    if q != domain.one and not center.rank == jm_rank == expected:
         witnesses.append({
             "reason": "dimensions differ from the number of multipartitions",
             "q": label, "expected": expected, **dims})
-    if not span.in_center:
+    if not in_center:
         witnesses.append({"reason": "a JM-center element is not in the center",
                           "q": label})
     return {"q": label, **dims}, witnesses
@@ -157,7 +158,8 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
     for q, Qs in points:
         result, found = _center_claim(n, r, domain, q, Qs, str(q))
         result["Q"] = [str(Q) for Q in Qs]
-        # the span queues only elements that raise its rank: never capped
+        # rank JM is a count of character rows or the rank of a span that
+        # queues only elements that raise its rank: never capped
         result["jm_span_capped"] = False
         results.append(result)
         witnesses += found
@@ -385,7 +387,7 @@ def _module_map_witness(ctx, mps, span, coords, gram, mats):
     position = {w: k for k, w in enumerate(coords.complement)}
     units = [[d.one if k == lam else d.zero for k in range(len(mps))]
              for lam in range(len(mps))]
-    duals = character_duals(ctx, units, span, coords, gram)
+    duals = character_duals(ctx, rows, units, span, coords, gram)
     for mp, values, dual in zip(mps, rows, duals):
         dual = {position[w]: c for w, c in dual.items()}
         sigmas = values + [d.inv(values[-1])]

@@ -106,7 +106,8 @@ def test_criterion_04_sigma_injectivity_shadow(sampled_ctxs):
         for ctx in sampled_ctxs(n, r):
             span = jm_center_span(ctx)
             assert span.rank == expected, (n, r)
-            matrix = descriptor_characters(ctx, span.descriptors)
+            _, values = specialized_elementary_characters(ctx)
+            matrix = descriptor_characters(ctx, values, span.descriptors)
             rows = [dict(enumerate(row)) for row in matrix]
             assert rank(rows, ctx.domain) == expected, (n, r)
     _announce("C4 sigma injectivity shadow", "(|P^2_3| = 10)")

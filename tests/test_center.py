@@ -215,7 +215,8 @@ class TestCharacters:
         params = SimpleNamespace(n=2, r=2, domain=RationalDomain(),
                                  q_val=Fraction(2),
                                  Q_vals=[Fraction(3), Fraction(5)])
-        chars = descriptor_characters(params, [(0, 0, 0)])
+        _, rows = specialized_elementary_characters(params)
+        chars = descriptor_characters(params, rows, [(0, 0, 0)])
         assert chars == [[1]] * len(enumerate_multipartitions(2, 2))
 
     def test_descriptors_multiply_the_values(self):
@@ -223,8 +224,9 @@ class TestCharacters:
         # q^-1 Q^2 = 9/2; a descriptor (a, b, c) is e_1^a e_2^b e_2^-c
         params = SimpleNamespace(n=2, r=1, domain=RationalDomain(),
                                  q_val=Fraction(2), Q_vals=[Fraction(3)])
+        _, rows = specialized_elementary_characters(params)
         chars = descriptor_characters(
-            params, [(1, 1, 0), (0, 0, 1), (0, 1, 1), (2, 0, 0)])
+            params, rows, [(1, 1, 0), (0, 0, 1), (0, 1, 1), (2, 0, 0)])
         assert chars == [[162, Fraction(1, 18), 1, 81],
                          [Fraction(81, 4), Fraction(2, 9), 1,
                           Fraction(81, 4)]]
@@ -233,7 +235,8 @@ class TestCharacters:
         for n, r in [(2, 1), (3, 1), (2, 2)]:
             for ctx in sampled_ctxs(n, r):
                 span = jm_center_span(ctx)
-                matrix = descriptor_characters(ctx, span.descriptors)
+                _, values = specialized_elementary_characters(ctx)
+                matrix = descriptor_characters(ctx, values, span.descriptors)
                 rows = [dict(enumerate(row)) for row in matrix]
                 assert rank(rows, ctx.domain) == \
                     len(enumerate_multipartitions(n, r))
@@ -294,7 +297,9 @@ class TestCocenter:
     def test_zero_maps_to_zero(self, sampled_ctxs):
         ctx = sampled_ctxs(2, 1)[0]
         span, coords, gram = _pairing_data(ctx)
-        (out,) = character_duals(ctx, [[ctx.domain.zero, ctx.domain.zero]],
+        _, rows = specialized_elementary_characters(ctx)
+        (out,) = character_duals(ctx, rows,
+                                 [[ctx.domain.zero, ctx.domain.zero]],
                                  span, coords, gram)
         assert out == {}
 
@@ -303,10 +308,11 @@ class TestCocenter:
         ctx = sampled_ctxs(2, 2)[0]
         span, coords, gram = _pairing_data(ctx)
         rng = random.Random(2)
-        chars = descriptor_characters(ctx, span.descriptors)
+        _, rows = specialized_elementary_characters(ctx)
+        chars = descriptor_characters(ctx, rows, span.descriptors)
         for _ in range(10):
             x = [ctx.domain.from_int(rng.randint(-4, 4)) for _ in range(5)]
-            (dual,) = character_duals(ctx, [x], span, coords, gram)
+            (dual,) = character_duals(ctx, rows, [x], span, coords, gram)
             element = AlgebraElement(ctx, dual)
             for i, z in enumerate(span.elements):
                 lhs = (z * element).tau()
@@ -318,14 +324,16 @@ class TestCocenter:
     def test_module_property_spot_checks(self, sampled_ctxs):
         ctx = sampled_ctxs(2, 1)[0]
         span, coords, gram = _pairing_data(ctx)
-        chars = descriptor_characters(ctx, span.descriptors)
+        _, rows = specialized_elementary_characters(ctx)
+        chars = descriptor_characters(ctx, rows, span.descriptors)
         rng = random.Random(3)
         for _ in range(100):
             x = [ctx.domain.from_int(rng.randint(-4, 4)) for _ in range(2)]
             a_idx = rng.randrange(len(span.elements))
             a = span.elements[a_idx]
             ax = [chars[lam][a_idx] * x[lam] for lam in range(2)]
-            lhs, dual = character_duals(ctx, [ax, x], span, coords, gram)
+            lhs, dual = character_duals(ctx, rows, [ax, x], span, coords,
+                                        gram)
             rhs = coords.span.reduce((a * AlgebraElement(ctx, dual)).terms)
             assert lhs == rhs
 
@@ -677,12 +685,13 @@ class TestPerElementOracles:
         coords = commutator_coordinates(ctx)
         mats = cocenter_matrices(ctx, coords)
         gram = trace_gram_matrix(ctx, span, coords, mats)
-        chars = descriptor_characters(ctx, span.descriptors)
+        _, rows = specialized_elementary_characters(ctx)
+        chars = descriptor_characters(ctx, rows, span.descriptors)
         d = ctx.domain
         for lam in range(len(mps)):
             unit = [d.one if k == lam else d.zero for k in range(len(mps))]
             dual = AlgebraElement(ctx, character_duals(
-                ctx, [unit], span=span, coords=coords, gram=gram)[0])
+                ctx, rows, [unit], span=span, coords=coords, gram=gram)[0])
             for a, sigma in zip(span.elements, chars[lam]):
                 assert coords.span.reduce((a * dual).terms) == \
                     (dual * sigma).terms

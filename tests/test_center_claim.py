@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from cyclohecke import center
-from test_prime_field import forced_exact, run
+from cyclohecke import center, suites
+from cyclohecke.cli import main
+from test_center import _GRID, _case_id, _root_of_unity_ctx
+from test_prime_field import GRID as PRIME_FIELD_GRID, forced_exact, run
+from test_reference import BENCH, workloads
 
 # the number of r-multipartitions of n, the coefficient of x^n in P(x)^r
 MULTIPARTITIONS = {(2, 4): 14, (3, 2): 10, (3, 3): 22, (4, 2): 20,
@@ -104,3 +107,93 @@ def test_q_one_passes_below_the_count(capsys):
     assert code == 0
     _, (res,) = results(out)
     assert (res["dim_center"], res["dim_jm_center"]) == (10, 4)
+
+
+# ---------------------------------------------------------------------------
+# rank JM from the distinct character rows
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def spans(monkeypatch):
+    """The domain class names of the contexts jm_center_span runs on."""
+    names = []
+    span = center.jm_center_span
+
+    def recording(ctx, *args):
+        names.append(type(ctx.domain).__name__)
+        return span(ctx, *args)
+
+    monkeypatch.setattr(center, "jm_center_span", recording)
+    return names
+
+
+@pytest.mark.parametrize("case", _GRID, ids=_case_id)
+def test_bound_agrees_with_the_span_at_roots_of_unity(case):
+    ctx = _root_of_unity_ctx(*case)
+    space, jm_rank, in_center = center.center_and_jm_rank(ctx)
+    zspace, span = center.center_and_jm_span(ctx)
+    assert (space.rank, jm_rank, in_center) == \
+        (zspace.rank, span.rank, span.in_center)
+
+
+@pytest.mark.parametrize("argv", PRIME_FIELD_GRID + [
+    center_argv(3, 2, "1", "2,3"), center_argv(2, 2, "1", "2,5"),
+    center_argv(3, 2, "-1", "1,1")])
+def test_bound_agrees_with_the_span_on_every_context(monkeypatch, capsys,
+                                                      argv):
+    """Every context the claim builds, over F_p and over Q."""
+    bound = center.center_and_jm_rank
+    seen = []
+
+    def compared(ctx):
+        space, jm_rank, in_center = found = bound(ctx)
+        zspace, span = center.center_and_jm_span(ctx)
+        assert (space.rank, jm_rank, in_center) == \
+            (zspace.rank, span.rank, span.in_center)
+        seen.append(type(ctx.domain).__name__)
+        return found
+
+    monkeypatch.setattr(suites, "center_and_jm_rank", compared)
+    assert run(argv, capsys)[0] == 0
+    assert forced_exact(argv, capsys, monkeypatch)[0] == 0
+    assert "PrimeFieldDomain" in seen and "RationalDomain" in seen
+
+
+@pytest.mark.parametrize("name", ["center-r4", "hilb-n4"])
+def test_semisimple_references_build_no_span(monkeypatch, capsys, name):
+    def refuse(*args):
+        raise AssertionError("jm_center_span")
+
+    monkeypatch.setattr(center, "jm_center_span", refuse)
+    stdout = ""
+    for argv in workloads.WORKLOADS[name].invocations(workloads.DEFAULT_SEED):
+        assert main(argv) == 0, argv
+        stdout += capsys.readouterr().out
+    assert stdout.encode() == (BENCH / "reference" / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    center_argv(3, 2, "-1", "1,1"), center_argv(4, 2, "zeta_3", "1,zeta_3"),
+    "hilb --n 4 --q-values=zeta_3", center_argv(3, 2, "1", "2,3")])
+def test_colliding_rows_run_the_span(capsys, spans, argv):
+    assert run(argv, capsys)[0] == 0
+    assert spans
+
+
+def test_merged_rows_run_the_span_and_change_nothing(monkeypatch, capsys,
+                                                     spans):
+    # generic: the rows are distinct and no span runs; with the first two
+    # rows merged the count falls below dim Z, and the span decides
+    argv = center_argv(2, 2, "3", "2,5")
+    expected = run(argv, capsys)
+    assert expected[0] == 0 and spans == []
+    characters = center.specialized_elementary_characters
+
+    def merged(ctx):
+        mps, rows = characters(ctx)
+        rows[1] = rows[0]
+        return mps, rows
+
+    monkeypatch.setattr(center, "specialized_elementary_characters", merged)
+    assert run(argv, capsys) == expected
+    assert spans == ["PrimeFieldDomain"]

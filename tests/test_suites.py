@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import add_T1_to_e1
 from cyclohecke import center, suites
+from cyclohecke.cli import main
 from cyclohecke.hecke import AlgebraContext
 from cyclohecke.reports import VerificationReport, summarize
 from cyclohecke.rings import CyclotomicDomain, RationalDomain
@@ -249,6 +251,22 @@ class TestPairingSuite:
             assert (literal(1, 4, random.Random(seed), 1)
                     != literal(1, 4, random.Random(seed), 2))
 
+    def test_one_spectrum_table_per_sample(self, monkeypatch, capsys):
+        # the module-map check and the character duals read the same rows
+        characters = suites.specialized_elementary_characters
+        calls = []
+
+        def counted(ctx):
+            calls.append(ctx.q_val)
+            return characters(ctx)
+
+        for module in (center, suites):
+            monkeypatch.setattr(module, "specialized_elementary_characters",
+                                counted)
+        assert main("--samples 2 pairing --n 2 --r 2".split()) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert len(calls) == len(set(calls)) == 2
+
     def test_deterministic_given_seed(self):
         a = suite_pairing(2, 1, seed=3, samples=1).to_json()
         b = suite_pairing(2, 1, seed=3, samples=1).to_json()
@@ -287,26 +305,26 @@ class TestPairingCertificateFaults:
         (center, "descriptor_characters"),
         (suites, "specialized_elementary_characters"),
     ], ids=["center", "suites"])
-    def test_swapped_character_rows_fail_module_property(self, monkeypatch,
-                                                         module, table):
-        # the dual is built from center's character table of the span and
-        # checked against the suite's own table of the generators: a
-        # relabeling on either side is caught
+    def test_corrupted_character_rows_fail_module_property(self, monkeypatch,
+                                                           module, table):
+        # the suite's table of the generators feeds both the dual, through
+        # center's character matrix of the span, and the check: rows
+        # relabelled in the matrix alone, or a table row that is no
+        # character of the JM center (e_1 bumped), are caught
         characters = getattr(module, table)
 
-        def swap(rows):
-            rows[0], rows[1] = rows[1], rows[0]
-            return rows
-
         if table == "descriptor_characters":
-            def swapped(ctx, descriptors):
-                return swap(characters(ctx, descriptors))
+            def corrupted(ctx, rows, descriptors):
+                matrix = characters(ctx, rows, descriptors)
+                matrix[0], matrix[1] = matrix[1], matrix[0]
+                return matrix
         else:
-            def swapped(ctx):
+            def corrupted(ctx):
                 mps, rows = characters(ctx)
-                return mps, swap(rows)
+                rows[0] = [rows[0][0] + 1] + rows[0][1:]
+                return mps, rows
 
-        monkeypatch.setattr(module, table, swapped)
+        monkeypatch.setattr(module, table, corrupted)
         rep = suite_pairing(2, 2, samples=1)
         assert rep.status == "fail"
         assert [w["reason"] for w in rep.witnesses] == [

@@ -81,6 +81,8 @@ RUNGS = {
     "hilb-n5-zeta": ["hilb", "--n", "5", "--q-values", "zeta_3,zeta_4,zeta_5"],
     "center-n4-r3": ["--samples", "3", "center", "--n", "4", "--r", "3",
                      "--q", "generic", "--Q", "generic,generic,generic"],
+    "center-n5-r3": ["center", "--n", "5", "--r", "3", "--q", "3",
+                     "--Q", "2,5,7"],
     # the center claim at parameters where the algebra is not semisimple
     "center-n5-r2-zeta3": ["center", "--n", "5", "--r", "2",
                            "--q", "zeta_3", "--Q", "1,1"],
