@@ -10,7 +10,6 @@ here is computable from combinatorics plus exact linear algebra.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .combinatorics import enumerate_multipartitions, jm_eigenvalues
 from .hecke import AlgebraElement
@@ -77,7 +76,6 @@ def center_basis(ctx):
 # Jucys-Murphy center
 # ---------------------------------------------------------------------------
 
-@dataclass
 class JMCenterSpan:
     """Stabilized linear span of monomials in e_1..e_n and e_n^{-1}.
 
@@ -88,11 +86,10 @@ class JMCenterSpan:
     span was given (None without one).
     """
 
-    rank: int
-    elements: list
-    descriptors: list
-    generators: list
-    in_center: bool | None
+    def __init__(self, rank, elements, descriptors, generators, in_center):
+        self.rank, self.elements = rank, elements
+        self.descriptors, self.generators = descriptors, generators
+        self.in_center = in_center
 
 
 def jm_center_span(ctx, center=None):
@@ -219,13 +216,13 @@ def descriptor_characters(ctx, rows, descriptors):
 # cocenter
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CocenterCoordinates:
     """Coordinates on H / [H, H]: the commutator row space plus the basis
     words indexing its complement (non-pivot columns)."""
 
-    span: RowSpace
-    complement: list  # basis indices
+    def __init__(self, span, complement):
+        self.span = span  # RowSpace
+        self.complement = complement  # basis indices
 
     @property
     def dim(self):

@@ -34,14 +34,13 @@ def partitions_of(n):
     return list(gen(n, n))
 
 
+@cache
 def _compositions(n, r):
     """Weak compositions of n into r parts, descending lexicographic."""
     if r == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
+        return [(n,)]
+    return [(first,) + rest for first in range(n, -1, -1)
+            for rest in _compositions(n - first, r - 1)]
 
 
 @cache
@@ -102,11 +101,20 @@ def jm_eigenvalues(mp, r=None):
     the pairs (b - a, c).
 
     Tableau-independent by construction: iterates nodes directly rather than
-    standard tableaux.
+    standard tableaux. The list is fresh; the per-component ones are cached.
     """
     if r is not None and len(mp) != r:
         raise ValueError("component count mismatch")
-    return [(b - a, c) for a, b, c in nodes(mp)]
+    out = []
+    for c, part in enumerate(mp, start=1):
+        out += _component_eigenvalues(part, c)
+    return out
+
+
+@cache
+def _component_eigenvalues(part, c):
+    """The pairs (b - a, c) of the nodes of partition part as component c."""
+    return [(b - a, c) for a, b, _ in nodes((part,))]
 
 
 def _addable_positions(filled, shape):

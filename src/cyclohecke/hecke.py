@@ -31,11 +31,13 @@ cyclotomic one, on the roots of T_i and of L_1 (f(A) commutes with A).
 Then, by T_i^2 = (q-1) T_i + q, the difference C of another relation has
 C T_i = (q - 1 - A) C, A = T_i for a commutation and the other T for a
 braid: T_i T_j = T_j T_i and the braids run on the roots of their pair,
-the commutations with L_1 on the roots of T_i (T_1 for T_0 T_1 T_0 T_1),
-skipped at r = 1, where L_1 = Q_1. Per root a side costs one matrix
-application per factor beyond its rightmost, whose column is stored: a
-commutation 2, T_0 T_1 T_0 T_1 6, a braid 4, a quadratic relation 1 (its
-right side is read off the stored column), the cyclotomic relation r - 1.
+the commutations with L_1 on the roots of T_i (T_1 for T_0 T_1 T_0 T_1,
+and also L_1 at r = 2, where the cyclotomic relation gives C T_0 =
+(Q_1 + Q_2 - T_0) C), skipped at r = 1, where L_1 = Q_1. Per root a side
+costs one matrix application per factor beyond its rightmost, whose
+column is stored: a commutation 2, T_0 T_1 T_0 T_1 6, a braid 4, a
+quadratic relation 1 (its right side is read off the stored column), the
+cyclotomic relation r - 1.
 _apply_L is certified only by the reconstruction and conjugation steps.
 """
 
@@ -640,7 +642,9 @@ def _presentation(ctx):
             yield family(f"commute T{i} T{j}", (i, j), (i, j), (j, i))
     if ctx.r > 1:  # else the cyclotomic relation makes L_1 the scalar Q_1
         if n >= 2:
-            yield family("commute L1 L2", (1,), (0, 1, 0, 1), (1, 0, 1, 0))
+            # at r = 2 the certified T_0^2 = c_1 T_0 + c_0 lets L_1 join
+            yield family("commute L1 L2", (0, 1) if ctx.r == 2 else (1,),
+                         (0, 1, 0, 1), (1, 0, 1, 0))
         for i in range(2, n):
             yield family(f"commute T{i} L1", (i,), (i, 0), (0, i))
     for i in range(1, n - 1):

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class VerificationReport:
     """One named check with its parameters, outcome and witness data.
 
@@ -15,18 +13,15 @@ class VerificationReport:
     stay on the object for optional display.
     """
 
-    check: str
-    params: dict
-    status: str  # "pass" | "fail" | "skipped"
-    witnesses: list = field(default_factory=list)
-    seed: int | None = None
-    duration: float = 0.0
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and not self.witnesses:
+    def __init__(self, check, params, status, witnesses=None, seed=None,
+                 duration=0.0):
+        if status not in ("pass", "fail", "skipped"):
+            raise ValueError(f"bad status {status!r}")
+        if status == "fail" and not witnesses:
             raise ValueError("failure reports must carry a witness")
+        self.check, self.params, self.status = check, params, status
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seed, self.duration = seed, duration
 
     @property
     def passed(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -11,6 +10,7 @@ from test_hecke import literal_product, right_T_oracle
 from cyclohecke.center import (
     CocenterCoordinates,
     IdempotentSplitError,
+    JMCenterSpan,
     SingularGramError,
     center_and_jm_span,
     center_basis,
@@ -542,9 +542,9 @@ class TestIdempotents:
 
         def smaller(ctx):
             zspace, span = true_span(ctx)
-            return zspace, dataclasses.replace(
-                span, rank=span.rank - 1, elements=span.elements[:-1],
-                descriptors=span.descriptors[:-1])
+            return zspace, JMCenterSpan(
+                span.rank - 1, span.elements[:-1], span.descriptors[:-1],
+                span.generators, span.in_center)
 
         monkeypatch.setattr(center, "center_and_jm_span", smaller)
         rep = verify_blocks(3, 1, 2, (0,))

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -509,9 +508,9 @@ class TestFailurePaths:
 
         def short(ctx):
             center_space, span = spans(ctx)
-            return center_space, dataclasses.replace(
-                span, rank=span.rank - 1, elements=span.elements[:-1],
-                descriptors=span.descriptors[:-1])
+            return center_space, center.JMCenterSpan(
+                span.rank - 1, span.elements[:-1], span.descriptors[:-1],
+                span.generators, span.in_center)
 
         monkeypatch.setattr(suites, "center_and_jm_span", short)
         witnesses = _failed_witnesses("--samples 1 pairing --n 2 --r 2",
@@ -553,7 +552,9 @@ class TestFailurePaths:
 
         def short(ctx):
             span = spans(ctx)
-            return dataclasses.replace(span, rank=span.rank - 1)
+            return center.JMCenterSpan(
+                span.rank - 1, span.elements, span.descriptors,
+                span.generators, span.in_center)
 
         monkeypatch.setattr(suites, "jm_center_span", short)
         witnesses = _failed_witnesses("q1-gap --n 2 --r 2", capsys)

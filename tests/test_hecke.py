@@ -1064,6 +1064,18 @@ class TestColumnGate:
         # 8 * (r - 1) = 24, T0 T1 T0 T1 on the roots of {T_1} 25 * 6 = 150
         # (320 on every column)
         (2, 4, 25 + 24 + 150),
+        # at r = 2 T0 T1 T0 T1 runs on the roots of {T_1, L_1}, dim / 4
+        # words: L_1 steps each word without L_1 to one with it, T_1 steps
+        # the rest in pairs. (2,2): 5 + 4 + 2 * 6 (5 * 6 = 30 on the roots
+        # of {T_1})
+        (2, 2, 5 + 4 + 2 * 6),
+        # (3,2): quadratics 2 * 30, cyclotomic 24, T0 T1 T0 T1 12 * 6 (30 *
+        # 6 on the roots of {T_1}), T2 L1 30 * 2, braid 18 * 4
+        (3, 2, 60 + 24 + 12 * 6 + 30 * 2 + 18 * 4),
+        # (4,2): quadratics 3 * 240, cyclotomic 192, T1 T3 150 * 2,
+        # T0 T1 T0 T1 96 * 6 (240 * 6 on the roots of {T_1}), T2 L1 and
+        # T3 L1 2 * 240 * 2, two braids 2 * 144 * 4
+        (4, 2, 720 + 192 + 300 + 96 * 6 + 960 + 1152),
     ])
     def test_relation_phase_cost(self, monkeypatch, n, r, total):
         """One apply_cols per root for each factor of a side beyond its
@@ -1080,3 +1092,50 @@ class TestColumnGate:
         monkeypatch.setattr(ctx.domain, "apply_cols", counting)
         assert hecke._presentation_witness(ctx) is None
         assert len(calls) == total
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+                                     (2, 4)])
+    def test_commute_L1_L2_roots(self, n, r):
+        """T0 T1 T0 T1 = T1 T0 T1 T0 runs on the roots of {T_1, L_1} at
+        r = 2, where the certified T_0^2 = c_1 T_0 + c_0 gives
+        C T_0 = (c_1 - T_0) C, and on the roots of {T_1} at r >= 3; at
+        r = 1 it does not run."""
+        ctx = _differential_context("rational", n, r)
+        roots = {name: words for name, words, *_ in hecke._presentation(ctx)}
+        if r == 1:
+            assert "commute L1 L2" not in roots
+            return
+        keys = [("T", 0)] + [("L", 1)] * (r == 2)
+        assert roots["commute L1 L2"] == hecke._roots(
+            [hecke._steps(ctx.domain, ctx._matrices[key]) for key in keys],
+            ctx.dim)
+
+    def test_L1_roots_miss_a_fault_at_r3(self):
+        """At (2,3) T_1 is replaced by q on every word except the chain
+        1, L_1, L_1^2, where it is -1 + (q + 1) u v^T with v = e_L1 and
+        u = (e_2(Q), 1, 1): a root of the quadratic relation. Then
+        C = T0 T1 T0 T1 - T1 T0 T1 T0 vanishes on 1 but not on L_1, since
+        [T_0^2, Y] is not a multiple of C at r = 3. C vanishes on every
+        root of {T_1, L_1}, so only the roots of {T_1}, every word here,
+        find it."""
+        ctx = _differential_context("rational", 2, 3)
+        d, q = ctx.domain, ctx.q_val
+        L1 = ctx._matrices[("L", 1)]
+        (e1,) = L1[0]
+        (e2,) = L1[e1]
+        T1 = [{b: q} for b in range(ctx.dim)]
+        T1[0], T1[e2] = {0: -d.one}, {e2: -d.one}
+        T1[e1] = {0: -(q + 1) * L1[e2][e1], e1: q, e2: q + 1}
+        ctx._matrices[("T", 0)] = T1
+        assert {name: sorted(words) for name, words
+                in oracle_failures(ctx).items()} == {
+            "commute L1 L2": [e1, e2]}
+        _, _, lhs, rhs = next(f for f in hecke._presentation(ctx)
+                              if f[0] == "commute L1 L2")
+        roots = hecke._roots([hecke._steps(d, m) for m in (T1, L1)],
+                             ctx.dim)
+        assert all(lhs(b) == rhs(b) for b in roots)
+        witness = hecke._presentation_witness(ctx)
+        assert witness is not None
+        assert witness["relation"] == "commute L1 L2"
+        assert witness["word"] == ctx.basis_element(e1).render()

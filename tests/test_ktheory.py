@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclohecke import ktheory
+from cyclohecke import combinatorics, ktheory
 from cyclohecke.combinatorics import (
     enumerate_multipartitions,
     jm_eigenvalues,
@@ -19,6 +19,7 @@ from cyclohecke.ktheory import (
 )
 from cyclohecke.linalg import RowSpace
 from cyclohecke.rings import LaurentPoly, RationalDomain
+from cyclohecke.suites import main_theorem_coverage
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "testdata" / "tables"
 
@@ -385,6 +386,87 @@ def _check_shifted_last_weight(monkeypatch, side, shift):
         "multipartition": render_multipartition(
             enumerate_multipartitions(3, 2)[0]),
         "column": "e1", "geometric": geometric, "algebraic": algebraic}
+
+
+def _naive_eigenvalues(mp):
+    return [(b - a, c) for c, part in enumerate(mp, start=1)
+            for a, row_len in enumerate(part, start=1)
+            for b in range(1, row_len + 1)]
+
+
+def _naive_box_weights(mp):
+    return [(j - i, k) for k, part in enumerate(mp, start=1)
+            for i in range(len(part)) for j in range(part[i])]
+
+
+class TestWeightCaches:
+    """Both sides of the main identity concatenate cached per-component
+    lists into a fresh list."""
+
+    def test_lists_match_naive_comprehensions_at_budget_1e6(self):
+        for n, r in main_theorem_coverage(10 ** 6):
+            for mp in enumerate_multipartitions(n, r):
+                assert jm_eigenvalues(mp, r) == _naive_eigenvalues(mp)
+                assert fixed_point_character(mp, r) == _naive_box_weights(mp)
+
+    def test_geometric_cache_does_not_read_nodes(self, monkeypatch):
+        def refuse(mp):
+            raise AssertionError("node code path reached")
+
+        monkeypatch.setattr(combinatorics, "nodes", refuse)
+        for cached in (ktheory._box_weights,
+                       combinatorics._component_eigenvalues):
+            cached.cache_clear()
+        try:
+            for mp in enumerate_multipartitions(3, 2):
+                assert fixed_point_character(mp, 2) == _naive_box_weights(mp)
+            with pytest.raises(AssertionError, match="node code path"):
+                jm_eigenvalues(((1,), ()), 2)
+        finally:
+            ktheory._box_weights.cache_clear()
+
+    @pytest.mark.parametrize("weights_of", [
+        fixed_point_character, jm_eigenvalues,
+    ], ids=["geometric", "algebraic"])
+    def test_mutating_a_returned_list_leaves_the_next_call(self, weights_of):
+        mp = ((2, 1), (1,))
+        weights = weights_of(mp, 2)
+        expected = list(weights)
+        weights[0] = (7, 2)
+        weights.append((0, 1))
+        assert weights_of(mp, 2) == expected
+
+    @pytest.mark.parametrize("side,fault,first", [
+        ("algebraic", "colour",
+         {"multipartition": "[[1],[1]]", "column": "e1",
+          "geometric": "Q2 + Q1", "algebraic": "2*Q2"}),
+        ("geometric", "colour",
+         {"multipartition": "[[1],[1]]", "column": "e1",
+          "geometric": "2*Q2", "algebraic": "Q2 + Q1"}),
+        ("algebraic", "content",
+         {"multipartition": "[[1],[1]]", "column": "e1",
+          "geometric": "Q2 + Q1", "algebraic": "Q2 + q*Q1"}),
+        ("geometric", "content",
+         {"multipartition": "[[1],[1]]", "column": "e1",
+          "geometric": "Q2 + q*Q1", "algebraic": "Q2 + Q1"}),
+    ])
+    def test_corrupted_cached_component_fails(self, side, fault, first):
+        # the cached list of [1] as component 1 gets colour 2, or content
+        # + 1, in place; at (2,2) only [[1],[1]] holds that component
+        cached = (combinatorics._component_eigenvalues if side == "algebraic"
+                  else ktheory._box_weights)
+        cached.cache_clear()
+        try:
+            weights = cached((1,), 1)
+            weights[0] = (0, 2) if fault == "colour" else (1, 1)
+            rep = verify_main_theorem(2, 2)
+        finally:
+            cached.cache_clear()
+        assert rep.status == "fail"
+        assert [(w["multipartition"], w["column"]) for w in rep.witnesses] \
+            == [("[[1],[1]]", c) for c in ("e1", "e2", "det_inv")]
+        assert rep.witnesses[0] == first
+        assert verify_main_theorem(2, 2).passed
 
 
 class TestBlocks:

@@ -7,7 +7,6 @@ Setting the module prime to 1 forces the exact path: 1 divides every
 numerator and denominator, so the prime is refused for every rational
 specialization, and no prime p <= 1 has p = 1 mod ell."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -273,9 +272,9 @@ class TestBlocksFallback:
         def short_over_fp(ctx):
             zspace, span = true_span(ctx)
             if isinstance(ctx.domain, PrimeFieldDomain):
-                span = dataclasses.replace(
-                    span, rank=span.rank - 1, elements=span.elements[:-1],
-                    descriptors=span.descriptors[:-1])
+                span = center.JMCenterSpan(
+                    span.rank - 1, span.elements[:-1], span.descriptors[:-1],
+                    span.generators, span.in_center)
             return zspace, span
 
         monkeypatch.setattr(center, "center_and_jm_span", short_over_fp)
