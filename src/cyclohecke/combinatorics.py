@@ -101,13 +101,14 @@ def jm_eigenvalues(mp, r=None):
     the pairs (b - a, c).
 
     Tableau-independent by construction: iterates nodes directly rather than
-    standard tableaux. The list is fresh; the per-component ones are cached.
+    standard tableaux. The list is fresh; the per-component ones are cached,
+    keyed by each component as a tuple, so any sequence of row lengths works.
     """
     if r is not None and len(mp) != r:
         raise ValueError("component count mismatch")
     out = []
     for c, part in enumerate(mp, start=1):
-        out += _component_eigenvalues(part, c)
+        out += _component_eigenvalues(tuple(part), c)
     return out
 
 

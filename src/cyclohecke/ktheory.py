@@ -54,13 +54,14 @@ def fixed_point_character(mp, r=None):
     pair (j - i, k).
 
     Deliberately does not touch the node/content code path. The list is
-    fresh; the per-component ones are cached.
+    fresh; the per-component ones are cached, keyed by each component as a
+    tuple, so any sequence of row lengths works.
     """
     if r is not None and len(mp) != r:
         raise ValueError("component count mismatch")
     out = []
     for k, part in enumerate(mp, start=1):
-        out += _box_weights(part, k)
+        out += _box_weights(tuple(part), k)
     return out
 
 
@@ -139,9 +140,9 @@ def verify_main_theorem(n, r):
     and the algebraic one (elementary symmetric functions of Jucys-Murphy
     eigenvalues), entry by entry, including the inverse determinant column.
     A row is equal exactly when the two weight multisets are (see
-    docs/reports.md), so each fixed point compares the lists, and sorts
-    them only when they differ; only a mismatch builds the rows, to name
-    the unequal columns.
+    docs/reports.md), so a fixed point whose two lists are equal passes;
+    only lists that differ build the rows, which settle the verdict and
+    name the unequal columns.
     """
     start = time.perf_counter()
     labels = [f"e{i}" for i in range(1, n + 1)] + ["det_inv"]
@@ -150,8 +151,7 @@ def verify_main_theorem(n, r):
     for mp in mps:
         alg_weights = jm_eigenvalues(mp, r)
         geo_weights = fixed_point_character(mp, r)
-        if geo_weights == alg_weights or (
-                sorted(geo_weights) == sorted(alg_weights)):
+        if geo_weights == alg_weights:
             continue
         for label, geom, alg in zip(labels, _row(geo_weights, n, r),
                                     _row(alg_weights, n, r)):

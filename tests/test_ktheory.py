@@ -409,6 +409,12 @@ class TestWeightCaches:
                 assert jm_eigenvalues(mp, r) == _naive_eigenvalues(mp)
                 assert fixed_point_character(mp, r) == _naive_box_weights(mp)
 
+    @pytest.mark.parametrize("weights_of", [
+        fixed_point_character, jm_eigenvalues,
+    ], ids=["geometric", "algebraic"])
+    def test_components_may_be_lists(self, weights_of):
+        assert weights_of([[2, 1], [1]], 2) == weights_of(((2, 1), (1,)), 2)
+
     def test_geometric_cache_does_not_read_nodes(self, monkeypatch):
         def refuse(mp):
             raise AssertionError("node code path reached")
