@@ -289,6 +289,9 @@ class _CommandParser:
         if self.parser is None:
             _, func, arguments = COMMANDS[self.command]
             self.parser = argparse.ArgumentParser(prog=self.prog)
+            # read "-1/2" and "-3/2,5" as values, not options; like the
+            # lazy dispatch, this relies on argparse internals (CPython 3.11)
+            self.parser._negative_number_matcher = re.compile(r"^-\d")
             for flag, kwargs in arguments:
                 self.parser.add_argument(flag, **kwargs)
             self.parser.set_defaults(func=func)
@@ -335,7 +338,6 @@ def main(argv=None):
         return _emit([VerificationReport(
             check="engine_error",
             params={"command": args.command},
-            status="fail",
             witnesses=[{"error": type(exc).__name__, "message": str(exc)}],
             seed=args.seed,
         )], args)

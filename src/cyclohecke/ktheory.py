@@ -165,7 +165,6 @@ def verify_main_theorem(n, r):
     return VerificationReport(
         check="main_theorem_identity",
         params={"n": n, "r": r, "rows": len(mps), "columns": len(labels)},
-        status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         duration=time.perf_counter() - start,
     )
@@ -242,7 +241,6 @@ def verify_blocks(n, r, modulus, charge, *, seed=0):
     def report(params, witnesses):
         return VerificationReport(
             check="block_decomposition", params=params,
-            status="pass" if not witnesses else "fail",
             witnesses=witnesses, seed=seed,
             duration=time.perf_counter() - start)
 

@@ -8,20 +8,24 @@ import json
 class VerificationReport:
     """One named check with its parameters, outcome and witness data.
 
-    The canonical JSON rendering excludes the wall-clock duration so that
-    reruns with the same parameters and seed are byte-identical; durations
-    stay on the object for optional display.
+    The status is derived, never stored: a check fails exactly when it has
+    a witness, is skipped when nothing failed and it could not run, and
+    passes otherwise. The canonical JSON rendering excludes the wall-clock
+    duration so that reruns with the same parameters and seed are
+    byte-identical; durations stay on the object for optional display.
     """
 
-    def __init__(self, check, params, status, witnesses=None, seed=None,
-                 duration=0.0):
-        if status not in ("pass", "fail", "skipped"):
-            raise ValueError(f"bad status {status!r}")
-        if status == "fail" and not witnesses:
-            raise ValueError("failure reports must carry a witness")
-        self.check, self.params, self.status = check, params, status
+    def __init__(self, check, params, witnesses=None, seed=None,
+                 duration=0.0, skipped=False):
+        self.check, self.params = check, params
         self.witnesses = [] if witnesses is None else witnesses
-        self.seed, self.duration = seed, duration
+        self.seed, self.duration, self.skipped = seed, duration, skipped
+
+    @property
+    def status(self):
+        if self.witnesses:
+            return "fail"
+        return "skipped" if self.skipped else "pass"
 
     @property
     def passed(self):

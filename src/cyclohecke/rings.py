@@ -107,12 +107,7 @@ class LaurentPoly:
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
                 if coeff:
-                    key = tuple(exps)
-                    acc = clean.get(key, 0) + coeff
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        clean.pop(key, None)
+                    clean[tuple(exps)] = coeff
         self.terms = clean
         self._hash = None
 
@@ -181,9 +176,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -429,9 +421,6 @@ class CyclotomicNumber:
 
     def __sub__(self, other):
         return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return CyclotomicNumber._make(

@@ -167,7 +167,6 @@ def suite_center(n, r, explicit=None, *, seed=0, samples=3):
         check="center_dimensions",
         params={"n": n, "r": r, "specialization": label,
                 "results": results},
-        status="fail" if witnesses else "pass",
         witnesses=witnesses,
         seed=seed,
         duration=time.perf_counter() - start,
@@ -195,7 +194,6 @@ def suite_hilb_fg06(n, points, *, seed=0):
         check="hilb_center_equals_jm_center",
         params={"n": n, "r": 1, "Q1": "1", "results": results,
                 "p_n": len(enumerate_multipartitions(n, 1))},
-        status="fail" if witnesses else "pass",
         witnesses=witnesses,
         seed=seed,
         duration=time.perf_counter() - start,
@@ -362,7 +360,6 @@ def suite_q1_gap(n, r, Q_vals=None, *, seed=0):
             "gap": invariant_dim < mp_count,
             "structure_compared": True,
         },
-        status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         seed=seed,
         duration=time.perf_counter() - start,
@@ -456,12 +453,6 @@ def suite_pairing(n, r, *, seed=0, samples=1):
         witness = _module_map_witness(ctx, mps, span, coords, gram, mats)
         if witness:
             witnesses.append(witness)
-    if witnesses:
-        status = "fail"
-    elif gram_skipped:
-        status = "skipped"
-    else:
-        status = "pass"
     return VerificationReport(
         check="pairing_cocenter",
         params={
@@ -471,10 +462,10 @@ def suite_pairing(n, r, *, seed=0, samples=1):
             "cocenter_dim_expected": mp_count,
             "gram_skipped": gram_skipped,
         },
-        status=status,
         witnesses=witnesses,
         seed=seed,
         duration=time.perf_counter() - start,
+        skipped=gram_skipped is not None,
     )
 
 
@@ -500,7 +491,6 @@ def pbw_dimension_report(n, r):
         check="pbw_dimension",
         params={"n": n, "r": r, "expected": expected,
                 "syt_square_sum": syt_sum, "basis_size": None},
-        status="pass" if not witnesses else "fail",
         witnesses=witnesses,
         duration=time.perf_counter() - start,
     )

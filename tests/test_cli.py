@@ -287,6 +287,29 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
+class TestNegativeLiterals:
+    @pytest.mark.parametrize("spaced, joined", [
+        ("center --n 2 --r 1 --q -1/2 --Q 1",
+         "center --n 2 --r 1 --q=-1/2 --Q 1"),
+        ("center --n 2 --r 2 --q 2 --Q -3/2,5",
+         "center --n 2 --r 2 --q 2 --Q=-3/2,5"),
+        ("hilb --n 2 --q-values -1,2", "hilb --n 2 --q-values=-1,2"),
+        ("q1-gap --n 2 --r 2 --Q -1,2", "q1-gap --n 2 --r 2 --Q=-1,2"),
+    ])
+    def test_value_may_start_with_a_minus(self, spaced, joined, capsys):
+        """A negative literal after its flag is a value, as in --flag=-x."""
+        assert main(spaced.split()) == 0
+        out = capsys.readouterr().out
+        assert main(joined.split()) == 0
+        assert capsys.readouterr().out == out
+
+    def test_non_numeric_value_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["center", "--n", "2", "--r", "1", "--q", "2", "--Q", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 _CLI_TEXT_CASES = {
     "help": ["-h"],
     **{f"help-{name}": [name, "-h"] for name in [

@@ -27,20 +27,28 @@ from cyclohecke.suites import (
 
 
 class TestReports:
-    def test_failure_requires_witness(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", {}, "fail", [])
+    def test_any_witness_fails_even_when_skipped(self):
+        rep = VerificationReport("x", {}, [{"reason": "r"}], skipped=True)
+        assert rep.status == "fail" and not rep.passed
 
-    def test_canonical_json_excludes_duration(self):
-        rep = VerificationReport("x", {"n": 1}, "pass", duration=1.23)
-        assert "duration" not in rep.to_json()
+    def test_empty_report_is_skipped_only_with_the_flag(self):
+        assert VerificationReport("x", {}).status == "pass"
+        assert VerificationReport("x", {}, []).passed
+        assert VerificationReport("x", {}, skipped=True).status == "skipped"
+
+    def test_canonical_json_has_status_and_excludes_duration(self):
+        rep = VerificationReport("x", {"n": 1}, duration=1.23)
+        record = json.loads(rep.to_json())
+        assert record["status"] == "pass"
+        assert "duration" not in record
 
     def test_summarize(self):
         reports = [
-            VerificationReport("a", {}, "pass"),
-            VerificationReport("b", {}, "skipped"),
+            VerificationReport("a", {}),
+            VerificationReport("b", {}, skipped=True),
+            VerificationReport("c", {}, [{"reason": "r"}]),
         ]
-        assert summarize(reports) == (1, 0, 1)
+        assert summarize(reports) == (1, 1, 1)
 
 
 class TestSampler:
